@@ -55,6 +55,14 @@ class RunConfig:
         return NormalizationRules.from_file(self.rules) if self.rules else None
 
 
+def _check_int(key: str, value, minimum: int | None = None) -> None:
+    # bool is an int subclass, but `true` is no count
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{key} must be >= {minimum}, got {value}")
+
+
 def load_config(args: argparse.Namespace) -> RunConfig:
     config = RunConfig()
     if args.config:
@@ -87,8 +95,12 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         config.stopwords = args.stopwords
     if getattr(args, "rules", None):
         config.rules = args.rules
-    if config.top_k < 1:
-        raise ConfigError(f"top_k must be >= 1, got {config.top_k}")
+    _check_int("top_k", config.top_k, minimum=1)
+    _check_int("seed", config.seed)
+    if config.sample is not None:
+        _check_int("sample", config.sample, minimum=1)
+    if isinstance(config.fuzzy_threshold, bool) or not isinstance(config.fuzzy_threshold, (int, float)):
+        raise ConfigError(f"fuzzy_threshold must be a number, got {config.fuzzy_threshold!r}")
     if not 0 < config.fuzzy_threshold <= 1:
         raise ConfigError(f"fuzzy_threshold must lie in (0, 1], got {config.fuzzy_threshold}")
     if config.format not in ("auto", "tagged", "tab_delimited"):

@@ -75,20 +75,6 @@ class WeightedGraph:
                 adj[b].add(a)
         return adj
 
-    def degree(self, node: str) -> int:
-        """Distinct-neighbor degree, self-loops excluded."""
-        return len(self.adjacency()[node])
-
-    def weighted_degree(self, node: str) -> int:
-        """Sum of incident edge weights; a self-loop counts twice."""
-        total = 0
-        for (a, b), weight in self.edges.items():
-            if a == node:
-                total += weight
-            if b == node:
-                total += weight
-        return total
-
     def validate(self) -> None:
         for (a, b), weight in self.edges.items():
             if a not in self.nodes or b not in self.nodes:

@@ -58,7 +58,8 @@ def brute_g_index(citations: list[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# all-pairs centrality oracle
+# all-pairs centrality oracle, and the one-source-at-a-time traversals
+# that the batched graph_stats kernels replace
 
 def allpairs_matrices(graph: WeightedGraph) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Hop distances and shortest-path counts between every node pair."""
@@ -89,6 +90,66 @@ def allpairs_matrices(graph: WeightedGraph) -> tuple[list[str], np.ndarray, np.n
             frontier = sorted(set(upcoming))
             d += 1
     return labels, dist, sigma
+
+
+def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    total = int(counts.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64)
+    ends = np.cumsum(counts)
+    offsets = np.arange(total, dtype=np.int64) - np.repeat(ends - counts, counts)
+    return np.repeat(starts, counts) + offsets
+
+
+def bfs_distances(indptr: np.ndarray, indices: np.ndarray, source: int, n: int) -> np.ndarray:
+    """One level-synchronous BFS over a CSR; -1 marks unreachable nodes."""
+    dist = np.full(n, -1, dtype=np.int64)
+    dist[source] = 0
+    frontier = np.array([source], dtype=np.int64)
+    level = 0
+    while frontier.size:
+        counts = indptr[frontier + 1] - indptr[frontier]
+        neighbors = indices[_concat_ranges(indptr[frontier], counts)]
+        fresh = neighbors[dist[neighbors] < 0]
+        if fresh.size == 0:
+            break
+        frontier = np.unique(fresh)
+        level += 1
+        dist[frontier] = level
+    return dist
+
+
+def brandes_dependencies(indptr: np.ndarray, indices: np.ndarray, source: int, n: int) -> np.ndarray:
+    """Single-source dependency accumulation (one Brandes iteration)."""
+    dist = np.full(n, -1, dtype=np.int64)
+    sigma = np.zeros(n, dtype=np.float64)
+    dist[source] = 0
+    sigma[source] = 1.0
+    frontier = np.array([source], dtype=np.int64)
+    level = 0
+    transitions: list[tuple[np.ndarray, np.ndarray]] = []
+    while frontier.size:
+        counts = indptr[frontier + 1] - indptr[frontier]
+        targets = indices[_concat_ranges(indptr[frontier], counts)]
+        origins = np.repeat(frontier, counts)
+        fresh = np.unique(targets[dist[targets] < 0])
+        if fresh.size:
+            dist[fresh] = level + 1
+        # shortest-path DAG edges from this level to the next
+        mask = dist[targets] == level + 1
+        if mask.any():
+            origin_edges = origins[mask]
+            target_edges = targets[mask]
+            np.add.at(sigma, target_edges, sigma[origin_edges])
+            transitions.append((origin_edges, target_edges))
+        frontier = fresh
+        level += 1
+    delta = np.zeros(n, dtype=np.float64)
+    for origin_edges, target_edges in reversed(transitions):
+        contrib = sigma[origin_edges] / sigma[target_edges] * (1.0 + delta[target_edges])
+        np.add.at(delta, origin_edges, contrib)
+    delta[source] = 0.0
+    return delta
 
 
 def brute_betweenness(graph: WeightedGraph) -> dict[str, float]:
@@ -159,10 +220,16 @@ def brute_assortativity(graph: WeightedGraph) -> float | None:
 # ---------------------------------------------------------------------------
 # seeded generators
 
-def random_graph(seed: int, max_nodes: int = 50, kind: GraphKind = GraphKind.COAUTHOR) -> WeightedGraph:
+def random_graph(
+    seed: int,
+    max_nodes: int = 50,
+    kind: GraphKind = GraphKind.COAUTHOR,
+    min_nodes: int = 3,
+    p_range: tuple[float, float] = (0.04, 0.5),
+) -> WeightedGraph:
     rng = random.Random(seed)
-    n = rng.randint(3, max_nodes)
-    p = rng.uniform(0.04, 0.5)
+    n = rng.randint(min_nodes, max_nodes)
+    p = rng.uniform(*p_range)
     graph = WeightedGraph(kind)
     labels = [f"n{i:03d}" for i in range(n)]
     graph.nodes.update(labels)

@@ -205,6 +205,28 @@ class TestConfigResolution:
         assert run("stats", parsed_out / "corpus.jsonl", "--config", config,
                    "--out", tmp_path / "o") == EXIT_CONFIG_ERROR
 
+    @pytest.mark.parametrize("flags", [
+        ("--sample", "0"), ("--sample", "-3"), ("--top-k", "0"),
+    ])
+    def test_bad_flag_is_config_error_before_any_write(self, tmp_path, parsed_out, flags):
+        out = tmp_path / "o"
+        assert run("network", parsed_out / "corpus.jsonl", "--kind", "coauthor",
+                   "--out", out, *flags) == EXIT_CONFIG_ERROR
+        assert not out.exists()
+
+    @pytest.mark.parametrize("values", [
+        {"sample": "5"}, {"sample": 0}, {"sample": 2.5}, {"top_k": "5"}, {"top_k": True},
+        {"seed": "1"}, {"seed": 1.5}, {"fuzzy_threshold": "0.9"},
+    ])
+    def test_bad_config_value_is_config_error_before_any_write(self, tmp_path, parsed_out, values):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(values), encoding="utf-8")
+        out = tmp_path / "o"
+        for command in (("network", parsed_out / "corpus.jsonl", "--kind", "coauthor"),
+                        ("dedup-authors", parsed_out / "corpus.jsonl")):
+            assert run(*command, "--config", config, "--out", out) == EXIT_CONFIG_ERROR
+            assert not out.exists()
+
     def test_bad_threshold_is_config_error(self, tmp_path, parsed_out):
         assert run("dedup-authors", parsed_out / "corpus.jsonl", "--out", tmp_path / "o",
                    "--threshold", "2.0") == EXIT_CONFIG_ERROR

@@ -5,9 +5,13 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from biblionet import graph_stats
 from biblionet.errors import DegenerateDataError
 from biblionet.graph_stats import (
     AssortativityResult,
+    _brandes_dependencies,
+    _compact,
+    _distance_sums,
     avg_shortest_path,
     betweenness_centrality,
     centrality_table,
@@ -20,8 +24,10 @@ from biblionet.graph_stats import (
     per_component_assortativity,
     small_world_check,
 )
-from biblionet.graphs import GraphKind, WeightedGraph
+from biblionet.graphs import GraphKind, WeightedGraph, connected_components
 from oracles import (
+    bfs_distances,
+    brandes_dependencies,
     brute_assortativity,
     brute_betweenness,
     brute_closeness,
@@ -405,3 +411,156 @@ class TestCentralityTable:
         assert table.rows[0].node == "hub"
         leaves = [row.node for row in table.rows[1:]]
         assert leaves == sorted(leaves)
+
+
+# ---------------------------------------------------------------------------
+# batched traversal kernels against the one-source-at-a-time slow path
+
+SOURCE_COUNTS = (1, 63, 64, 65, 130)
+
+
+def with_self_loops(graph, every=5):
+    for label in sorted(graph.nodes)[::every]:
+        graph.add_pair(label, label)
+    return graph
+
+
+def component_union(sizes, seed, kind=GraphKind.COAUTHOR):
+    """Disjoint random connected components of exactly the given sizes."""
+    rng = random.Random(seed)
+    g = WeightedGraph(kind)
+    for c, size in enumerate(sizes):
+        labels = [f"c{c}_{i:03d}" for i in range(size)]
+        g.nodes.update(labels)
+        for i in range(1, size):
+            g.add_pair(labels[rng.randrange(i)], labels[i])  # spanning tree
+        for _ in range(size // 2):
+            g.add_pair(*rng.sample(labels, 2))
+    return g
+
+
+KERNEL_GRAPHS = {
+    "connected": lambda: random_graph(1, max_nodes=160, min_nodes=140, p_range=(0.03, 0.06)),
+    "disconnected": lambda: random_graph(2, max_nodes=160, min_nodes=140, p_range=(0.004, 0.01)),
+    "country_loops": lambda: with_self_loops(
+        random_graph(3, max_nodes=160, min_nodes=140, kind=GraphKind.COUNTRY, p_range=(0.005, 0.02))),
+    "components": lambda: with_self_loops(
+        component_union((130, 65, 64, 63, 2, 1, 1), seed=4, kind=GraphKind.COUNTRY), every=7),
+}
+
+
+def csr_of(graph):
+    labels = sorted(graph.nodes)
+    indptr, indices = _compact(labels, graph.adjacency())
+    return labels, indptr, indices
+
+
+def slow_betweenness(graph, sample=None, seed=0):
+    labels, indptr, indices = csr_of(graph)
+    n = len(labels)
+    if sample is None or sample >= n:
+        sources, scale = range(n), 1.0
+    else:
+        sources, scale = sorted(random.Random(seed).sample(range(n), sample)), n / sample
+    accumulated = np.zeros(n)
+    for source in sources:
+        accumulated += brandes_dependencies(indptr, indices, source, n)
+    values = accumulated * (scale / 2.0 / ((n - 1) * (n - 2) / 2.0))
+    return dict(zip(labels, values.tolist()))
+
+
+def slow_closeness(graph, literal=False):
+    adjacency = graph.adjacency()
+    result = {}
+    for component in connected_components(graph):
+        if len(component) < 2:
+            continue
+        labels = sorted(component)
+        indptr, indices = _compact(labels, adjacency)
+        numerator = len(component) if literal else len(component) - 1
+        for i, label in enumerate(labels):
+            result[label] = numerator / int(bfs_distances(indptr, indices, i, len(labels)).sum())
+    return result
+
+
+def slow_avg_shortest_path(graph, sample=None, seed=0):
+    labels, indptr, indices = csr_of(largest_component_subgraph(graph))
+    n = len(labels)
+    if sample is None or sample >= n:
+        sources = range(n)
+    else:
+        sources = sorted(random.Random(seed).sample(range(n), sample))
+    means = [float(bfs_distances(indptr, indices, s, n).sum()) / (n - 1) for s in sources]
+    return sum(means) / len(means)
+
+
+@pytest.fixture(params=sorted(KERNEL_GRAPHS))
+def kernel_graph(request):
+    graph = KERNEL_GRAPHS[request.param]()
+    assert graph.node_count >= max(SOURCE_COUNTS)
+    return graph
+
+
+class TestTraversalKernels:
+    def test_fixture_shapes(self):
+        disconnected = KERNEL_GRAPHS["disconnected"]()
+        assert len(connected_components(disconnected)) > 1
+        assert any(not nbrs for nbrs in disconnected.adjacency().values())
+        assert KERNEL_GRAPHS["country_loops"]().self_loops()
+        sizes = [len(c) for c in connected_components(KERNEL_GRAPHS["components"]())]
+        assert sizes == [130, 65, 64, 63, 2, 1, 1]
+
+    @pytest.mark.parametrize("count", SOURCE_COUNTS)
+    def test_distance_sums_match_per_source_bfs(self, kernel_graph, count):
+        labels, indptr, indices = csr_of(kernel_graph)
+        n = len(labels)
+        sources = random.Random(count).sample(range(n), count)  # unsorted on purpose
+        expected = []
+        for source in sources:
+            dist = bfs_distances(indptr, indices, source, n)
+            expected.append(int(dist[dist > 0].sum()))
+        assert _distance_sums(indptr, indices, sources).tolist() == expected
+
+    def test_distance_sums_without_arcs(self):
+        g = WeightedGraph(GraphKind.COUNTRY)
+        g.nodes.update("abc")
+        with_self_loops(g, every=1)
+        _, indptr, indices = csr_of(g)
+        assert _distance_sums(indptr, indices, [0, 1, 2]).tolist() == [0, 0, 0]
+
+    @pytest.mark.parametrize("count", SOURCE_COUNTS)
+    def test_brandes_batch_matches_per_source(self, kernel_graph, count):
+        labels, indptr, indices = csr_of(kernel_graph)
+        n = len(labels)
+        sources = sorted(random.Random(count).sample(range(n), count))
+        rows = _brandes_dependencies(indptr, indices, np.asarray(sources), n)
+        for source, row in zip(sources, rows):
+            assert np.array_equal(row, brandes_dependencies(indptr, indices, source, n))
+
+    @pytest.mark.parametrize("budget", [1, 3_000, 2**20])
+    def test_betweenness_exact_equals_slow_path(self, kernel_graph, budget, monkeypatch):
+        # small budgets force batches of 1 and of a few sources
+        monkeypatch.setattr(graph_stats, "_BRANDES_BUDGET", budget)
+        assert betweenness_centrality(kernel_graph) == slow_betweenness(kernel_graph)
+
+    @pytest.mark.parametrize("count", SOURCE_COUNTS)
+    def test_betweenness_sampled_equals_slow_path(self, kernel_graph, count):
+        assert (betweenness_centrality(kernel_graph, sample_sources=count, seed=count)
+                == slow_betweenness(kernel_graph, count, seed=count))
+
+    @pytest.mark.parametrize("literal", [False, True])
+    def test_closeness_equals_slow_path(self, kernel_graph, literal):
+        assert closeness_centrality(kernel_graph, literal=literal) == slow_closeness(kernel_graph, literal)
+
+    @pytest.mark.parametrize("literal", [False, True])
+    def test_whole_scope_table_closeness_equals_slow_path(self, kernel_graph, literal):
+        table = centrality_table(kernel_graph, scope="whole", literal_closeness=literal)
+        expected = slow_closeness(kernel_graph, literal)
+        assert {row.node: row.closeness for row in table.rows} == {
+            node: expected.get(node) for node in kernel_graph.nodes
+        }
+
+    @pytest.mark.parametrize("count", (None, *SOURCE_COUNTS))
+    def test_avg_shortest_path_equals_slow_path(self, kernel_graph, count):
+        assert (avg_shortest_path(kernel_graph, sample_sources=count, seed=7)
+                == slow_avg_shortest_path(kernel_graph, count, seed=7))
