@@ -50,9 +50,8 @@ class RunConfig:
     sample: int | None = None
     stopwords: str | None = None
     rules: str | None = None
-
-    def rule_tables(self) -> NormalizationRules | None:
-        return NormalizationRules.from_file(self.rules) if self.rules else None
+    # parsed from `rules` by load_config; None means the built-in tables
+    rule_tables: NormalizationRules | None = None
 
 
 def _check_int(key: str, value, minimum: int | None = None) -> None:
@@ -105,6 +104,15 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"fuzzy_threshold must lie in (0, 1], got {config.fuzzy_threshold}")
     if config.format not in ("auto", "tagged", "tab_delimited"):
         raise ConfigError(f"unknown format {config.format!r}")
+    if getattr(args, "n", None) is not None:
+        _check_int("n", args.n, minimum=1)
+    if config.rules:
+        if not isinstance(config.rules, str):
+            raise ConfigError(f"rules must be a file path, got {config.rules!r}")
+        try:
+            config.rule_tables = NormalizationRules.from_file(config.rules)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot load rules {config.rules}: {exc}") from exc
     return config
 
 
@@ -153,7 +161,7 @@ def _counts_table(outdir: Path, name: str, counts, k: int) -> None:
 # commands
 
 def cmd_parse(args: argparse.Namespace, config: RunConfig) -> int:
-    rules = config.rule_tables()
+    rules = config.rule_tables
     parts = []
     parsed = 0
     skipped = 0
@@ -188,7 +196,7 @@ def cmd_parse(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def cmd_stats(args: argparse.Namespace, config: RunConfig) -> int:
-    rules = config.rule_tables()
+    rules = config.rule_tables
     corpus = read_corpus_jsonl(args.corpus, rules)
     outdir = config.out / "stats"
     k = config.top_k
@@ -321,7 +329,7 @@ _GRAPH_BUILDERS = {
 
 
 def cmd_network(args: argparse.Namespace, config: RunConfig) -> int:
-    rules = config.rule_tables()
+    rules = config.rule_tables
     corpus = read_corpus_jsonl(args.corpus, rules)
     graph = _GRAPH_BUILDERS[args.kind](corpus, rules)
     outdir = config.out / f"network_{args.kind.replace('-', '_')}"
@@ -443,7 +451,7 @@ def cmd_network(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def cmd_keywords(args: argparse.Namespace, config: RunConfig) -> int:
-    corpus = read_corpus_jsonl(args.corpus, config.rule_tables())
+    corpus = read_corpus_jsonl(args.corpus, config.rule_tables)
     stopword_set = (
         keywords.StopwordSet.from_file(config.stopwords) if config.stopwords else keywords.StopwordSet()
     )
@@ -459,7 +467,7 @@ def cmd_keywords(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def cmd_dedup_authors(args: argparse.Namespace, config: RunConfig) -> int:
-    corpus = read_corpus_jsonl(args.corpus, config.rule_tables())
+    corpus = read_corpus_jsonl(args.corpus, config.rule_tables)
     names = sorted({name for record in corpus.records for name in record.distinct_authors()})
     if config.sample is not None:
         names = dedup.sample_names(names, config.sample, config.seed)

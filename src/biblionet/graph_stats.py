@@ -7,6 +7,9 @@ view of the simple graph (self-loops ignored).  Closeness and path
 length share a bit-parallel breadth-first search that advances 64
 sources at once, one per bit of a uint64 word; betweenness runs Brandes
 dependency accumulation for a batch of up to 16 sources per pass.
+
+numpy and scipy are imported inside the functions that use them, so
+CLI commands that analyse no graph do not pay their start-up cost.
 """
 
 from __future__ import annotations
@@ -15,9 +18,6 @@ import math
 import random
 from dataclasses import dataclass
 
-import numpy as np
-from scipy.special import zeta
-
 from .errors import DegenerateDataError
 from .graphs import WeightedGraph, connected_components
 
@@ -25,6 +25,7 @@ from .graphs import WeightedGraph, connected_components
 # compact CSR view
 
 def _compact(labels: list[str], adjacency: dict[str, set[str]]) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
     index = {label: i for i, label in enumerate(labels)}
     indptr = np.zeros(len(labels) + 1, dtype=np.int64)
     chunks = []
@@ -44,6 +45,7 @@ def _distance_sums(indptr: np.ndarray, indices: np.ndarray, sources) -> np.ndarr
     the j-th source of the current batch of 64, so one pass over the
     arcs per level advances all 64 searches at once.
     """
+    import numpy as np
     n = indptr.size - 1
     sources = np.asarray(sources, dtype=np.int64)
     totals = np.zeros(sources.size, dtype=np.int64)
@@ -90,6 +92,7 @@ def _brandes_dependencies(indptr: np.ndarray, indices: np.ndarray, sources: np.n
     The B searches run side by side over a flattened (B, n) state; row b
     of the result holds the dependencies of every node on sources[b].
     """
+    import numpy as np
     batch = sources.size
     offsets = np.arange(batch, dtype=np.int64) * n
     dist = np.full(batch * n, -1, dtype=np.int32)
@@ -172,6 +175,7 @@ def betweenness_centrality(
     uniform source sample and scaled by N/sample, an unbiased estimate
     that reproduces the exact values when the sample covers all nodes.
     """
+    import numpy as np
     labels = sorted(graph.nodes)
     n = len(labels)
     if n < 3:
@@ -329,11 +333,10 @@ class PowerLawFit:
     n_tail: int
 
 
-_ALPHA_GRID = np.arange(1.01, 6.0, 0.01)
-
-
 def _tail_ks(values: np.ndarray, counts: np.ndarray, alpha: float, xmin: int) -> float:
     """KS distance between the empirical tail CDF and the fitted one."""
+    import numpy as np
+    from scipy.special import zeta
     n_tail = counts.sum()
     empirical = np.cumsum(counts) / n_tail
     model = 1.0 - zeta(alpha, values + 1) / zeta(alpha, xmin)
@@ -348,6 +351,7 @@ def fit_power_law(degrees, min_samples: int = 50) -> PowerLawFit:
     over a fine grid, and the cutoff minimizing the Kolmogorov-Smirnov
     distance between the empirical and fitted tail distributions wins.
     """
+    import numpy as np
     x = np.asarray(list(degrees), dtype=np.int64)
     if x.size < min_samples:
         raise DegenerateDataError(f"need at least {min_samples} samples, got {x.size}")
@@ -356,6 +360,7 @@ def fit_power_law(degrees, min_samples: int = 50) -> PowerLawFit:
     values, counts = np.unique(x, return_counts=True)
     if values.size < 2:
         raise DegenerateDataError("all samples are equal, nothing to fit")
+    from scipy.special import zeta
 
     # tails and log sums for every candidate cutoff (all but the largest value)
     candidates = values[:-1]
@@ -364,16 +369,17 @@ def fit_power_law(degrees, min_samples: int = 50) -> PowerLawFit:
     tail_logsum = np.cumsum((counts * log_values)[::-1])[::-1]
 
     # discrete log-likelihood on an (alpha x candidate) grid in one shot
-    zeta_grid = zeta(_ALPHA_GRID[:, None], candidates[None, :].astype(np.float64))
+    alpha_grid = np.arange(1.01, 6.0, 0.01)
+    zeta_grid = zeta(alpha_grid[:, None], candidates[None, :].astype(np.float64))
     loglik = (
         -tail_counts[None, : candidates.size] * np.log(zeta_grid)
-        - _ALPHA_GRID[:, None] * tail_logsum[None, : candidates.size]
+        - alpha_grid[:, None] * tail_logsum[None, : candidates.size]
     )
     best_alpha_idx = np.argmax(loglik, axis=0)
 
     best = None
     for c, xmin in enumerate(candidates):
-        alpha = float(_ALPHA_GRID[best_alpha_idx[c]])
+        alpha = float(alpha_grid[best_alpha_idx[c]])
         ks = _tail_ks(values[c:], counts[c:], alpha, int(xmin))
         if best is None or ks < best[0] - 1e-15:
             best = (ks, int(xmin), alpha, c)

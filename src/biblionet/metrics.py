@@ -7,8 +7,6 @@ import statistics
 from collections import Counter
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DegenerateDataError
 from .normalize import ExtractionMode, NormalizationRules, YearMonth, extract_countries, extract_institutions
 from .wos_ingest import BiblioRecord, Corpus
@@ -136,6 +134,7 @@ def pearson(x: list[float], y: list[float]) -> float:
         raise ValueError("inputs must have equal length")
     if len(x) < 2:
         raise DegenerateDataError("need at least two observations")
+    import numpy as np
     ax = np.asarray(x, dtype=float)
     ay = np.asarray(y, dtype=float)
     dx = ax - ax.mean()
@@ -144,7 +143,11 @@ def pearson(x: list[float], y: list[float]) -> float:
     sy = float(np.sqrt(np.mean(dy * dy)))
     if sx == 0.0 or sy == 0.0:
         raise DegenerateDataError("zero variance makes the correlation undefined")
-    return float(np.mean(dx * dy) / (sx * sy))
+    r = float(np.mean(dx * dy) / (sx * sy))
+    # rounding can carry r just past +-1, e.g. when a product such as
+    # 1e-158 * 1e-158 underflows into the subnormal range; clip as
+    # numpy.corrcoef does
+    return min(1.0, max(-1.0, r))
 
 
 CORRELATION_VARIABLES = ("authors", "cited_refs", "times_cited", "research_areas", "countries", "pages")

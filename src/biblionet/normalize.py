@@ -97,13 +97,31 @@ class NormalizationRules:
 
         Recognized keys: "months" (token -> 1..12), "seasons" (list of
         tokens), "country_contains" and "country_exact" (raw -> canonical).
+        Raises OSError when the file cannot be read and ValueError when it
+        is not JSON or a value has the wrong type or range.
         """
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError("rules must be a JSON object")
+        new_months = data.get("months", {})
+        if not isinstance(new_months, dict):
+            raise ValueError("rules 'months' must map tokens to month numbers")
+        for token, month in new_months.items():
+            # bool is an int subclass, but `true` is no month
+            if isinstance(month, bool) or not isinstance(month, int) or not 1 <= month <= 12:
+                raise ValueError(f"rules month {token!r} must be an integer from 1 to 12, got {month!r}")
+        new_seasons = data.get("seasons", [])
+        if not isinstance(new_seasons, list) or not all(isinstance(s, str) for s in new_seasons):
+            raise ValueError("rules 'seasons' must be a list of strings")
+        for key in ("country_contains", "country_exact"):
+            table = data.get(key, {})
+            if not isinstance(table, dict) or not all(isinstance(v, str) for v in table.values()):
+                raise ValueError(f"rules {key!r} must map strings to strings")
         base = cls.default()
         months = dict(base.months)
-        months.update({k.upper(): int(v) for k, v in data.get("months", {}).items()})
-        seasons = frozenset(base.seasons | {s.upper() for s in data.get("seasons", [])})
+        months.update({k.upper(): v for k, v in new_months.items()})
+        seasons = frozenset(base.seasons | {s.upper() for s in new_seasons})
         contains = dict(base.country_contains)
         contains.update(data.get("country_contains", {}))
         exact = dict(base.country_exact)

@@ -9,7 +9,6 @@ common record builder that keeps the retained columns.
 
 from __future__ import annotations
 
-import dataclasses
 import io
 import json
 import re
@@ -336,9 +335,11 @@ def merge_corpora(parts: list[list[BiblioRecord]], rules: NormalizationRules | N
 
 def write_corpus_jsonl(corpus: Corpus, path: str | Path) -> None:
     """Write one JSON object per record, field names as in BiblioRecord."""
+    # every field is a str, int, None or list of str, so the instance
+    # dict serializes as is; dataclasses.asdict would deep-copy each one
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for record in corpus.records:
-            fh.write(json.dumps(dataclasses.asdict(record), sort_keys=True, ensure_ascii=False))
+            fh.write(json.dumps(vars(record), sort_keys=True, ensure_ascii=False))
             fh.write("\n")
 
 

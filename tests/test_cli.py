@@ -231,6 +231,57 @@ class TestConfigResolution:
         assert run("dedup-authors", parsed_out / "corpus.jsonl", "--out", tmp_path / "o",
                    "--threshold", "2.0") == EXIT_CONFIG_ERROR
 
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_bad_keyword_count_is_config_error_before_any_write(self, tmp_path, parsed_out, n):
+        out = tmp_path / "o"
+        assert run("keywords", parsed_out / "corpus.jsonl", "--out", out, "--n", n) == EXIT_CONFIG_ERROR
+        assert not out.exists()
+
+    def test_non_integer_keyword_count_exits_2_before_any_write(self, tmp_path, parsed_out):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            run("keywords", parsed_out / "corpus.jsonl", "--out", out, "--n", "ten")
+        assert exc.value.code == EXIT_CONFIG_ERROR
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content", [
+        "{bad",
+        '{"months": {"VEND": 13}}',
+        '{"months": {"VEND": 0}}',
+        '{"months": {"VEND": "10"}}',
+        '{"months": {"VEND": 9.5}}',
+        '{"months": {"VEND": true}}',
+        '{"months": ["VEND"]}',
+        '["months"]',
+        '{"seasons": "MON"}',
+        '{"country_exact": {"Holland": 1}}',
+    ])
+    def test_bad_rules_file_is_config_error_before_any_write(self, tmp_path, parsed_out, content):
+        rules = tmp_path / "rules.json"
+        rules.write_text(content, encoding="utf-8")
+        out = tmp_path / "o"
+        for command in (("stats", parsed_out / "corpus.jsonl"),
+                        ("parse", parsed_out.parent / "missing.txt")):
+            assert run(*command, "--rules", rules, "--out", out) == EXIT_CONFIG_ERROR
+            assert not out.exists()
+
+    @pytest.mark.parametrize("make_path", [
+        lambda tmp: tmp / "missing.json",
+        lambda tmp: tmp,
+    ], ids=["missing", "directory"])
+    def test_unreadable_rules_file_is_config_error_before_any_write(self, tmp_path, parsed_out, make_path):
+        out = tmp_path / "o"
+        assert run("stats", parsed_out / "corpus.jsonl", "--rules", make_path(tmp_path),
+                   "--out", out) == EXIT_CONFIG_ERROR
+        assert not out.exists()
+
+    def test_non_string_rules_config_value_is_config_error(self, tmp_path, parsed_out):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"rules": 3}), encoding="utf-8")
+        out = tmp_path / "o"
+        assert run("stats", parsed_out / "corpus.jsonl", "--config", config, "--out", out) == EXIT_CONFIG_ERROR
+        assert not out.exists()
+
 
 def test_custom_rules_flow_through(tmp_path, fixture_paths):
     rules = tmp_path / "rules.json"

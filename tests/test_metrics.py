@@ -199,6 +199,11 @@ class TestPearson:
         with pytest.raises(DegenerateDataError):
             pearson([1, 1, 1], [1, 2, 3])
 
+    def test_subnormal_products_stay_in_range(self):
+        # 1e-158 squared underflows to a subnormal and the unclipped ratio was 1 + 2.2e-10
+        assert pearson([0.0, 1.0, 0.0], [0.0, 9.87630908110932e-158, 0.0]) == 1.0
+        assert pearson([0.0, -1.0, 0.0], [0.0, 9.87630908110932e-158, 0.0]) == -1.0
+
     @given(st.lists(st.floats(-100, 100), min_size=3, max_size=20), st.randoms())
     def test_symmetry_and_affine_invariance(self, xs, rng):
         ys = [rng.uniform(-100, 100) for _ in xs]

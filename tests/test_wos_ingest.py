@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import pytest
 
 from biblionet.errors import FormatError
@@ -208,6 +211,14 @@ class TestCorpusJsonl:
         loaded = read_corpus_jsonl(path)
         assert loaded.records == fixture_corpus.records
         assert loaded.dated_view == fixture_corpus.dated_view
+
+    @pytest.mark.parametrize("source", ["tagged", "tab"])
+    def test_lines_equal_asdict_serialization(self, source, fixture_corpus, tab_fixture_path, tmp_path):
+        corpus = fixture_corpus if source == "tagged" else merge_corpora([parse_file(tab_fixture_path).records])
+        path = tmp_path / "corpus.jsonl"
+        write_corpus_jsonl(corpus, path)
+        expected = [json.dumps(dataclasses.asdict(r), sort_keys=True, ensure_ascii=False) for r in corpus.records]
+        assert path.read_text(encoding="utf-8").splitlines() == expected
 
     def test_bad_line_raises_format_error(self, tmp_path):
         path = tmp_path / "bad.jsonl"
