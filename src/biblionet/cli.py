@@ -74,6 +74,10 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         for key, value in data.items():
+            # paths are strings; only stopwords and rules may be null (unset)
+            unset = value is None and key != "out"
+            if key in ("out", "stopwords", "rules") and not (isinstance(value, str) or unset):
+                raise ConfigError(f"{key} must be a file path, got {value!r}")
             setattr(config, key, Path(value) if key == "out" else value)
     env_out = os.environ.get(OUT_DIR_ENV)
     if env_out:
@@ -107,8 +111,6 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "n", None) is not None:
         _check_int("n", args.n, minimum=1)
     if config.rules:
-        if not isinstance(config.rules, str):
-            raise ConfigError(f"rules must be a file path, got {config.rules!r}")
         try:
             config.rule_tables = NormalizationRules.from_file(config.rules)
         except (OSError, ValueError) as exc:
@@ -196,12 +198,12 @@ def cmd_parse(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def cmd_stats(args: argparse.Namespace, config: RunConfig) -> int:
-    rules = config.rule_tables
-    corpus = read_corpus_jsonl(args.corpus, rules)
+    corpus = read_corpus_jsonl(args.corpus, config.rule_tables)
     outdir = config.out / "stats"
     k = config.top_k
 
     table = "field counts"
+    counts = {}
     try:
         for name, field in (
             ("publication_types", "publication_type"),
@@ -214,7 +216,8 @@ def cmd_stats(args: argparse.Namespace, config: RunConfig) -> int:
             ("author_keywords", "keyword"),
         ):
             table = name
-            _counts_table(outdir, name, metrics.field_counts(corpus, field, rules), k)
+            counts[field] = metrics.field_counts(corpus, field)
+            _counts_table(outdir, name, counts[field], k)
 
         table = "page_stats"
         pages = [record.page_count for record in corpus.records if record.page_count is not None]
@@ -260,12 +263,8 @@ def cmd_stats(args: argparse.Namespace, config: RunConfig) -> int:
             ("monthly_by_research_area", "research_area"),
         ):
             table = name
-            if group_by == "all":
-                keys = None
-            else:
-                field = {"country": "country", "source": "source", "research_area": "research_area"}[group_by]
-                keys = [key for key, _ in metrics.top_k(dict(metrics.field_counts(corpus, field, rules)), k)]
-            series = metrics.monthly_counts(corpus, group_by, keys, rules)
+            keys = None if group_by == "all" else [key for key, _ in metrics.top_k(dict(counts[group_by]), k)]
+            series = metrics.monthly_counts(corpus, group_by, keys)
             _write_csv(
                 outdir / f"{name}.csv",
                 ["key", "month", "count"],
@@ -279,12 +278,12 @@ def cmd_stats(args: argparse.Namespace, config: RunConfig) -> int:
         table = "collaboration"
         _write_json(outdir / "collaboration.json", {
             "degree_of_collaboration": _sig6(metrics.degree_of_collaboration(corpus)),
-            "international_collaboration_ratio": _sig6(metrics.international_collab_ratio(corpus, rules)),
+            "international_collaboration_ratio": _sig6(metrics.international_collab_ratio(corpus)),
             "multidisciplinary_ratio": _sig6(metrics.multidisciplinary_ratio(corpus)),
         })
 
         table = "correlation_matrix"
-        matrix = metrics.correlation_matrix(corpus, rules)
+        matrix = metrics.correlation_matrix(corpus)
         _write_csv(
             outdir / "correlation_matrix.csv",
             ["variable", *matrix.variables],
@@ -319,19 +318,20 @@ def _stats_payload(values) -> dict:
     }
 
 
+# looked up on each call, so that a wrapper set on the graphs module
+# (a tracer or a test double) sees the build
 _GRAPH_BUILDERS = {
-    "coauthor": lambda corpus, rules: graphs.build_coauthorship(corpus),
-    "country": lambda corpus, rules: graphs.build_country_graph(corpus, rules),
-    "institution": lambda corpus, rules: graphs.build_institution_graph(corpus),
-    "research-area": lambda corpus, rules: graphs.build_cooccurrence(corpus, "research_area"),
-    "keyword": lambda corpus, rules: graphs.build_cooccurrence(corpus, "keyword"),
+    "coauthor": lambda corpus: graphs.build_coauthorship(corpus),
+    "country": lambda corpus: graphs.build_country_graph(corpus),
+    "institution": lambda corpus: graphs.build_institution_graph(corpus),
+    "research-area": lambda corpus: graphs.build_cooccurrence(corpus, "research_area"),
+    "keyword": lambda corpus: graphs.build_cooccurrence(corpus, "keyword"),
 }
 
 
 def cmd_network(args: argparse.Namespace, config: RunConfig) -> int:
-    rules = config.rule_tables
-    corpus = read_corpus_jsonl(args.corpus, rules)
-    graph = _GRAPH_BUILDERS[args.kind](corpus, rules)
+    corpus = read_corpus_jsonl(args.corpus, config.rule_tables)
+    graph = _GRAPH_BUILDERS[args.kind](corpus)
     outdir = config.out / f"network_{args.kind.replace('-', '_')}"
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -468,7 +468,7 @@ def cmd_keywords(args: argparse.Namespace, config: RunConfig) -> int:
 
 def cmd_dedup_authors(args: argparse.Namespace, config: RunConfig) -> int:
     corpus = read_corpus_jsonl(args.corpus, config.rule_tables)
-    names = sorted({name for record in corpus.records for name in record.distinct_authors()})
+    names = sorted({name for authors in corpus.authors for name in authors})
     if config.sample is not None:
         names = dedup.sample_names(names, config.sample, config.seed)
     pairs = dedup.find_suspect_pairs(names, config.fuzzy_threshold)

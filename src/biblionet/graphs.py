@@ -16,7 +16,6 @@ from itertools import combinations
 from pathlib import Path
 from xml.etree import ElementTree
 
-from .normalize import ExtractionMode, NormalizationRules, extract_countries, extract_institutions
 from .wos_ingest import Corpus
 
 
@@ -87,47 +86,37 @@ class WeightedGraph:
                 raise ValueError(f"self-loop {a!r} in {self.kind.value} graph")
 
 
-def build_coauthorship(corpus: Corpus) -> WeightedGraph:
-    """One node per author; each shared paper adds 1 to the pair weight.
+def _pair_graph(kind: GraphKind, column: list[list[str]]) -> WeightedGraph:
+    """Each unordered pair of one record's values adds 1 to its weight.
 
-    Solo authors become isolated nodes.
+    A value alone in its record still becomes a node.  Equal values of
+    one multiset (from different address segments) pair into self-loops:
+    intra-country / intra-institution collaboration.
     """
-    graph = WeightedGraph(GraphKind.COAUTHOR)
-    for record in corpus.records:
-        authors = record.distinct_authors()
-        graph.nodes.update(authors)
-        for a, b in combinations(authors, 2):
-            graph.add_pair(a, b)
-    return graph
-
-
-def _build_multiset_graph(corpus: Corpus, kind: GraphKind, values_of) -> WeightedGraph:
     graph = WeightedGraph(kind)
-    for record in corpus.records:
-        values = values_of(record)
+    for values in column:
         graph.nodes.update(values)
-        # pairs over the multiset: equal labels from different address
-        # segments become self-loops (intra-country / intra-institution
-        # collaboration)
         for a, b in combinations(values, 2):
             graph.add_pair(a, b)
     return graph
 
 
-def build_country_graph(corpus: Corpus, rules: NormalizationRules | None = None) -> WeightedGraph:
+def build_coauthorship(corpus: Corpus) -> WeightedGraph:
+    """One node per author; each shared paper adds 1 to the pair weight.
+
+    Solo authors become isolated nodes.
+    """
+    return _pair_graph(GraphKind.COAUTHOR, corpus.authors)
+
+
+def build_country_graph(corpus: Corpus) -> WeightedGraph:
     """Country collaboration graph over per-segment country multisets."""
-    return _build_multiset_graph(
-        corpus, GraphKind.COUNTRY,
-        lambda record: extract_countries(record.addresses, ExtractionMode.MULTISET, rules),
-    )
+    return _pair_graph(GraphKind.COUNTRY, corpus.country_multisets)
 
 
 def build_institution_graph(corpus: Corpus) -> WeightedGraph:
     """Institution collaboration graph over per-segment institution multisets."""
-    return _build_multiset_graph(
-        corpus, GraphKind.INSTITUTION,
-        lambda record: extract_institutions(record.addresses, ExtractionMode.MULTISET),
-    )
+    return _pair_graph(GraphKind.INSTITUTION, corpus.institution_multisets)
 
 
 def build_cooccurrence(corpus: Corpus, field: str) -> WeightedGraph:
@@ -136,20 +125,10 @@ def build_cooccurrence(corpus: Corpus, field: str) -> WeightedGraph:
     Values are de-duplicated within a record, so no self-loops arise.
     """
     if field == "research_area":
-        kind = GraphKind.RESEARCH_AREA
-        values_of = lambda record: list(dict.fromkeys(record.research_areas))
-    elif field == "keyword":
-        kind = GraphKind.KEYWORD
-        values_of = lambda record: list(dict.fromkeys(record.author_keywords))
-    else:
-        raise ValueError(f"unknown co-occurrence field {field!r}")
-    graph = WeightedGraph(kind)
-    for record in corpus.records:
-        values = values_of(record)
-        graph.nodes.update(values)
-        for a, b in combinations(values, 2):
-            graph.add_pair(a, b)
-    return graph
+        return _pair_graph(GraphKind.RESEARCH_AREA, corpus.research_areas)
+    if field == "keyword":
+        return _pair_graph(GraphKind.KEYWORD, corpus.keywords)
+    raise ValueError(f"unknown co-occurrence field {field!r}")
 
 
 @dataclass(frozen=True)

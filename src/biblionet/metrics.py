@@ -6,10 +6,11 @@ from __future__ import annotations
 import statistics
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import DegenerateDataError
-from .normalize import ExtractionMode, NormalizationRules, YearMonth, extract_countries, extract_institutions
-from .wos_ingest import BiblioRecord, Corpus
+from .normalize import YearMonth
+from .wos_ingest import Corpus
 
 
 def h_index(citations: list[int]) -> int:
@@ -57,8 +58,8 @@ def author_citation_vectors(corpus: Corpus) -> dict[str, list[int]]:
     paper with no usable citation count contributes 0.
     """
     vectors: dict[str, list[int]] = {}
-    for record in corpus.records:
-        for name in record.distinct_authors():
+    for record, authors in zip(corpus.records, corpus.authors):
+        for name in authors:
             vectors.setdefault(name, []).append(record.times_cited)
     return vectors
 
@@ -83,49 +84,28 @@ def author_table(corpus: Corpus, k: int = 10) -> list[AuthorRow]:
     return rows[:k]
 
 
+def _two_or_more_ratio(column: list[list[str]], degenerate: str) -> float:
+    """Fraction of the records with some value that have two or more."""
+    sizes = [len(values) for values in column]
+    present = sum(1 for n in sizes if n)
+    if present == 0:
+        raise DegenerateDataError(degenerate)
+    return sum(1 for n in sizes if n >= 2) / present
+
+
 def degree_of_collaboration(corpus: Corpus) -> float:
     """Fraction of authored papers written by two or more authors."""
-    authored = 0
-    collaborated = 0
-    for record in corpus.records:
-        n = len(record.distinct_authors())
-        if n >= 1:
-            authored += 1
-        if n >= 2:
-            collaborated += 1
-    if authored == 0:
-        raise DegenerateDataError("corpus has no authored papers")
-    return collaborated / authored
+    return _two_or_more_ratio(corpus.authors, "corpus has no authored papers")
 
 
-def international_collab_ratio(corpus: Corpus, rules: NormalizationRules | None = None) -> float:
+def international_collab_ratio(corpus: Corpus) -> float:
     """Fraction of papers involving two or more countries."""
-    with_countries = 0
-    international = 0
-    for record in corpus.records:
-        countries = extract_countries(record.addresses, ExtractionMode.UNIQUE, rules)
-        if countries:
-            with_countries += 1
-        if len(countries) >= 2:
-            international += 1
-    if with_countries == 0:
-        raise DegenerateDataError("corpus has no papers with country data")
-    return international / with_countries
+    return _two_or_more_ratio(corpus.countries, "corpus has no papers with country data")
 
 
 def multidisciplinary_ratio(corpus: Corpus) -> float:
     """Fraction of papers tagged with two or more research areas."""
-    with_areas = 0
-    multi = 0
-    for record in corpus.records:
-        areas = set(record.research_areas)
-        if areas:
-            with_areas += 1
-        if len(areas) >= 2:
-            multi += 1
-    if with_areas == 0:
-        raise DegenerateDataError("corpus has no papers with research areas")
-    return multi / with_areas
+    return _two_or_more_ratio(corpus.research_areas, "corpus has no papers with research areas")
 
 
 def pearson(x: list[float], y: list[float]) -> float:
@@ -137,8 +117,12 @@ def pearson(x: list[float], y: list[float]) -> float:
     import numpy as np
     ax = np.asarray(x, dtype=float)
     ay = np.asarray(y, dtype=float)
+    # corrected two-pass centering: when the rounded mean is off, the
+    # deviations carry that error, and their own mean removes it
     dx = ax - ax.mean()
+    dx -= dx.mean()
     dy = ay - ay.mean()
+    dy -= dy.mean()
     sx = float(np.sqrt(np.mean(dx * dx)))
     sy = float(np.sqrt(np.mean(dy * dy)))
     if sx == 0.0 or sy == 0.0:
@@ -162,30 +146,20 @@ class CorrelationMatrix:
         return self.entries[self.variables.index(a)][self.variables.index(b)]
 
 
-def _correlation_row(record: BiblioRecord, rules: NormalizationRules | None) -> tuple[float, ...] | None:
-    authors = len(record.distinct_authors())
-    areas = len(set(record.research_areas))
-    countries = len(extract_countries(record.addresses, ExtractionMode.UNIQUE, rules))
-    # listwise deletion: every variable must be observed
-    if authors == 0 or areas == 0 or countries == 0 or record.page_count is None:
-        return None
-    return (
-        float(authors),
-        float(record.cited_reference_count),
-        float(record.times_cited),
-        float(areas),
-        float(countries),
-        float(record.page_count),
-    )
-
-
-def correlation_matrix(corpus: Corpus, rules: NormalizationRules | None = None) -> CorrelationMatrix:
+def correlation_matrix(corpus: Corpus) -> CorrelationMatrix:
     """Pairwise Pearson correlations of the six per-paper variables.
 
     Rows with any missing variable (no authors, no research areas, no
     countries, or no page count) are dropped first.
     """
-    rows = [row for record in corpus.records if (row := _correlation_row(record, rules)) is not None]
+    rows = [
+        (float(len(authors)), float(record.cited_reference_count), float(record.times_cited),
+         float(len(areas)), float(len(countries)), float(record.page_count))
+        for record, authors, areas, countries
+        in zip(corpus.records, corpus.authors, corpus.research_areas, corpus.countries)
+        # listwise deletion: every variable must be observed
+        if authors and areas and countries and record.page_count is not None
+    ]
     if len(rows) < 2:
         raise DegenerateDataError(f"need at least 2 complete rows, found {len(rows)}")
     columns = list(zip(*rows))
@@ -208,35 +182,41 @@ class MonthlySeries:
     points: dict[YearMonth, int]
 
 
-def _record_groups(record: BiblioRecord, group_by: str, rules: NormalizationRules | None) -> list[str]:
-    if group_by == "all":
-        return ["ALL"]
-    if group_by == "country":
-        return extract_countries(record.addresses, ExtractionMode.UNIQUE, rules)
-    if group_by == "source":
-        return [record.source_abbrev] if record.source_abbrev else []
-    if group_by == "research_area":
-        return list(dict.fromkeys(record.research_areas))
-    raise ValueError(f"unknown group_by {group_by!r}")
+# field -> the values of each record, each value once per record
+_FIELD_VALUES = {
+    "publication_type": lambda corpus: [[r.publication_type] for r in corpus.records],
+    "document_type": lambda corpus: [
+        [r.document_type.split(";")[0].strip()] if r.document_type else [] for r in corpus.records
+    ],
+    "language": lambda corpus: [[r.language] if r.language else [] for r in corpus.records],
+    "source": lambda corpus: [[r.source_abbrev] if r.source_abbrev else [] for r in corpus.records],
+    "country": lambda corpus: corpus.countries,
+    "institution": lambda corpus: corpus.institutions,
+    "research_area": lambda corpus: corpus.research_areas,
+    "keyword": lambda corpus: corpus.keywords,
+}
 
 
-def monthly_counts(
-    corpus: Corpus,
-    group_by: str = "all",
-    keys: list[str] | None = None,
-    rules: NormalizationRules | None = None,
-) -> list[MonthlySeries]:
+def _field_values(corpus: Corpus, field: str) -> list[list[str]]:
+    if field not in _FIELD_VALUES:
+        raise ValueError(f"unknown field {field!r}")
+    return _FIELD_VALUES[field](corpus)
+
+
+def monthly_counts(corpus: Corpus, group_by: str = "all", keys: list[str] | None = None) -> list[MonthlySeries]:
     """Publication counts per month from the dated view.
 
-    A paper counts once in every group it belongs to.  When `keys` is
-    given the output is restricted to (and ordered by) those keys;
-    otherwise all keys are returned in ascending order.
+    `group_by` is "all" or any `field_counts` field.  A paper counts
+    once in every group it belongs to.  When `keys` is given the output
+    is restricted to (and ordered by) those keys; otherwise all keys are
+    returned in ascending order.
     """
+    groups = None if group_by == "all" else _field_values(corpus, group_by)
     if not corpus.dated_view:
         raise DegenerateDataError("corpus has no dated records")
     table: dict[str, Counter] = {}
-    for record, ym in corpus.dated_records():
-        for group in _record_groups(record, group_by, rules):
+    for index, ym in corpus.dated_view.items():
+        for group in ("ALL",) if groups is None else groups[index]:
             table.setdefault(group, Counter())[ym] += 1
     if keys is None:
         selected = sorted(table)
@@ -255,8 +235,7 @@ def top_k(counts: dict[str, int], k: int) -> list[tuple[str, int]]:
 def most_cited(corpus: Corpus, k: int = 10) -> list[tuple[str, str, int, tuple[str, ...]]]:
     """Top-k papers by citations: (title, authors, cited, research areas)."""
     rows = []
-    for record in corpus.records:
-        authors = record.distinct_authors()
+    for record, authors in zip(corpus.records, corpus.authors):
         if not authors:
             label = ""
         elif len(authors) == 1:
@@ -295,40 +274,14 @@ def descriptive_stats(values: list[float]) -> DescriptiveStats:
 
 def authors_per_paper(corpus: Corpus) -> list[int]:
     """Author counts of papers with at least one (cleaned) author."""
-    counts = [len(record.distinct_authors()) for record in corpus.records]
-    return [n for n in counts if n > 0]
+    return [len(authors) for authors in corpus.authors if authors]
 
 
-def field_counts(corpus: Corpus, field: str, rules: NormalizationRules | None = None) -> Counter:
+def field_counts(corpus: Corpus, field: str) -> Counter:
     """Occurrence counts of one categorical field across the corpus.
 
     Multi-valued fields (countries, institutions, research areas,
     keywords) count once per record.  Document types keep only the
     leading category, so "Article; Early Access" counts as "Article".
     """
-    known = ("publication_type", "document_type", "language", "source",
-             "country", "institution", "research_area", "keyword")
-    if field not in known:
-        raise ValueError(f"unknown field {field!r}")
-    counts: Counter = Counter()
-    for record in corpus.records:
-        if field == "publication_type":
-            counts[record.publication_type] += 1
-        elif field == "document_type":
-            if record.document_type:
-                counts[record.document_type.split(";")[0].strip()] += 1
-        elif field == "language":
-            if record.language:
-                counts[record.language] += 1
-        elif field == "source":
-            if record.source_abbrev:
-                counts[record.source_abbrev] += 1
-        elif field == "country":
-            counts.update(extract_countries(record.addresses, ExtractionMode.UNIQUE, rules))
-        elif field == "institution":
-            counts.update(extract_institutions(record.addresses, ExtractionMode.UNIQUE))
-        elif field == "research_area":
-            counts.update(dict.fromkeys(record.research_areas).keys())
-        elif field == "keyword":
-            counts.update(dict.fromkeys(record.author_keywords).keys())
-    return counts
+    return Counter(chain.from_iterable(_field_values(corpus, field)))

@@ -98,12 +98,16 @@ class NormalizationRules:
         Recognized keys: "months" (token -> 1..12), "seasons" (list of
         tokens), "country_contains" and "country_exact" (raw -> canonical).
         Raises OSError when the file cannot be read and ValueError when it
-        is not JSON or a value has the wrong type or range.
+        is not JSON, has any other key, or a value has the wrong type or
+        range.
         """
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ValueError("rules must be a JSON object")
+        unknown = set(data) - {"months", "seasons", "country_contains", "country_exact"}
+        if unknown:
+            raise ValueError(f"unknown rules keys: {sorted(unknown)}")
         new_months = data.get("months", {})
         if not isinstance(new_months, dict):
             raise ValueError("rules 'months' must map tokens to month numbers")

@@ -13,11 +13,21 @@ import io
 import json
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import BinaryIO, Iterator
+from typing import BinaryIO, Iterable
 
 from .errors import FormatError
-from .normalize import NormalizationRules, YearMonth, normalize_date, split_authors, split_list_field
+from .normalize import (
+    ExtractionMode,
+    NormalizationRules,
+    YearMonth,
+    extract_countries,
+    extract_institutions,
+    normalize_date,
+    split_authors,
+    split_list_field,
+)
 
 PUBLICATION_TYPES = frozenset({"B", "J", "P", "S"})
 
@@ -70,19 +80,68 @@ class BiblioRecord:
         return split_authors("; ".join(self.author_full_names))
 
 
+def _pooled(column: Iterable[list[str]]) -> list[list[str]]:
+    # labels repeat across records: hold one string object per label
+    pool: dict[str, str] = {}
+    return [[pool.setdefault(value, value) for value in values] for values in column]
+
+
+def _unique(column: Iterable[list[str]]) -> list[list[str]]:
+    # the first occurrence of each value, as ExtractionMode.UNIQUE keeps
+    # it; a list without repeats is its own unique view
+    return [values if len(set(values)) == len(values) else list(dict.fromkeys(values))
+            for values in column]
+
+
 @dataclass
 class Corpus:
-    """A record collection plus the index of records with a usable date."""
+    """A record collection, the index of records with a usable date, and
+    the rules the corpus is cleaned with.
+
+    The cleaned features of the records are columns aligned with
+    `records`. Each is derived in one pass on its first read and kept,
+    so the records must not change once a column has been read.  The
+    columns share lists with the records and with each other: read
+    them, never modify them.
+    """
 
     records: list[BiblioRecord]
     dated_view: dict[int, YearMonth]
+    rules: NormalizationRules | None = None
 
     def __len__(self) -> int:
         return len(self.records)
 
-    def dated_records(self) -> Iterator[tuple[BiblioRecord, YearMonth]]:
-        for index, ym in self.dated_view.items():
-            yield self.records[index], ym
+    @cached_property
+    def authors(self) -> list[list[str]]:
+        """Distinct authors of each record."""
+        return _pooled(record.distinct_authors() for record in self.records)
+
+    @cached_property
+    def country_multisets(self) -> list[list[str]]:
+        """Canonical countries of each record, one per address segment."""
+        return _pooled(extract_countries(r.addresses, ExtractionMode.MULTISET, self.rules) for r in self.records)
+
+    @cached_property
+    def countries(self) -> list[list[str]]:
+        return _unique(self.country_multisets)
+
+    @cached_property
+    def institution_multisets(self) -> list[list[str]]:
+        """Institutions of each record, one per address segment."""
+        return _pooled(extract_institutions(r.addresses, ExtractionMode.MULTISET) for r in self.records)
+
+    @cached_property
+    def institutions(self) -> list[list[str]]:
+        return _unique(self.institution_multisets)
+
+    @cached_property
+    def research_areas(self) -> list[list[str]]:
+        return _unique(record.research_areas for record in self.records)
+
+    @cached_property
+    def keywords(self) -> list[list[str]]:
+        return _unique(record.author_keywords for record in self.records)
 
     @classmethod
     def from_records(cls, records: list[BiblioRecord], rules: NormalizationRules | None = None) -> "Corpus":
@@ -91,7 +150,7 @@ class Corpus:
             ym = normalize_date(record.publication_date, record.publication_year, rules)
             if ym is not None:
                 dated[index] = ym
-        return cls(records=list(records), dated_view=dated)
+        return cls(records=list(records), dated_view=dated, rules=rules)
 
 
 @dataclass

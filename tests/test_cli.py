@@ -217,6 +217,7 @@ class TestConfigResolution:
     @pytest.mark.parametrize("values", [
         {"sample": "5"}, {"sample": 0}, {"sample": 2.5}, {"top_k": "5"}, {"top_k": True},
         {"seed": "1"}, {"seed": 1.5}, {"fuzzy_threshold": "0.9"},
+        {"out": 5}, {"out": None}, {"stopwords": 3}, {"stopwords": True},
     ])
     def test_bad_config_value_is_config_error_before_any_write(self, tmp_path, parsed_out, values):
         config = tmp_path / "config.json"
@@ -255,6 +256,7 @@ class TestConfigResolution:
         '["months"]',
         '{"seasons": "MON"}',
         '{"country_exact": {"Holland": 1}}',
+        '{"month": {"VEND": 10}}',
     ])
     def test_bad_rules_file_is_config_error_before_any_write(self, tmp_path, parsed_out, content):
         rules = tmp_path / "rules.json"

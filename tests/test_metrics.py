@@ -204,6 +204,12 @@ class TestPearson:
         assert pearson([0.0, 1.0, 0.0], [0.0, 9.87630908110932e-158, 0.0]) == 1.0
         assert pearson([0.0, -1.0, 0.0], [0.0, 9.87630908110932e-158, 0.0]) == -1.0
 
+    def test_rounded_mean_is_centred_again(self):
+        # the mean of these floats rounds to 7.0; one centring pass left
+        # the deviations off-centre and returned 0.8165, but x is affine
+        # in y, so r is 1
+        assert pearson([7.0, 7.0, 7.000000000000001], [-1.0, -1.0, 2.0]) == pytest.approx(1.0, abs=1e-12)
+
     @given(st.lists(st.floats(-100, 100), min_size=3, max_size=20), st.randoms())
     def test_symmetry_and_affine_invariance(self, xs, rng):
         ys = [rng.uniform(-100, 100) for _ in xs]

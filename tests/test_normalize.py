@@ -196,3 +196,9 @@ class TestRulesConfig:
         assert normalize_date("SEP", 2020, rules) == YearMonth(2020, 9)
         assert canonicalize_country("holland", rules) == "Netherlands"
         assert canonicalize_country("Scotland", rules) == "United Kingdom"
+
+    def test_unknown_key_rejected(self, tmp_path):
+        path = tmp_path / "rules.json"
+        path.write_text(json.dumps({"month": {"VEND": 10}}), encoding="utf-8")
+        with pytest.raises(ValueError, match="month"):
+            NormalizationRules.from_file(path)
