@@ -1,7 +1,10 @@
 """Fuzzy detection of near-duplicate author names.
 
 Flags suspicious name pairs for human review; nothing is ever merged or
-rewritten automatically.
+rewritten automatically.  The pair search is exact: a length window, a
+bag-distance lower bound and an edit distance that stops at the edit
+budget skip only pairs that cannot reach the threshold, so the result
+is the one a full DP on every pair gives.
 """
 
 from __future__ import annotations
@@ -14,25 +17,43 @@ from pathlib import Path
 DEFAULT_THRESHOLD = 0.8
 
 
-def levenshtein(a: str, b: str) -> int:
-    """Edit distance with unit insert/delete/substitute costs."""
+def _bounded_levenshtein(a: str, b: str, bound: int) -> int:
+    """Edit distance of a and b, or bound + 1 once it is known to exceed bound.
+
+    The minimum of a DP row never falls in later rows, so the DP stops as
+    soon as a row's minimum exceeds the bound (Ukkonen 1985).
+    """
     if a == b:
         return 0
     if len(a) < len(b):
         a, b = b, a
+    if len(a) - len(b) > bound:
+        return bound + 1
     if not b:
         return len(a)
     previous = list(range(len(b) + 1))
     for i, ca in enumerate(a, start=1):
         current = [i]
+        diag, left = i - 1, i
         for j, cb in enumerate(b, start=1):
-            current.append(min(
-                previous[j] + 1,        # delete from a
-                current[j - 1] + 1,     # insert into a
-                previous[j - 1] + (ca != cb),
-            ))
+            # inline comparisons run about 3x faster than min() here
+            up = previous[j]
+            cost = diag if ca == cb else diag + 1   # match or substitute
+            if up + 1 < cost:                       # delete from a
+                cost = up + 1
+            if left + 1 < cost:                     # insert into a
+                cost = left + 1
+            current.append(cost)
+            diag, left = up, cost
+        if min(current) > bound:
+            return bound + 1
         previous = current
-    return previous[-1]
+    return min(previous[-1], bound + 1)
+
+
+def levenshtein(a: str, b: str) -> int:
+    """Edit distance with unit insert/delete/substitute costs."""
+    return _bounded_levenshtein(a, b, len(a) + len(b))
 
 
 def similarity_ratio(a: str, b: str) -> float:
@@ -56,33 +77,61 @@ class SuspectPair:
             raise ValueError("pair must be in canonical (lexicographic) order")
 
 
-def find_suspect_pairs(
-    names: list[str],
-    threshold: float = DEFAULT_THRESHOLD,
-    bucket_by_first_letter: bool = False,
-) -> list[SuspectPair]:
+def _bag(name: str) -> frozenset[tuple[str, int]]:
+    """The characters of a name as a set, the k-th copy of a character as (char, k)."""
+    seen: dict[str, int] = {}
+    items = []
+    for ch in name:
+        k = seen.get(ch, 0)
+        seen[ch] = k + 1
+        items.append((ch, k))
+    return frozenset(items)
+
+
+def find_suspect_pairs(names: list[str], threshold: float = DEFAULT_THRESHOLD) -> list[SuspectPair]:
     """All unordered name pairs with similarity >= threshold.
 
-    Sorted by ratio descending, then lexicographically.  The length
-    pruning below is exact (lev(a, b) >= ||a| - |b||, so short-vs-long
-    pairs cannot reach the threshold); first-letter bucketing is an
-    optional speedup that only compares names sharing a case-folded
-    first character and may miss cross-bucket pairs.
+    Sorted by ratio descending, then lexicographically.  A pair reaches
+    the threshold exactly when lev(a, b) is at most the edit budget of
+    |a| + |b|, and three exact filters skip the pairs that cannot:
+
+    * a length window: lev(a, b) >= ||a| - |b||, so with the names in
+      length order the scan for partners of a stops at the first one
+      whose length difference alone misses the threshold;
+    * the bag distance max(|a|, |b|) - |A & B| over character
+      multisets, a lower bound on lev (Bartolini, Ciaccia & Patella,
+      SPIRE 2002);
+    * an edit distance that gives up once a DP row exceeds the budget.
+
+    The result equals comparing every pair with `similarity_ratio`.
     """
     if not 0 < threshold <= 1:
         raise ValueError(f"threshold must lie in (0, 1], got {threshold}")
-    unique = sorted(dict.fromkeys(name for name in names if name))
+    unique = sorted(dict.fromkeys(name for name in names if name), key=len)
+    bags = [_bag(name) for name in unique]
+    budgets: dict[int, int] = {}
     pairs = []
     for i, a in enumerate(unique):
-        for b in unique[i + 1:]:
-            if bucket_by_first_letter and a[:1].casefold() != b[:1].casefold():
-                continue
+        bag_a = bags[i]
+        for j in range(i + 1, len(unique)):
+            b = unique[j]
             total = len(a) + len(b)
-            if (total - abs(len(a) - len(b))) / total < threshold:
+            if (total - (len(b) - len(a))) / total < threshold:
+                break
+            budget = budgets.get(total)
+            if budget is None:
+                # the largest d with (total - d) / total >= threshold, by the
+                # same float expression as similarity_ratio; a closed form
+                # such as int((1 - threshold) * total) can round one below it
+                budget = total
+                while (total - budget) / total < threshold:
+                    budget -= 1
+                budgets[total] = budget
+            if len(b) - len(bag_a & bags[j]) > budget:
                 continue
-            ratio = similarity_ratio(a, b)
-            if ratio >= threshold:
-                pairs.append(SuspectPair(a, b, ratio))
+            if _bounded_levenshtein(a, b, budget) > budget:
+                continue
+            pairs.append(SuspectPair(min(a, b), max(a, b), similarity_ratio(a, b)))
     pairs.sort(key=lambda p: (-p.ratio, p.name_a, p.name_b))
     return pairs
 

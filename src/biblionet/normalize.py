@@ -162,27 +162,32 @@ def normalize_date(raw: str | None, year: int, rules: NormalizationRules | None 
     return None
 
 
+_SEGMENT_MARKS = re.compile(r"[\[\];]")
+
+
 def _address_segments(address: str) -> list[str]:
     """Split an address field into per-department segments.
 
     Segments are separated by ";" outside square brackets (the bracketed
-    author list may itself contain semicolons).  Trailing periods are
-    stripped; empty segments are dropped.
+    author list may itself contain semicolons); an unmatched "]" does not
+    take the depth below zero.  Trailing periods are stripped; empty
+    segments are dropped.
     """
-    segments = []
-    depth = 0
-    current: list[str] = []
-    for ch in address:
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth = max(0, depth - 1)
-        if ch == ";" and depth == 0:
-            segments.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    segments.append("".join(current))
+    if "[" not in address:
+        segments = address.split(";")
+    else:
+        segments = []
+        depth = start = 0
+        for mark in _SEGMENT_MARKS.finditer(address):
+            ch = mark.group()
+            if ch == "[":
+                depth += 1
+            elif ch == "]":
+                depth = max(0, depth - 1)
+            elif depth == 0:
+                segments.append(address[start:mark.start()])
+                start = mark.end()
+        segments.append(address[start:])
     return [s for s in (seg.strip().rstrip(".").strip() for seg in segments) if s]
 
 

@@ -12,6 +12,7 @@ import random
 import numpy as np
 from scipy.special import zeta
 
+from biblionet.dedup import SuspectPair
 from biblionet.graphs import GraphKind, WeightedGraph
 from biblionet.wos_ingest import BiblioRecord, Corpus
 
@@ -34,6 +35,44 @@ def dp_levenshtein(a: str, b: str) -> int:
             else:
                 table[i][j] = 1 + min(table[i - 1][j], table[i][j - 1], table[i - 1][j - 1])
     return table[n][m]
+
+
+def brute_force_suspect_pairs(names: list[str], threshold: float) -> list[SuspectPair]:
+    """Every name pair scored with the full DP; only the length check prunes."""
+    unique = sorted(dict.fromkeys(name for name in names if name))
+    pairs = []
+    for i, a in enumerate(unique):
+        for b in unique[i + 1:]:
+            total = len(a) + len(b)
+            if (total - abs(len(a) - len(b))) / total < threshold:
+                continue
+            ratio = (total - dp_levenshtein(a, b)) / total
+            if ratio >= threshold:
+                pairs.append(SuspectPair(a, b, ratio))
+    pairs.sort(key=lambda p: (-p.ratio, p.name_a, p.name_b))
+    return pairs
+
+
+# ---------------------------------------------------------------------------
+# address segmentation
+
+def char_walk_address_segments(address: str) -> list[str]:
+    """Split on ";" outside square brackets, one character at a time."""
+    segments = []
+    depth = 0
+    current: list[str] = []
+    for ch in address:
+        if ch == "[":
+            depth += 1
+        elif ch == "]":
+            depth = max(0, depth - 1)
+        if ch == ";" and depth == 0:
+            segments.append("".join(current))
+            current = []
+        else:
+            current.append(ch)
+    segments.append("".join(current))
+    return [s for s in (seg.strip().rstrip(".").strip() for seg in segments) if s]
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +295,36 @@ def sample_discrete_power_law(gamma: float, n: int, seed: int, kmax: int = 2_000
 
 _FIRST = ["Wei", "Maria", "John", "Anil", "Sara", "Tomas", "Lena", "Yuki", "Ana", "Omar"]
 _LAST = ["Chen", "Garcia", "Smith", "Kumar", "Kim", "Novak", "Muller", "Tanaka", "Lopez", "Hassan"]
+
+
+_SYLLABLES = ["ka", "lo", "mi", "ren", "sa", "to", "vel", "na", "dor", "bi", "gu", "an", "es", "ho", "pri", "zu",
+              "tek", "ma", "sho", "ri", "bal", "ne", "quo", "fen", "di", "war", "ul", "jas", "po", "ke", "lin", "ay"]
+_GIVEN = _FIRST + ["Pedro", "Ingrid", "Kofi", "Mei", "Olga", "Rahul", "Zeynep", "Lucas", "Amara", "Hiro",
+                   "Beatriz", "Chiara", "Dmitri", "Fatima", "Giuseppe", "Hans", "Ines", "Jamal", "Katarzyna",
+                   "Lars", "Nadia", "Pavel", "Grace", "Sven", "Thandiwe", "Viktor"]
+
+
+def synthetic_names(n: int, seed: int) -> list[str]:
+    """n distinct author names, "Surname, Given I", in a seeded order.
+
+    Surnames are two to four syllables, so most pairs differ in many
+    characters; about 3% of the names are an initials variant
+    "Surname, G. I." of an earlier name, the near-duplicates that dedup
+    looks for.
+    """
+    rng = random.Random(seed)
+    people: list[tuple[str, str, str]] = []
+    names: dict[str, None] = {}
+    while len(names) < n:
+        if people and rng.random() < 0.03:
+            surname, given, initial = rng.choice(people)
+            names[f"{surname}, {given[0]}. {initial}."] = None
+            continue
+        surname = "".join(rng.choice(_SYLLABLES) for _ in range(rng.randint(2, 4))).capitalize()
+        person = (surname, rng.choice(_GIVEN), chr(ord("A") + rng.randrange(26)))
+        people.append(person)
+        names["{}, {} {}".format(*person)] = None
+    return list(names)
 
 
 def synthetic_author_pool_corpus(n_records: int, seed: int, new_author_prob: float = 0.62) -> Corpus:

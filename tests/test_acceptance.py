@@ -13,7 +13,7 @@ from pathlib import Path
 
 import networkx as nx
 
-from biblionet.dedup import levenshtein, similarity_ratio
+from biblionet.dedup import find_suspect_pairs, levenshtein, similarity_ratio
 from biblionet.errors import DegenerateDataError
 from biblionet.graph_stats import (
     betweenness_centrality,
@@ -47,6 +47,7 @@ from oracles import (
     brute_betweenness,
     brute_closeness,
     brute_degree_centrality,
+    brute_force_suspect_pairs,
     brute_g_index,
     brute_h_index,
     dp_levenshtein,
@@ -54,6 +55,7 @@ from oracles import (
     random_graph,
     sample_discrete_power_law,
     synthetic_author_pool_corpus,
+    synthetic_names,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -351,3 +353,19 @@ def test_scale_smoke():
            f"{facts.node_count} nodes analyzed in {build_elapsed:.0f}s; "
            f"top-degree betweenness rel err {relative_error:.1%} on {sub.node_count}-node subsample",
            started, limit=300.0)
+
+
+def test_dedup_scale_smoke():
+    started = time.monotonic()
+
+    # all pairs of 2,000 names; the full DP on every pair takes ~230 s
+    names = synthetic_names(2_000, seed=5)
+    pairs = find_suspect_pairs(names)
+    dedup_elapsed = time.monotonic() - started
+
+    subset = names[:300]
+    exact = find_suspect_pairs(subset) == brute_force_suspect_pairs(subset, 0.8)
+    report("dedup scale smoke test", exact and len(pairs) > 0,
+           f"{len(pairs)} suspect pairs among {len(names)} names in {dedup_elapsed:.1f}s; "
+           f"{len(subset)}-name subset {'equals' if exact else 'differs from'} brute force",
+           started, limit=60.0)

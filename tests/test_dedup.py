@@ -5,13 +5,14 @@ from hypothesis import given, strategies as st
 
 from biblionet.dedup import (
     SuspectPair,
+    _bounded_levenshtein,
     find_suspect_pairs,
     levenshtein,
     sample_names,
     similarity_ratio,
     write_suspect_pairs_csv,
 )
-from oracles import dp_levenshtein
+from oracles import brute_force_suspect_pairs, dp_levenshtein, synthetic_names
 
 short_text = st.text(alphabet="abcde ", max_size=8)
 
@@ -53,6 +54,23 @@ class TestLevenshtein:
     def test_unicode_scalar_values(self):
         assert levenshtein("naïve", "naive") == 1
         assert levenshtein("Ω", "Ωx") == 1
+
+
+class TestBoundedLevenshtein:
+    @given(short_text, short_text)
+    def test_every_bound_matches_capped_oracle(self, a, b):
+        exact = dp_levenshtein(a, b)
+        for k in range(len(a) + len(b) + 1):
+            assert _bounded_levenshtein(a, b, k) == min(exact, k + 1)
+
+    def test_seeded_strings_every_bound(self):
+        rng = random.Random(17)
+        for _ in range(150):
+            a = "".join(rng.choice("abcxyzé ,.") for _ in range(rng.randint(0, 14)))
+            b = "".join(rng.choice("abcxyzé ,.") for _ in range(rng.randint(0, 14)))
+            exact = dp_levenshtein(a, b)
+            for k in range(len(a) + len(b) + 1):
+                assert _bounded_levenshtein(a, b, k) == min(exact, k + 1), (a, b, k)
 
 
 class TestSimilarityRatio:
@@ -105,13 +123,6 @@ class TestFindSuspectPairs:
         tight = {(p.name_a, p.name_b) for p in find_suspect_pairs(names, threshold=0.8)}
         assert tight <= loose
 
-    def test_bucketing_exact_within_buckets(self):
-        names = ["alpha", "alphb", "alphc", "beta", "betb"]
-        full = find_suspect_pairs(names, threshold=0.7)
-        bucketed = find_suspect_pairs(names, threshold=0.7, bucket_by_first_letter=True)
-        # every name here shares a first letter with its near-duplicates
-        assert bucketed == full
-
     def test_invalid_threshold(self):
         with pytest.raises(ValueError):
             find_suspect_pairs(["a", "b"], threshold=0.0)
@@ -130,6 +141,34 @@ class TestFindSuspectPairs:
                     expected.append(SuspectPair(a, b, r))
         expected.sort(key=lambda p: (-p.ratio, p.name_a, p.name_b))
         assert find_suspect_pairs(names, threshold=0.6) == expected
+
+
+def _mixed_names(seed: int) -> list[str]:
+    """Seeded names plus repeats, empty strings, non-ASCII and initials variants."""
+    rng = random.Random(seed)
+    names = synthetic_names(70, seed)
+    names += ["".join(rng.choice("aab") for _ in range(rng.randint(1, 6))) for _ in range(25)]
+    names += rng.sample(names, 10) + ["", ""]
+    names += ["Smith, John A", "Smith, J. A.", "Smith, John", "Müller, Jürgen", "Muller, Jurgen",
+              "Šimić, Ana", "Simic, Ana", "Øster, Åse", "Oster, Ase", "Ωmega, Ψ", "Łukasz, Ż"]
+    rng.shuffle(names)
+    return names
+
+
+class TestAgainstBruteForce:
+    @pytest.mark.parametrize("threshold", [0.5, 0.6, 0.7, 0.8, 0.85, 0.9, 1.0])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_equals_all_pairs_oracle(self, seed, threshold):
+        names = _mixed_names(seed)
+        assert find_suspect_pairs(names, threshold) == brute_force_suspect_pairs(names, threshold)
+
+    def test_planted_initials_variant_found(self):
+        pairs = find_suspect_pairs(_mixed_names(1), 0.8)
+        assert SuspectPair("Smith, J. A.", "Smith, John A", (25 - 4) / 25) in pairs
+
+    def test_ratio_exactly_at_threshold_is_reported(self):
+        # (10 - 1) / 10 == 0.9, while int((1 - 0.9) * 10) == 0 edits
+        assert find_suspect_pairs(["abcde", "abcdf"], 0.9) == [SuspectPair("abcde", "abcdf", 0.9)]
 
 
 class TestSampling:

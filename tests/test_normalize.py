@@ -7,6 +7,7 @@ from biblionet.normalize import (
     ExtractionMode,
     NormalizationRules,
     YearMonth,
+    _address_segments,
     canonicalize_country,
     extract_countries,
     extract_institutions,
@@ -14,6 +15,8 @@ from biblionet.normalize import (
     split_authors,
     split_list_field,
 )
+from biblionet.wos_ingest import parse_file
+from oracles import char_walk_address_segments, random_corpus
 
 UNIQUE = ExtractionMode.UNIQUE
 MULTISET = ExtractionMode.MULTISET
@@ -147,6 +150,31 @@ class TestExtractCountries:
             uniq = extract_countries(address, UNIQUE)
             assert uniq == list(dict.fromkeys(multi))
             assert len(uniq) <= len(multi)
+
+
+class TestAddressSegments:
+    @pytest.mark.parametrize("address", [
+        ADDRESS, "", ";", "a; b.; ;c", "[A; B] X, Y; Z", "]; [x]; a",
+        "[[A; B]; C] D; E", "[A] X; [B; C", "x]]; [y; z]]; w",
+    ])
+    def test_examples_match_char_walk(self, address):
+        assert _address_segments(address) == char_walk_address_segments(address)
+
+    def test_fixtures_match_char_walk(self, fixture_paths, tab_fixture_path):
+        addresses = [record.addresses for path in [*fixture_paths, tab_fixture_path]
+                     for record in parse_file(path).records]
+        assert any("[" in address for address in addresses)
+        for address in addresses:
+            assert _address_segments(address) == char_walk_address_segments(address)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_corpora_match_char_walk(self, seed):
+        for record in random_corpus(seed, n_records=30).records:
+            assert _address_segments(record.addresses) == char_walk_address_segments(record.addresses)
+
+    @given(st.text(alphabet="[];,. aZ", max_size=40))
+    def test_bracket_strings_match_char_walk(self, address):
+        assert _address_segments(address) == char_walk_address_segments(address)
 
 
 class TestSplitAuthors:
