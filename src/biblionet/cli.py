@@ -12,6 +12,7 @@ import csv
 import hashlib
 import json
 import os
+import shutil
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -199,9 +200,29 @@ def cmd_parse(args: argparse.Namespace, config: RunConfig) -> int:
 
 def cmd_stats(args: argparse.Namespace, config: RunConfig) -> int:
     corpus = read_corpus_jsonl(args.corpus, config.rule_tables)
-    outdir = config.out / "stats"
-    k = config.top_k
+    target = config.out / "stats"
+    # the tables go to a staging directory beside stats/ that replaces it
+    # once all are written, so a failed run leaves no partial table set
+    # and an earlier complete one untouched
+    staging = config.out / ".stats.partial"
+    if staging.exists():
+        shutil.rmtree(staging)
+    staging.mkdir(parents=True)
+    try:
+        code = _write_stats_tables(corpus, staging, config)
+        if code == EXIT_OK:
+            _write_manifest(staging, "stats", config)
+            if target.exists():
+                shutil.rmtree(target)
+            os.replace(staging, target)
+            print(f"stats written to {target}")
+        return code
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
 
+
+def _write_stats_tables(corpus, outdir: Path, config: RunConfig) -> int:
+    k = config.top_k
     table = "field counts"
     counts = {}
     try:
@@ -299,9 +320,6 @@ def cmd_stats(args: argparse.Namespace, config: RunConfig) -> int:
     except DegenerateDataError as exc:
         print(f"stats: {table}: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-
-    _write_manifest(config.out / "stats", "stats", config)
-    print(f"stats written to {outdir}")
     return EXIT_OK
 
 

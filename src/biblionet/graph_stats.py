@@ -8,8 +8,10 @@ length share a bit-parallel breadth-first search that advances 64
 sources at once, one per bit of a uint64 word; betweenness runs Brandes
 dependency accumulation for a batch of up to 16 sources per pass.
 
-numpy and scipy are imported inside the functions that use them, so
-CLI commands that analyse no graph do not pay their start-up cost.
+numpy is imported inside the functions that use it, so CLI commands
+that analyse no graph do not pay its start-up cost.  It is the only
+library `network` loads: the power-law fit computes its own Hurwitz
+zeta.
 """
 
 from __future__ import annotations
@@ -333,13 +335,75 @@ class PowerLawFit:
     n_tail: int
 
 
+# (2k)! / B_2k for k = 1..12: the Euler-Maclaurin coefficients of the
+# Cephes Hurwitz zeta (Moshier), as the Cephes source writes them
+_EULER_MACLAURIN = (
+    12.0, -720.0, 30240.0, -1209600.0, 47900160.0, -1.8924375803183791606e9, 7.47242496e10,
+    -2.950130727918164224e12, 1.1646782814350067249e14, -4.5979787224074726105e15,
+    1.8152105401943546773e17, -7.1661652561756670113e18,
+)
+_MACHEP = 2.0 ** -53
+
+
+def _hurwitz_zeta(alphas, q) -> np.ndarray:
+    """Hurwitz zeta(alpha, q) = sum over k >= 0 of (q + k)^-alpha, for
+    every alpha (rows) and q (columns).
+
+    Moshier's Cephes `zeta(x, q)` step for step, so the results are
+    bit-identical to that routine: q^-alpha plus nine further direct
+    terms, the tail b*w/(alpha - 1) - b/2 with w = q + 9 and
+    b = w^-alpha, then up to 12 Euler-Maclaurin corrections, each entry
+    stopping once its correction falls below 2**-53 of its sum.  The
+    powers come from libm `pow` (via `math.pow`), once per exponent and
+    distinct base; numpy's vectorised `power` can differ from libm in
+    the last bit.
+
+    Domain: integer q >= 1 and 1 < alpha <= 6.02, all the power-law fit
+    asks for.  There a direct term never falls below 2**-53 of the sum,
+    so Cephes' early exit from the direct sum never fires, and degrees
+    stay far below Cephes' asymptotic branch for q > 1e8; both are left
+    out.
+    """
+    import numpy as np
+    x = np.asarray(alphas, dtype=np.float64).reshape(-1, 1)
+    q = np.asarray(q, dtype=np.int64)
+    bases, slots = np.unique(q[:, None] + np.arange(10), return_inverse=True)
+    float_bases = bases.astype(np.float64).tolist()
+    powers = np.array([[math.pow(base, -alpha) for base in float_bases] for alpha in x[:, 0].tolist()])
+    terms = powers[:, slots.reshape(q.size, 10)]
+
+    s = terms[..., 0]
+    for k in range(1, 10):
+        s = s + terms[..., k]
+    b = terms[..., 9]
+    w = (q + 9).astype(np.float64)
+    s = s + b * w / (x - 1.0)
+    s = s - 0.5 * b
+    a = np.ones_like(x)
+    k = 0.0
+    active = np.ones(s.shape, dtype=bool)
+    for coefficient in _EULER_MACLAURIN:
+        a = a * (x + k)
+        b = b / w
+        t = a * b / coefficient
+        s = np.where(active, s + t, s)
+        active &= ~(np.abs(t / s) < _MACHEP)
+        if not active.any():
+            break
+        k += 1.0
+        a = a * (x + k)
+        b = b / w
+        k += 1.0
+    return s
+
+
 def _tail_ks(values: np.ndarray, counts: np.ndarray, alpha: float, xmin: int) -> float:
     """KS distance between the empirical tail CDF and the fitted one."""
     import numpy as np
-    from scipy.special import zeta
     n_tail = counts.sum()
     empirical = np.cumsum(counts) / n_tail
-    model = 1.0 - zeta(alpha, values + 1) / zeta(alpha, xmin)
+    zetas = _hurwitz_zeta([alpha], np.append(values + 1, xmin))[0]
+    model = 1.0 - zetas[:-1] / zetas[-1]
     return float(np.max(np.abs(empirical - model)))
 
 
@@ -349,7 +413,8 @@ def fit_power_law(degrees, min_samples: int = 50) -> PowerLawFit:
     For every candidate cutoff the tail exponent is estimated by
     maximizing the discrete log-likelihood (zeta-function normalization)
     over a fine grid, and the cutoff minimizing the Kolmogorov-Smirnov
-    distance between the empirical and fitted tail distributions wins.
+    distance between the empirical and fitted tail distributions wins
+    (Clauset, Shalizi & Newman, SIAM Review 2009).
     """
     import numpy as np
     x = np.asarray(list(degrees), dtype=np.int64)
@@ -360,7 +425,6 @@ def fit_power_law(degrees, min_samples: int = 50) -> PowerLawFit:
     values, counts = np.unique(x, return_counts=True)
     if values.size < 2:
         raise DegenerateDataError("all samples are equal, nothing to fit")
-    from scipy.special import zeta
 
     # tails and log sums for every candidate cutoff (all but the largest value)
     candidates = values[:-1]
@@ -370,7 +434,7 @@ def fit_power_law(degrees, min_samples: int = 50) -> PowerLawFit:
 
     # discrete log-likelihood on an (alpha x candidate) grid in one shot
     alpha_grid = np.arange(1.01, 6.0, 0.01)
-    zeta_grid = zeta(alpha_grid[:, None], candidates[None, :].astype(np.float64))
+    zeta_grid = _hurwitz_zeta(alpha_grid, candidates)
     loglik = (
         -tail_counts[None, : candidates.size] * np.log(zeta_grid)
         - alpha_grid[:, None] * tail_logsum[None, : candidates.size]
@@ -388,7 +452,7 @@ def fit_power_law(degrees, min_samples: int = 50) -> PowerLawFit:
     # refine the exponent locally for the chosen cutoff
     fine = np.arange(max(alpha - 0.02, 1.0001), alpha + 0.02, 0.0005)
     n_tail = int(tail_counts[c])
-    fine_loglik = -n_tail * np.log(zeta(fine, float(xmin))) - fine * float(tail_logsum[c])
+    fine_loglik = -n_tail * np.log(_hurwitz_zeta(fine, [xmin])[:, 0]) - fine * float(tail_logsum[c])
     gamma = float(fine[np.argmax(fine_loglik)])
     ks = _tail_ks(values[c:], counts[c:], gamma, xmin)
     return PowerLawFit(gamma=gamma, xmin=xmin, ks_statistic=ks, n_tail=n_tail)

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
 from pathlib import Path
-from xml.etree import ElementTree
 
 from .wos_ingest import Corpus
 
@@ -209,26 +208,48 @@ def degree_counts(graph: WeightedGraph) -> Counter:
     return Counter(len(neighbors) for neighbors in adj.values())
 
 
+# ElementTree's attribute escaping, in its order
+_XML_ATTRIBUTE_ESCAPES = (
+    ("&", "&amp;"), ("<", "&lt;"), (">", "&gt;"), ('"', "&quot;"),
+    ("\r", "&#13;"), ("\n", "&#10;"), ("\t", "&#09;"),
+)
+
+
+def _xml_attribute(text: str) -> str:
+    for char, entity in _XML_ATTRIBUTE_ESCAPES:
+        if char in text:
+            text = text.replace(char, entity)
+    return text
+
+
 def write_graphml(graph: WeightedGraph, path: str | Path) -> None:
-    """GraphML export with an integer `weight` edge attribute."""
-    root = ElementTree.Element("graphml", xmlns="http://graphml.graphdrawing.org/xmlns")
-    key = ElementTree.SubElement(root, "key")
-    key.set("id", "weight")
-    key.set("for", "edge")
-    key.set("attr.name", "weight")
-    key.set("attr.type", "int")
-    container = ElementTree.SubElement(root, "graph")
-    container.set("id", graph.kind.value)
-    container.set("edgedefault", "undirected")
-    for node in sorted(graph.nodes):
-        ElementTree.SubElement(container, "node", id=node)
-    for (a, b) in sorted(graph.edges):
-        edge = ElementTree.SubElement(container, "edge", source=a, target=b)
-        data = ElementTree.SubElement(edge, "data", key="weight")
-        data.text = str(graph.edges[(a, b)])
-    tree = ElementTree.ElementTree(root)
-    ElementTree.indent(tree)
-    tree.write(path, encoding="utf-8", xml_declaration=True)
+    """GraphML export with an integer `weight` edge attribute.
+
+    Written line by line in the bytes that ElementTree's indented output
+    gives (`ElementTree.indent`, then `write` with an XML declaration):
+    the same layout, attribute escaping and file encoding, where a lone
+    surrogate in a label becomes a character reference.
+    """
+    quoted = {node: _xml_attribute(node) for node in graph.nodes}
+    with open(path, "w", encoding="utf-8", errors="xmlcharrefreplace") as fh:
+        fh.write(
+            "<?xml version='1.0' encoding='utf-8'?>\n"
+            '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">\n'
+            '  <key id="weight" for="edge" attr.name="weight" attr.type="int" />\n'
+            f'  <graph id="{graph.kind.value}" edgedefault="undirected"'
+        )
+        if not quoted:
+            fh.write(" />\n</graphml>")
+            return
+        fh.write(">\n")
+        fh.writelines(f'    <node id="{quoted[node]}" />\n' for node in sorted(quoted))
+        fh.writelines(
+            f'    <edge source="{quoted[a]}" target="{quoted[b]}">\n'
+            f'      <data key="weight">{weight}</data>\n'
+            "    </edge>\n"
+            for (a, b), weight in sorted(graph.edges.items())
+        )
+        fh.write("  </graph>\n</graphml>")
 
 
 def _dot_quote(label: str) -> str:

@@ -8,11 +8,15 @@ so the implementations under test are checked against a second route.
 from __future__ import annotations
 
 import random
+from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 from scipy.special import zeta
 
 from biblionet.dedup import SuspectPair
+from biblionet.errors import DegenerateDataError
+from biblionet.graph_stats import PowerLawFit
 from biblionet.graphs import GraphKind, WeightedGraph
 from biblionet.wos_ingest import BiblioRecord, Corpus
 
@@ -254,6 +258,82 @@ def brute_assortativity(graph: WeightedGraph) -> float | None:
     if x.var() == 0 or y.var() == 0:
         return None
     return float(np.corrcoef(x, y)[0, 1])
+
+
+# ---------------------------------------------------------------------------
+# the power-law fit on scipy's Hurwitz zeta, which graph_stats replaces
+# with its own bit-identical one
+
+def scipy_tail_ks(values: np.ndarray, counts: np.ndarray, alpha: float, xmin: int) -> float:
+    """KS distance between the empirical tail CDF and the fitted one."""
+    n_tail = counts.sum()
+    empirical = np.cumsum(counts) / n_tail
+    model = 1.0 - zeta(alpha, values + 1) / zeta(alpha, xmin)
+    return float(np.max(np.abs(empirical - model)))
+
+
+def scipy_fit_power_law(degrees, min_samples: int = 50) -> PowerLawFit:
+    """Discrete maximum-likelihood power-law fit with KS-selected cutoff."""
+    x = np.asarray(list(degrees), dtype=np.int64)
+    if x.size < min_samples:
+        raise DegenerateDataError(f"need at least {min_samples} samples, got {x.size}")
+    if (x < 1).any():
+        raise ValueError("degrees must be positive integers")
+    values, counts = np.unique(x, return_counts=True)
+    if values.size < 2:
+        raise DegenerateDataError("all samples are equal, nothing to fit")
+
+    candidates = values[:-1]
+    tail_counts = np.cumsum(counts[::-1])[::-1]
+    log_values = np.log(values.astype(np.float64))
+    tail_logsum = np.cumsum((counts * log_values)[::-1])[::-1]
+
+    alpha_grid = np.arange(1.01, 6.0, 0.01)
+    zeta_grid = zeta(alpha_grid[:, None], candidates[None, :].astype(np.float64))
+    loglik = (
+        -tail_counts[None, : candidates.size] * np.log(zeta_grid)
+        - alpha_grid[:, None] * tail_logsum[None, : candidates.size]
+    )
+    best_alpha_idx = np.argmax(loglik, axis=0)
+
+    best = None
+    for c, xmin in enumerate(candidates):
+        alpha = float(alpha_grid[best_alpha_idx[c]])
+        ks = scipy_tail_ks(values[c:], counts[c:], alpha, int(xmin))
+        if best is None or ks < best[0] - 1e-15:
+            best = (ks, int(xmin), alpha, c)
+    ks, xmin, alpha, c = best
+
+    fine = np.arange(max(alpha - 0.02, 1.0001), alpha + 0.02, 0.0005)
+    n_tail = int(tail_counts[c])
+    fine_loglik = -n_tail * np.log(zeta(fine, float(xmin))) - fine * float(tail_logsum[c])
+    gamma = float(fine[np.argmax(fine_loglik)])
+    ks = scipy_tail_ks(values[c:], counts[c:], gamma, xmin)
+    return PowerLawFit(gamma=gamma, xmin=xmin, ks_statistic=ks, n_tail=n_tail)
+
+
+# ---------------------------------------------------------------------------
+# GraphML through an ElementTree, the route graphs.write_graphml skips
+
+def elementtree_write_graphml(graph: WeightedGraph, path: str | Path) -> None:
+    root = ElementTree.Element("graphml", xmlns="http://graphml.graphdrawing.org/xmlns")
+    key = ElementTree.SubElement(root, "key")
+    key.set("id", "weight")
+    key.set("for", "edge")
+    key.set("attr.name", "weight")
+    key.set("attr.type", "int")
+    container = ElementTree.SubElement(root, "graph")
+    container.set("id", graph.kind.value)
+    container.set("edgedefault", "undirected")
+    for node in sorted(graph.nodes):
+        ElementTree.SubElement(container, "node", id=node)
+    for (a, b) in sorted(graph.edges):
+        edge = ElementTree.SubElement(container, "edge", source=a, target=b)
+        data = ElementTree.SubElement(edge, "data", key="weight")
+        data.text = str(graph.edges[(a, b)])
+    tree = ElementTree.ElementTree(root)
+    ElementTree.indent(tree)
+    tree.write(path, encoding="utf-8", xml_declaration=True)
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,21 @@ class TestParseCommand:
         assert run("parse", bad, "--format", "tab_delimited", "--out", tmp_path / "o") == EXIT_INPUT_ERROR
 
 
+def one_record_corpus(tmp_path):
+    record = {
+        "publication_type": "J", "title": "Only", "author_full_names": ["A, B"],
+        "source_abbrev": "J.", "language": "English", "document_type": "Article",
+        "author_keywords": ["x"], "abstract": None,
+        "addresses": "[A, B] Inst, Dept, City, Italy.",
+        "cited_reference_count": 1, "times_cited": 2, "publication_date": "MAR",
+        "publication_year": 2020, "research_areas": ["X"], "page_count": 3,
+        "accession_id": "WOS:1",
+    }
+    corpus = tmp_path / "one.jsonl"
+    corpus.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    return corpus
+
+
 class TestStatsCommand:
     def test_file_set_and_values(self, parsed_out):
         assert run("stats", parsed_out / "corpus.jsonl", "--out", parsed_out, "--seed", "42") == EXIT_OK
@@ -94,18 +109,36 @@ class TestStatsCommand:
 
     def test_degenerate_corpus_exit_code(self, tmp_path):
         # a single-record corpus cannot produce a correlation matrix
-        record = {
-            "publication_type": "J", "title": "Only", "author_full_names": ["A, B"],
-            "source_abbrev": "J.", "language": "English", "document_type": "Article",
-            "author_keywords": ["x"], "abstract": None,
-            "addresses": "[A, B] Inst, Dept, City, Italy.",
-            "cited_reference_count": 1, "times_cited": 2, "publication_date": "MAR",
-            "publication_year": 2020, "research_areas": ["X"], "page_count": 3,
-            "accession_id": "WOS:1",
-        }
-        corpus = tmp_path / "one.jsonl"
-        corpus.write_text(json.dumps(record) + "\n", encoding="utf-8")
-        assert run("stats", corpus, "--out", tmp_path / "o") == EXIT_DEGENERATE
+        assert run("stats", one_record_corpus(tmp_path), "--out", tmp_path / "o") == EXIT_DEGENERATE
+
+    def test_degenerate_corpus_leaves_no_stats_directory(self, tmp_path):
+        assert run("stats", one_record_corpus(tmp_path), "--out", tmp_path / "o") == EXIT_DEGENERATE
+        assert list((tmp_path / "o").iterdir()) == []
+
+    def test_failed_rerun_leaves_complete_stats_untouched(self, parsed_out, tmp_path):
+        assert run("stats", parsed_out / "corpus.jsonl", "--out", parsed_out) == EXIT_OK
+        before = snapshot(parsed_out / "stats")
+        assert "manifest.json" in before
+        assert run("stats", one_record_corpus(tmp_path), "--out", parsed_out) == EXIT_DEGENERATE
+        assert snapshot(parsed_out / "stats") == before
+        assert not [p for p in parsed_out.iterdir() if p.name.startswith(".")]
+
+    def test_successful_rerun_replaces_stats(self, parsed_out):
+        stale = parsed_out / "stats" / "stale.csv"
+        stale.parent.mkdir(parents=True)
+        stale.write_text("left over\n", encoding="utf-8")
+        assert run("stats", parsed_out / "corpus.jsonl", "--out", parsed_out, "--top-k", "3") == EXIT_OK
+        first = snapshot(parsed_out / "stats")
+        assert "stale.csv" not in first
+        assert run("stats", parsed_out / "corpus.jsonl", "--out", parsed_out, "--top-k", "5") == EXIT_OK
+        second = snapshot(parsed_out / "stats")
+        assert set(second) == set(first)
+        assert json.loads(second["manifest.json"])["top_k"] == 5
+        assert second["countries.csv"] != first["countries.csv"]
+
+
+def snapshot(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
 
 
 class TestNetworkCommand:

@@ -1,9 +1,12 @@
 import math
 import random
+import re
 
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.special import zeta
 
 from biblionet import graph_stats
 from biblionet.errors import DegenerateDataError
@@ -12,6 +15,7 @@ from biblionet.graph_stats import (
     _brandes_dependencies,
     _compact,
     _distance_sums,
+    _hurwitz_zeta,
     avg_shortest_path,
     betweenness_centrality,
     centrality_table,
@@ -34,6 +38,7 @@ from oracles import (
     brute_degree_centrality,
     random_graph,
     sample_discrete_power_law,
+    scipy_fit_power_law,
 )
 
 
@@ -258,6 +263,75 @@ class TestSmallWorld:
         g = graph_from_edges([("a", "b"), ("b", "c"), ("a", "c"), ("x", "y")])
         report = small_world_check(g)
         assert report.avg_clustering == pytest.approx(1.0)
+
+
+def assert_zeta_matches_scipy(alphas, qs):
+    alphas = np.asarray(alphas, dtype=np.float64)
+    qs = np.asarray(qs, dtype=np.int64)
+    ours = _hurwitz_zeta(alphas, qs)
+    expected = zeta(alphas[:, None], qs[None, :].astype(np.float64))
+    assert ours.shape == expected.shape
+    differing = int((ours != expected).sum())
+    assert differing == 0, f"{differing} of {ours.size} values differ"
+
+
+class TestHurwitzZeta:
+    """Exact equality with scipy.special.zeta over the fit's whole domain."""
+
+    def test_fit_grid_by_every_base_to_3000(self):
+        assert_zeta_matches_scipy(np.arange(1.01, 6.0, 0.01), np.arange(1, 3001))
+
+    def test_refinement_grid_by_every_37th_base(self):
+        assert_zeta_matches_scipy(np.arange(1.0001, 6.02, 0.0005), np.append(np.arange(1, 3001, 37), 3000))
+
+    def test_edge_exponents_and_bases(self):
+        assert_zeta_matches_scipy([1.0001, 1.01, 5.99, 6.0, 6.02], [1, 2, 9, 10, 3000])
+
+    def test_unsorted_repeated_bases_keep_their_columns(self):
+        qs = [40, 3, 3, 1, 2999, 40, 7]
+        assert_zeta_matches_scipy([2.5, 1.37], qs)
+        alone = [_hurwitz_zeta([2.5], [q])[0, 0] for q in qs]
+        assert _hurwitz_zeta([2.5], qs)[0].tolist() == alone
+
+
+def assert_fit_matches_oracle(degrees):
+    """The whole PowerLawFit, or the same error, as the scipy-backed fit."""
+    try:
+        expected = scipy_fit_power_law(degrees)
+    except (DegenerateDataError, ValueError) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            fit_power_law(degrees)
+        return
+    assert fit_power_law(degrees) == expected
+
+
+def gappy_degrees(seed: int) -> list[int]:
+    """Many small repeated degrees, a few isolated mid values and a long tail."""
+    rng = random.Random(seed)
+    degrees = [rng.choice((1, 1, 1, 2, 2, 3, 5)) for _ in range(rng.randint(40, 400))]
+    degrees += rng.sample((8, 13, 14, 60, 61, 250), rng.randint(0, 6))
+    degrees += [int(rng.paretovariate(rng.uniform(0.6, 1.8))) for _ in range(rng.randint(10, 200))]
+    rng.shuffle(degrees)
+    return degrees
+
+
+class TestFitPowerLawMatchesScipyOracle:
+    @pytest.mark.parametrize("gamma,n,seed", [(2.3, 5_000, 7), (2.5, 30_000, 123), (2.5, 100_000, 0)])
+    def test_sampled_power_laws(self, gamma, n, seed):
+        assert_fit_matches_oracle(sample_discrete_power_law(gamma, n, seed))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_gappy_degree_lists(self, seed):
+        assert_fit_matches_oracle(gappy_degrees(seed))
+
+    def test_error_paths(self):
+        for degrees in ([3] * 100, [1, 2, 3], [0] * 60, [1] * 49 + [2]):
+            assert_fit_matches_oracle(degrees)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.one_of(st.integers(1, 6), st.integers(1, 3000)), min_size=50, max_size=300))
+    def test_hypothesis_degree_lists(self, degrees):
+        assert_fit_matches_oracle(degrees)
 
 
 class TestFitPowerLaw:

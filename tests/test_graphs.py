@@ -20,7 +20,7 @@ from biblionet.graphs import (
 )
 from biblionet.normalize import ExtractionMode, extract_countries, extract_institutions
 from biblionet.wos_ingest import BiblioRecord, Corpus
-from oracles import random_corpus
+from oracles import elementtree_write_graphml, random_corpus
 
 
 def record(**kwargs) -> BiblioRecord:
@@ -281,6 +281,51 @@ class TestExports:
         parsed = {(a, b): int(w) for a, b, w in rows[1:]}
         assert parsed == g.edges
         assert [tuple(r[:2]) for r in rows[1:]] == sorted(parsed)
+
+
+FIVE_KINDS = {
+    "coauthor": build_coauthorship,
+    "country": build_country_graph,
+    "institution": build_institution_graph,
+    "research_area": lambda corpus: build_cooccurrence(corpus, "research_area"),
+    "keyword": lambda corpus: build_cooccurrence(corpus, "keyword"),
+}
+
+
+def assert_graphml_matches_elementtree(graph, tmp_path):
+    ours, expected = tmp_path / "direct.graphml", tmp_path / "elementtree.graphml"
+    write_graphml(graph, ours)
+    elementtree_write_graphml(graph, expected)
+    assert ours.read_bytes() == expected.read_bytes()
+
+
+class TestGraphmlMatchesElementTree:
+    @pytest.mark.parametrize("kind", sorted(FIVE_KINDS))
+    def test_fixture_graphs(self, fixture_corpus, kind, tmp_path):
+        assert_graphml_matches_elementtree(FIVE_KINDS[kind](fixture_corpus), tmp_path)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_corpus_graphs(self, seed, tmp_path):
+        corpus = random_corpus(seed, n_records=30)
+        for build in FIVE_KINDS.values():
+            assert_graphml_matches_elementtree(build(corpus), tmp_path)
+
+    def test_escaped_and_non_ascii_labels(self, tmp_path):
+        g = WeightedGraph(GraphKind.COUNTRY)
+        labels = ['a&b', "<tag>", 'say "hi"', "it's", "cr\rlf\n", "tab\there", "&amp;",
+                  "Zürich", "Łódź", "東京", "emoji \U0001f600", "lone \ud800 surrogate", " padded "]
+        for i, label in enumerate(labels):
+            g.add_pair(label, labels[(i * 5 + 3) % len(labels)], i + 1)
+        g.add_pair("tab\there", "tab\there", 7)
+        g.nodes.add("isolated\t&")
+        assert_graphml_matches_elementtree(g, tmp_path)
+        assert b"&#55296;" in (tmp_path / "direct.graphml").read_bytes()
+
+    def test_nodes_without_edges_and_empty_graph(self, tmp_path):
+        g = WeightedGraph(GraphKind.KEYWORD)
+        assert_graphml_matches_elementtree(g, tmp_path)
+        g.nodes.update({"b", "a"})
+        assert_graphml_matches_elementtree(g, tmp_path)
 
 
 def test_fixture_country_graph_has_expected_shape(fixture_corpus):

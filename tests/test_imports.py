@@ -1,4 +1,5 @@
-"""Import footprint: numpy and scipy load only on the code paths that use them.
+"""Import footprint: numpy loads only on the code paths that use it, and
+no command loads scipy.
 
 Each case runs in a fresh interpreter, because this test process has
 already imported numpy and scipy through other tests.
@@ -9,6 +10,9 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+from biblionet.wos_ingest import write_corpus_jsonl
+from oracles import synthetic_author_pool_corpus
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 LAYERS = ("wos_ingest", "normalize", "metrics", "keywords", "dedup", "graphs", "graph_stats", "cli")
@@ -58,5 +62,17 @@ def test_network_without_power_law_fit_leaves_scipy_unloaded(tmp_path, fixture_p
     powerlaw = json.loads((out / "network_research_area" / "powerlaw.json").read_text())
     assert facts["node_count"] < 50
     assert "skipped" in powerlaw
+    assert "numpy" in loaded
+    assert "scipy" not in loaded
+
+
+def test_network_with_power_law_fit_leaves_scipy_unloaded(tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    write_corpus_jsonl(synthetic_author_pool_corpus(300, seed=5), corpus)
+    out = tmp_path / "out"
+    loaded = modules_after(run_cli("network", corpus, "--kind", "coauthor", "--out", out))
+    powerlaw = json.loads((out / "network_coauthor" / "powerlaw.json").read_text())
+    assert "skipped" not in powerlaw
+    assert powerlaw["n_tail"] >= 1
     assert "numpy" in loaded
     assert "scipy" not in loaded
