@@ -368,14 +368,14 @@ def _hurwitz_zeta(alphas, q) -> np.ndarray:
     x = np.asarray(alphas, dtype=np.float64).reshape(-1, 1)
     q = np.asarray(q, dtype=np.int64)
     bases, slots = np.unique(q[:, None] + np.arange(10), return_inverse=True)
+    slots = slots.reshape(q.size, 10)
     float_bases = bases.astype(np.float64).tolist()
     powers = np.array([[math.pow(base, -alpha) for base in float_bases] for alpha in x[:, 0].tolist()])
-    terms = powers[:, slots.reshape(q.size, 10)]
 
-    s = terms[..., 0]
+    s = powers[:, slots[:, 0]]
     for k in range(1, 10):
-        s = s + terms[..., k]
-    b = terms[..., 9]
+        s = s + powers[:, slots[:, k]]
+    b = powers[:, slots[:, 9]]
     w = (q + 9).astype(np.float64)
     s = s + b * w / (x - 1.0)
     s = s - 0.5 * b
@@ -397,13 +397,13 @@ def _hurwitz_zeta(alphas, q) -> np.ndarray:
     return s
 
 
-def _tail_ks(values: np.ndarray, counts: np.ndarray, alpha: float, xmin: int) -> float:
-    """KS distance between the empirical tail CDF and the fitted one."""
+def _tail_ks(counts: np.ndarray, zetas: np.ndarray, zeta_xmin: float) -> float:
+    """KS distance between the empirical tail CDF and the fitted one,
+    given zeta(alpha, value + 1) for each tail value and zeta(alpha, xmin)."""
     import numpy as np
     n_tail = counts.sum()
     empirical = np.cumsum(counts) / n_tail
-    zetas = _hurwitz_zeta([alpha], np.append(values + 1, xmin))[0]
-    model = 1.0 - zetas[:-1] / zetas[-1]
+    model = 1.0 - zetas / zeta_xmin
     return float(np.max(np.abs(empirical - model)))
 
 
@@ -432,9 +432,17 @@ def fit_power_law(degrees, min_samples: int = 50) -> PowerLawFit:
     log_values = np.log(values.astype(np.float64))
     tail_logsum = np.cumsum((counts * log_values)[::-1])[::-1]
 
-    # discrete log-likelihood on an (alpha x candidate) grid in one shot
+    # one zeta table serves the likelihood grid (q = each cutoff) and
+    # every cutoff's KS distance (q = each tail value + 1); an entry does
+    # not depend on the rest of the table
     alpha_grid = np.arange(1.01, 6.0, 0.01)
-    zeta_grid = _hurwitz_zeta(alpha_grid, candidates)
+    qs = np.union1d(candidates, values + 1)
+    table = _hurwitz_zeta(alpha_grid, qs)
+    candidate_cols = np.searchsorted(qs, candidates)
+    shifted_cols = np.searchsorted(qs, values + 1)
+
+    # discrete log-likelihood on an (alpha x candidate) grid in one shot
+    zeta_grid = table[:, candidate_cols]
     loglik = (
         -tail_counts[None, : candidates.size] * np.log(zeta_grid)
         - alpha_grid[:, None] * tail_logsum[None, : candidates.size]
@@ -443,10 +451,10 @@ def fit_power_law(degrees, min_samples: int = 50) -> PowerLawFit:
 
     best = None
     for c, xmin in enumerate(candidates):
-        alpha = float(alpha_grid[best_alpha_idx[c]])
-        ks = _tail_ks(values[c:], counts[c:], alpha, int(xmin))
+        row = table[best_alpha_idx[c]]
+        ks = _tail_ks(counts[c:], row[shifted_cols[c:]], row[candidate_cols[c]])
         if best is None or ks < best[0] - 1e-15:
-            best = (ks, int(xmin), alpha, c)
+            best = (ks, int(xmin), float(alpha_grid[best_alpha_idx[c]]), c)
     ks, xmin, alpha, c = best
 
     # refine the exponent locally for the chosen cutoff
@@ -454,7 +462,8 @@ def fit_power_law(degrees, min_samples: int = 50) -> PowerLawFit:
     n_tail = int(tail_counts[c])
     fine_loglik = -n_tail * np.log(_hurwitz_zeta(fine, [xmin])[:, 0]) - fine * float(tail_logsum[c])
     gamma = float(fine[np.argmax(fine_loglik)])
-    ks = _tail_ks(values[c:], counts[c:], gamma, xmin)
+    zetas = _hurwitz_zeta([gamma], np.append(values[c:] + 1, xmin))[0]
+    ks = _tail_ks(counts[c:], zetas[:-1], zetas[-1])
     return PowerLawFit(gamma=gamma, xmin=xmin, ks_statistic=ks, n_tail=n_tail)
 
 

@@ -40,11 +40,17 @@ class StopwordSet:
         return cls(words=words, include_digits=include_digits)
 
 
+_DEFAULT_STOPWORD_SET = StopwordSet()
+
+
+def _text(title: str, abstract: str | None) -> str:
+    return f"{title} {abstract}" if abstract else title
+
+
 def tokenize(title: str, abstract: str | None = None) -> list[str]:
     """Lower-case whitespace tokens with edge punctuation stripped."""
-    text = f"{title} {abstract}" if abstract else title
     tokens = []
-    for raw in text.lower().split():
+    for raw in _text(title, abstract).lower().split():
         token = raw.strip(string.punctuation)
         if token:
             tokens.append(token)
@@ -53,7 +59,7 @@ def tokenize(title: str, abstract: str | None = None) -> list[str]:
 
 def filter_stopwords(tokens: list[str], stopwords: StopwordSet | None = None) -> list[str]:
     """Drop stopwords, pure-punctuation tokens, and (optionally) digits."""
-    stopwords = stopwords or StopwordSet()
+    stopwords = stopwords or _DEFAULT_STOPWORD_SET
     kept = []
     for token in tokens:
         if token in stopwords.words:
@@ -77,9 +83,16 @@ def keyword_frequencies(
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    stopwords = stopwords or StopwordSet()
-    counts: Counter = Counter()
+    raw_counts: Counter = Counter()
     for record in corpus.records:
-        counts.update(filter_stopwords(tokenize(record.title, record.abstract), stopwords))
-    ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+        raw_counts.update(_text(record.title, record.abstract).lower().split())
+    # strip and filter each distinct raw token once; several raw tokens
+    # ("covid-19," and "covid-19") can strip to the same token
+    counts: Counter = Counter()
+    for raw, count in raw_counts.items():
+        token = raw.strip(string.punctuation)
+        if token:
+            counts[token] += count
+    kept = filter_stopwords(list(counts), stopwords)
+    ranked = sorted(((token, counts[token]) for token in kept), key=lambda item: (-item[1], item[0]))
     return ranked[:n]

@@ -1,12 +1,21 @@
 """Bibliometric indices, collaboration ratios, ranking tables, monthly
-time series, and the six-variable correlation matrix."""
+time series, and the six-variable correlation matrix.
+
+The correlations are pure Python: every mean sums in NumPy's pairwise
+order (Higham, SIAM J. Sci. Comput. 1993), the order its `add.reduce`
+uses for contiguous float64, so they equal the same formula on NumPy
+arrays bit for bit without loading NumPy.
+"""
 
 from __future__ import annotations
 
+import math
 import statistics
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain
+from operator import add
 
 from .errors import DegenerateDataError
 from .normalize import YearMonth
@@ -108,29 +117,67 @@ def multidisciplinary_ratio(corpus: Corpus) -> float:
     return _two_or_more_ratio(corpus.research_areas, "corpus has no papers with research areas")
 
 
+def _pairwise_sum(values: list[float], start: int, n: int) -> float:
+    """Sum of values[start:start + n] in NumPy's pairwise order for
+    contiguous float64: under 8 values a plain loop; up to 128, eight
+    strided partial sums combined as a balanced tree, then the rest;
+    beyond that the two halves, split at a multiple of 8."""
+    if n < 8:
+        total = 0.0
+        for value in values[start:start + n]:
+            total += value
+        return total
+    if n <= 128:
+        stop = start + n - n % 8
+        r = [reduce(add, values[start + j:stop:8]) for j in range(8)]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for value in values[stop:start + n]:
+            total += value
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values, start, half) + _pairwise_sum(values, start + half, n - half)
+
+
+def _mean(values: list[float]) -> float:
+    """The mean as NumPy's `mean` rounds it: the pairwise sum added to
+    the +0.0 identity of `add.reduce` (so a sum of -0.0 is 0.0), over n."""
+    return (0.0 + _pairwise_sum(values, 0, len(values))) / len(values)
+
+
+def _centred(values: list[float]) -> list[float]:
+    # corrected two-pass centering: when the rounded mean is off, the
+    # deviations carry that error, and their own mean removes it
+    mean = _mean(values)
+    deviations = [value - mean for value in values]
+    mean = _mean(deviations)
+    return [value - mean for value in deviations]
+
+
 def pearson(x: list[float], y: list[float]) -> float:
-    """Population Pearson correlation cov(x, y) / (sigma_x sigma_y)."""
+    """Population Pearson correlation cov(x, y) / (sigma_x sigma_y).
+
+    Two-pass centring, then the square roots of the two variances.
+    Every mean sums in NumPy's pairwise order (see `_pairwise_sum`), so
+    the result is bit-identical to the same formula on float64 arrays
+    with NumPy's `mean`.
+    """
     if len(x) != len(y):
         raise ValueError("inputs must have equal length")
     if len(x) < 2:
         raise DegenerateDataError("need at least two observations")
-    import numpy as np
-    ax = np.asarray(x, dtype=float)
-    ay = np.asarray(y, dtype=float)
-    # corrected two-pass centering: when the rounded mean is off, the
-    # deviations carry that error, and their own mean removes it
-    dx = ax - ax.mean()
-    dx -= dx.mean()
-    dy = ay - ay.mean()
-    dy -= dy.mean()
-    sx = float(np.sqrt(np.mean(dx * dx)))
-    sy = float(np.sqrt(np.mean(dy * dy)))
+    dx = _centred([float(value) for value in x])
+    dy = _centred([float(value) for value in y])
+    sx = math.sqrt(_mean([d * d for d in dx]))
+    sy = math.sqrt(_mean([d * d for d in dy]))
     if sx == 0.0 or sy == 0.0:
         raise DegenerateDataError("zero variance makes the correlation undefined")
-    r = float(np.mean(dx * dy) / (sx * sy))
+    # a nonzero sx or sy is at least sqrt(5e-324), so their product
+    # cannot round to zero, and Python divides as NumPy does
+    r = _mean([a * b for a, b in zip(dx, dy)]) / (sx * sy)
     # rounding can carry r just past +-1, e.g. when a product such as
     # 1e-158 * 1e-158 underflows into the subnormal range; clip as
-    # numpy.corrcoef does
+    # NumPy's corrcoef does
     return min(1.0, max(-1.0, r))
 
 

@@ -95,22 +95,31 @@ def _unique(column: Iterable[list[str]]) -> list[list[str]]:
 
 @dataclass
 class Corpus:
-    """A record collection, the index of records with a usable date, and
-    the rules the corpus is cleaned with.
+    """A record collection and the rules the corpus is cleaned with.
 
     The cleaned features of the records are columns aligned with
-    `records`. Each is derived in one pass on its first read and kept,
+    `records`, and `dated_view` indexes the records with a usable date.
+    Each is derived in one pass on its first read and kept,
     so the records must not change once a column has been read.  The
     columns share lists with the records and with each other: read
     them, never modify them.
     """
 
     records: list[BiblioRecord]
-    dated_view: dict[int, YearMonth]
     rules: NormalizationRules | None = None
 
     def __len__(self) -> int:
         return len(self.records)
+
+    @cached_property
+    def dated_view(self) -> dict[int, YearMonth]:
+        """Index -> year-month of every record with a usable date."""
+        dated = {}
+        for index, record in enumerate(self.records):
+            ym = normalize_date(record.publication_date, record.publication_year, self.rules)
+            if ym is not None:
+                dated[index] = ym
+        return dated
 
     @cached_property
     def authors(self) -> list[list[str]]:
@@ -145,12 +154,7 @@ class Corpus:
 
     @classmethod
     def from_records(cls, records: list[BiblioRecord], rules: NormalizationRules | None = None) -> "Corpus":
-        dated = {}
-        for index, record in enumerate(records):
-            ym = normalize_date(record.publication_date, record.publication_year, rules)
-            if ym is not None:
-                dated[index] = ym
-        return cls(records=list(records), dated_view=dated, rules=rules)
+        return cls(records=list(records), rules=rules)
 
 
 @dataclass

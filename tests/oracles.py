@@ -8,6 +8,7 @@ so the implementations under test are checked against a second route.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -18,6 +19,7 @@ from biblionet.dedup import SuspectPair
 from biblionet.errors import DegenerateDataError
 from biblionet.graph_stats import PowerLawFit
 from biblionet.graphs import GraphKind, WeightedGraph
+from biblionet.keywords import StopwordSet, filter_stopwords, tokenize
 from biblionet.wos_ingest import BiblioRecord, Corpus
 
 
@@ -98,6 +100,48 @@ def brute_g_index(citations: list[int]) -> int:
         if g * g <= sum(ranked[:g]):
             best = g
     return best
+
+
+# ---------------------------------------------------------------------------
+# keyword counts token occurrence by token occurrence, the loop that
+# keywords.keyword_frequencies runs once per distinct token instead
+
+def per_occurrence_keyword_frequencies(
+    corpus: Corpus, stopwords: StopwordSet | None = None, n: int = 100,
+) -> list[tuple[str, int]]:
+    counts: Counter = Counter()
+    for record in corpus.records:
+        counts.update(filter_stopwords(tokenize(record.title, record.abstract), stopwords))
+    return sorted(counts.items(), key=lambda item: (-item[1], item[0]))[:n]
+
+
+# ---------------------------------------------------------------------------
+# Pearson on numpy arrays, the formula metrics.pearson sums in numpy's
+# pairwise order without numpy
+
+def numpy_pearson(x: list[float], y: list[float]) -> float:
+    """Population Pearson correlation cov(x, y) / (sigma_x sigma_y)."""
+    if len(x) != len(y):
+        raise ValueError("inputs must have equal length")
+    if len(x) < 2:
+        raise DegenerateDataError("need at least two observations")
+    ax = np.asarray(x, dtype=float)
+    ay = np.asarray(y, dtype=float)
+    # corrected two-pass centering: when the rounded mean is off, the
+    # deviations carry that error, and their own mean removes it
+    dx = ax - ax.mean()
+    dx -= dx.mean()
+    dy = ay - ay.mean()
+    dy -= dy.mean()
+    sx = float(np.sqrt(np.mean(dx * dx)))
+    sy = float(np.sqrt(np.mean(dy * dy)))
+    if sx == 0.0 or sy == 0.0:
+        raise DegenerateDataError("zero variance makes the correlation undefined")
+    r = float(np.mean(dx * dy) / (sx * sy))
+    # rounding can carry r just past +-1, e.g. when a product such as
+    # 1e-158 * 1e-158 underflows into the subnormal range; clip as
+    # numpy.corrcoef does
+    return min(1.0, max(-1.0, r))
 
 
 # ---------------------------------------------------------------------------

@@ -38,14 +38,16 @@ def test_importing_cli_loads_every_layer_but_neither_numpy_nor_scipy():
     assert "scipy" not in loaded
 
 
-def test_parse_keywords_and_dedup_leave_numpy_unloaded(tmp_path, fixture_paths):
+def test_parse_stats_keywords_and_dedup_leave_numpy_unloaded(tmp_path, fixture_paths):
     out = tmp_path / "out"
     corpus = out / "corpus.jsonl"
     loaded = modules_after("\n".join([
         run_cli("parse", *fixture_paths, "--out", out),
+        run_cli("stats", corpus, "--out", out),
         run_cli("keywords", corpus, "--out", out),
         run_cli("dedup-authors", corpus, "--out", out),
     ]))
+    assert (out / "stats" / "correlation_matrix.csv").exists()
     assert (out / "keywords" / "keyword_frequencies.csv").exists()
     assert (out / "dedup" / "suspect_pairs.csv").exists()
     assert "numpy" not in loaded

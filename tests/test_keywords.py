@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from biblionet.keywords import StopwordSet, filter_stopwords, keyword_frequencies, tokenize
 from biblionet.stopwords import DEFAULT_STOPWORDS
 from biblionet.wos_ingest import BiblioRecord, Corpus
+from oracles import per_occurrence_keyword_frequencies, random_corpus
 
 
 def record(title, abstract=None):
@@ -110,3 +112,43 @@ class TestKeywordFrequencies:
         random.Random(1).shuffle(records)
         shuffled = Corpus.from_records(records)
         assert keyword_frequencies(corpus, n=100) == keyword_frequencies(shuffled, n=100)
+
+
+# edge punctuation, digits, punctuation-only runs and non-ASCII letters,
+# among them capital sigma, which lower-cases to a final sigma at a word end
+TEXT = st.text(alphabet=st.sampled_from(list("aAbZ019-.,;:()'\"!?_/ \t\nΣΟΔéÉßİ")), max_size=60)
+RECORD = st.tuples(TEXT, st.none() | TEXT).map(lambda pair: record(*pair))
+
+
+class TestMatchesPerOccurrenceOracle:
+    """keyword_frequencies strips and filters each distinct token once;
+    the per-occurrence loop it replaced must give the same ranking."""
+
+    def test_fixture_corpus(self, fixture_corpus):
+        ranked = keyword_frequencies(fixture_corpus, n=10_000)
+        assert ranked
+        assert ranked == per_occurrence_keyword_frequencies(fixture_corpus, n=10_000)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_corpus(self, seed):
+        corpus = random_corpus(seed, n_records=40)
+        assert keyword_frequencies(corpus, n=10_000) == per_occurrence_keyword_frequencies(corpus, n=10_000)
+
+    def test_final_sigma(self):
+        # a word-final capital sigma lower-cases to "ς", a lone one to "σ"
+        corpus = Corpus.from_records([record("ΟΔΟΣ ΟΔΟΣ, Σ", "ΟΔΟΣ. (ΣΟ)"), record("οδοσ")])
+        ranked = keyword_frequencies(corpus)
+        assert ranked == per_occurrence_keyword_frequencies(corpus)
+        assert ranked == [("οδος", 3), ("οδοσ", 1), ("σ", 1), ("σο", 1)]
+
+    @given(st.lists(RECORD, max_size=8), st.integers(1, 30))
+    def test_any_text(self, records, n):
+        corpus = Corpus.from_records(records)
+        assert keyword_frequencies(corpus, n=n) == per_occurrence_keyword_frequencies(corpus, n=n)
+
+    @given(st.lists(RECORD, max_size=8))
+    def test_custom_stopwords_keeping_digits(self, records):
+        corpus = Corpus.from_records(records)
+        stopwords = StopwordSet(words=frozenset({"a", "ab", "ς"}), include_digits=False)
+        assert (keyword_frequencies(corpus, stopwords, n=100)
+                == per_occurrence_keyword_frequencies(corpus, stopwords, n=100))

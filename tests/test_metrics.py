@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from biblionet import metrics
 from biblionet.errors import DegenerateDataError
 from biblionet.metrics import (
+    _mean,
     author_table,
     authors_per_paper,
     correlation_matrix,
@@ -23,7 +25,7 @@ from biblionet.metrics import (
 )
 from biblionet.normalize import YearMonth
 from biblionet.wos_ingest import BiblioRecord, Corpus
-from oracles import brute_g_index, brute_h_index
+from oracles import brute_g_index, brute_h_index, numpy_pearson, random_corpus
 
 citation_vectors = st.lists(st.integers(min_value=0, max_value=10_000), max_size=50)
 
@@ -227,6 +229,90 @@ class TestPearson:
             return
 
 
+def outcome(f, *args):
+    """The float f returns, as hex so that -0.0 and 0.0 differ, or the
+    type and message of what it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            return f(*args).hex()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# lengths on each side of the pairwise sum's plain (< 8), blocked
+# (<= 128) and split (> 128) paths and of its splits
+EDGE_LENGTHS = (2, 3, 7, 8, 9, 15, 16, 17, 127, 128, 129, 136, 137, 255, 256, 257, 1000, 3001, 4097, 5000)
+
+
+def seeded_values(rng: random.Random, n: int, kind: str) -> list[float]:
+    if kind == "counts":
+        # the six correlation variables are small non-negative counts
+        return [float(rng.choice((0, 1, 1, 2, 3, 5, 8, 40, 300))) for _ in range(n)]
+    if kind == "uniform":
+        return [rng.uniform(-1.0, 1.0) for _ in range(n)]
+    if kind == "lognormal":
+        return [rng.choice((-1.0, 1.0)) * rng.lognormvariate(0.0, 4.0) for _ in range(n)]
+    # extreme magnitudes: near overflow, near underflow, subnormal
+    return [rng.choice((-1.0, 1.0)) * rng.choice((1e300, 1e154, 1.0, 1e-154, 1e-300, 5e-324)) * rng.random()
+            for _ in range(n)]
+
+
+KINDS = ("counts", "uniform", "lognormal", "extreme")
+
+
+class TestPearsonMatchesNumpyOracle:
+    """metrics.pearson sums in numpy's pairwise order without numpy; the
+    numpy formula it replaced must give the same float or exception."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", EDGE_LENGTHS)
+    def test_seeded_lists(self, n, kind):
+        rng = random.Random(n * 31 + KINDS.index(kind))
+        for _ in range(3):
+            xs, ys = seeded_values(rng, n, kind), seeded_values(rng, n, kind)
+            assert outcome(pearson, xs, ys) == outcome(numpy_pearson, xs, ys)
+
+    @given(st.integers(2, 5000), st.sampled_from(KINDS), st.randoms(use_true_random=False))
+    def test_random_lengths(self, n, kind, rng):
+        xs, ys = seeded_values(rng, n, kind), seeded_values(rng, n, kind)
+        assert outcome(pearson, xs, ys) == outcome(numpy_pearson, xs, ys)
+
+    @given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                              st.floats(allow_nan=False, allow_infinity=False)), min_size=2, max_size=40))
+    def test_any_finite_floats(self, pairs):
+        xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+        assert outcome(pearson, xs, ys) == outcome(numpy_pearson, xs, ys)
+
+    @given(st.lists(st.integers(0, 10_000), min_size=2, max_size=300), st.randoms(use_true_random=False))
+    def test_integer_counts(self, xs, rng):
+        ys = [rng.randint(0, 50) for _ in xs]
+        assert outcome(pearson, xs, ys) == outcome(numpy_pearson, xs, ys)
+
+    def test_errors(self):
+        for xs, ys in (([1.0], [2.0]), ([1.0, 2.0], [1.0]), ([3.0] * 9, [1.0] * 8 + [2.0]),
+                       ([float("nan"), 1.0], [1.0, 2.0]), ([float("inf"), 1.0], [1.0, 2.0])):
+            assert outcome(pearson, xs, ys) == outcome(numpy_pearson, xs, ys)
+
+
+class TestMeanMatchesNumpy:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_seeded_lists(self, kind):
+        rng = random.Random(KINDS.index(kind))
+        for n in (1,) + EDGE_LENGTHS:
+            values = seeded_values(rng, n, kind)
+            assert _mean(values).hex() == float(np.mean(values)).hex()
+
+    @pytest.mark.parametrize("n", (1, 7, 8, 9, 128, 129, 300))
+    def test_negative_zeros_sum_to_positive_zero(self, n):
+        # numpy adds the pairwise total to the +0.0 identity of add.reduce
+        assert _mean([-0.0] * n).hex() == float(np.mean([-0.0] * n)).hex() == (0.0).hex()
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=300))
+    def test_any_finite_floats(self, values):
+        # partial sums may overflow, to inf or, meeting -inf, to nan
+        assert outcome(_mean, values) == outcome(lambda v: float(np.mean(v)), values)
+
+
 def full_record(i, authors, pages, nr, tc, areas, countries):
     seg = "; ".join(f"[A] Inst{j}, Dept, City, {c}." for j, c in enumerate(countries))
     return record(
@@ -282,6 +368,15 @@ class TestCorrelationMatrix:
         # the incomplete record must not poison the matrix
         matrix = correlation_matrix(corpus)
         assert matrix.value("authors", "authors") == 1.0
+
+    @pytest.mark.parametrize("corpus_name", ["fixture", "random_corpus"])
+    def test_same_matrix_as_the_numpy_formula(self, corpus_name, fixture_corpus, monkeypatch):
+        corpora = [fixture_corpus] if corpus_name == "fixture" else [
+            random_corpus(seed, n_records=n) for seed, n in ((1, 12), (2, 60), (3, 400), (4, 1500))
+        ]
+        matrices = [correlation_matrix(corpus) for corpus in corpora]
+        monkeypatch.setattr(metrics, "pearson", numpy_pearson)
+        assert [correlation_matrix(corpus) for corpus in corpora] == matrices
 
     def test_too_few_rows(self):
         with pytest.raises(DegenerateDataError):
