@@ -69,7 +69,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         unknown = set(data) - _CONFIG_KEYS
         if unknown:
@@ -372,11 +372,8 @@ def cmd_network(args: argparse.Namespace, config: RunConfig) -> int:
         ["label_a", "label_b", "weight"],
         graphs.top_weighted_edges(graph, config.top_k) if graph.edges else [],
     )
-    _write_csv(
-        outdir / "degree_histogram.csv",
-        ["degree", "count"],
-        sorted(graphs.degree_counts(graph).items()),
-    )
+    histogram = sorted(graphs.degree_counts(graph).items())
+    _write_csv(outdir / "degree_histogram.csv", ["degree", "count"], histogram)
 
     component_size = facts.component_sizes[0] if facts.component_sizes else 0
     sample = config.sample
@@ -431,7 +428,7 @@ def cmd_network(args: argparse.Namespace, config: RunConfig) -> int:
     except DegenerateDataError as exc:
         _write_json(outdir / "smallworld.json", {"meta": meta, "skipped": str(exc)})
 
-    degrees = sorted(len(nbrs) for nbrs in graph.adjacency().values() if nbrs)
+    degrees = [degree for degree, count in histogram if degree for _ in range(count)]
     try:
         fit = graph_stats.fit_power_law(degrees)
         digest = hashlib.sha256(",".join(map(str, degrees)).encode()).hexdigest()

@@ -2,8 +2,9 @@
 small-world check, power-law degree fit, and degree assortativity.
 
 Shortest paths are unweighted hop counts; edge weights are collaboration
-counts, not distances.  All traversals run on an integer-indexed CSR
-view of the simple graph (self-loops ignored).  Closeness and path
+counts, not distances.  Every function reads the graph's one integer
+view: the CSR of the simple graph (self-loops ignored) and its component
+ids, derived on the first read and kept on the graph.  Closeness and path
 length share a bit-parallel breadth-first search that advances 64
 sources at once, one per bit of a uint64 word; betweenness runs Brandes
 dependency accumulation for a batch of up to 16 sources per pass.
@@ -24,20 +25,7 @@ from .errors import DegenerateDataError
 from .graphs import WeightedGraph, connected_components
 
 # ---------------------------------------------------------------------------
-# compact CSR view
-
-def _compact(labels: list[str], adjacency: dict[str, set[str]]) -> tuple[np.ndarray, np.ndarray]:
-    import numpy as np
-    index = {label: i for i, label in enumerate(labels)}
-    indptr = np.zeros(len(labels) + 1, dtype=np.int64)
-    chunks = []
-    for i, label in enumerate(labels):
-        neighbors = sorted(index[n] for n in adjacency[label])
-        indptr[i + 1] = indptr[i] + len(neighbors)
-        chunks.append(np.asarray(neighbors, dtype=np.int64))
-    indices = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-    return indptr, indices
-
+# traversal kernels over a CSR
 
 def _distance_sums(indptr: np.ndarray, indices: np.ndarray, sources) -> np.ndarray:
     """Total hop distance from each source to every node it reaches.
@@ -86,6 +74,8 @@ def _distance_sums(indptr: np.ndarray, indices: np.ndarray, sources) -> np.ndarr
 # below 2**16 slots.
 _BRANDES_BUDGET = 2**16
 _BRANDES_MAX_BATCH = 16
+# (edge, neighbour) pairs that `clustering` checks at once
+_WEDGE_BUDGET = 2**15
 
 
 def _brandes_dependencies(indptr: np.ndarray, indices: np.ndarray, sources: np.ndarray, n: int) -> np.ndarray:
@@ -141,16 +131,27 @@ def _brandes_dependencies(indptr: np.ndarray, indices: np.ndarray, sources: np.n
     return delta.reshape(batch, n)
 
 
-def _component_subgraph(graph: WeightedGraph, members: set[str]) -> WeightedGraph:
-    edges = {pair: w for pair, w in graph.edges.items() if pair[0] in members}
-    return WeightedGraph(kind=graph.kind, nodes=set(members), edges=edges)
-
-
 def largest_component_subgraph(graph: WeightedGraph) -> WeightedGraph:
+    """The largest connected component, derived once per graph: every
+    call returns the same object, the graph itself when it is connected."""
     components = connected_components(graph)
     if not components:
         raise DegenerateDataError("graph has no nodes")
-    return _component_subgraph(graph, components[0])
+    view = graph._view
+    if view.largest is None:
+        members = components[0]
+        view.largest = graph if len(components) == 1 else WeightedGraph(
+            graph.kind, members, {pair: w for pair, w in graph.edges.items() if pair[0] in members})
+    return view.largest
+
+
+def _sources(n: int, sample_sources: int | None, seed: int):
+    """Every node, or a seeded uniform sample of `sample_sources` nodes in index order."""
+    if sample_sources is None or sample_sources >= n:
+        return range(n)
+    if sample_sources < 1:
+        raise ValueError("sample_sources must be >= 1")
+    return sorted(random.Random(seed).sample(range(n), sample_sources))
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +162,8 @@ def degree_centrality(graph: WeightedGraph) -> dict[str, float]:
     n = graph.node_count
     if n < 2:
         raise DegenerateDataError("degree centrality needs at least 2 nodes")
-    adjacency = graph.adjacency()
-    return {node: len(adjacency[node]) / (n - 1) for node in sorted(graph.nodes)}
+    view = graph._view
+    return {node: degree / (n - 1) for node, degree in zip(view.labels, view.degree.tolist())}
 
 
 def betweenness_centrality(
@@ -178,20 +179,13 @@ def betweenness_centrality(
     that reproduces the exact values when the sample covers all nodes.
     """
     import numpy as np
-    labels = sorted(graph.nodes)
+    view = graph._view
+    labels, indptr, indices = view.labels, view.indptr, view.indices
     n = len(labels)
     if n < 3:
         return {label: 0.0 for label in labels}
-    indptr, indices = _compact(labels, graph.adjacency())
-    if sample_sources is None or sample_sources >= n:
-        sources = range(n)
-        scale = 1.0
-    else:
-        if sample_sources < 1:
-            raise ValueError("sample_sources must be >= 1")
-        sources = sorted(random.Random(seed).sample(range(n), sample_sources))
-        scale = n / sample_sources
-    sources = np.asarray(sources, dtype=np.int64)
+    sources = np.asarray(_sources(n, sample_sources, seed), dtype=np.int64)
+    scale = n / sources.size
     batch = max(1, min(_BRANDES_MAX_BATCH, _BRANDES_BUDGET // (n + indices.size)))
     accumulated = np.zeros(n, dtype=np.float64)
     for first in range(0, sources.size, batch):
@@ -208,19 +202,21 @@ def closeness_centrality(graph: WeightedGraph, literal: bool = False) -> dict[st
     Default is (N_c - 1) / total hop distance within the component; with
     `literal=True` the numerator is N_c (the Bavelas form), which can
     exceed 1 on small components.  Size-1 components are omitted.
+
+    One pass over the whole graph's CSR serves every component, since a
+    search never leaves its own; nodes are keyed component by component.
     """
-    result: dict[str, float] = {}
-    adjacency = graph.adjacency()
-    for component in connected_components(graph):
-        if len(component) < 2:
-            continue
-        labels = sorted(component)
-        indptr, indices = _compact(labels, adjacency)
-        numerator = len(component) if literal else len(component) - 1
-        totals = _distance_sums(indptr, indices, range(len(labels)))
-        for label, total in zip(labels, totals.tolist()):
-            result[label] = numerator / total
-    return result
+    import numpy as np
+    view = graph._view
+    sizes = np.array([len(c) for c in connected_components(graph)], dtype=np.int64)[view.component]
+    sources = np.flatnonzero(sizes >= 2)
+    sources = sources[np.argsort(view.component[sources], kind="stable")]
+    numerators = sizes[sources] - (0 if literal else 1)
+    totals = _distance_sums(view.indptr, view.indices, sources)
+    return {
+        view.labels[source]: numerator / total
+        for source, numerator, total in zip(sources.tolist(), numerators.tolist(), totals.tolist())
+    }
 
 
 def clustering(graph: WeightedGraph) -> tuple[dict[str, float], float]:
@@ -230,21 +226,33 @@ def clustering(graph: WeightedGraph) -> tuple[dict[str, float], float]:
     """
     if not graph.nodes:
         raise DegenerateDataError("clustering of an empty graph is undefined")
-    adjacency = graph.adjacency()
-    triangles = {node: 0 for node in graph.nodes}
-    for (a, b) in graph.edges:
-        if a == b:
-            continue
-        small, large = (adjacency[a], adjacency[b])
-        if len(small) > len(large):
-            small, large = large, small
-        for node in small:
-            if node in large:
-                triangles[node] += 1
-    coefficients = {}
-    for node in sorted(graph.nodes):
-        degree = len(adjacency[node])
-        coefficients[node] = 2.0 * triangles[node] / (degree * (degree - 1)) if degree >= 2 else 0.0
+    import numpy as np
+    view = graph._view
+    indptr, indices, degree = view.indptr, view.indices, view.degree
+    n = len(view.labels)
+    tails = np.repeat(np.arange(n), degree)
+    # each edge from its end of lower (degree, index): a neighbour x of
+    # that end that is adjacent to the other end closes a triangle at x
+    order = degree * n + np.arange(n)
+    lower = order[tails] < order[indices]
+    near, far = tails[lower], indices[lower]
+    arcs = tails * n + indices  # ascending: the CSR lists rows, then neighbours, in order
+    counts = degree[near]
+    triangles = np.zeros(n, dtype=np.int64)
+    # edges in slices of at most _WEDGE_BUDGET wedges, to bound the memory
+    step = max(1, _WEDGE_BUDGET // int(counts.max(initial=1)))
+    for lo in range(0, near.size, step):
+        c = counts[lo:lo + step]
+        # the neighbours of each edge's near end, one run per edge
+        offsets = np.repeat(indptr[near[lo:lo + step]] - np.cumsum(c) + c, c)
+        wedges = indices[offsets + np.arange(offsets.size)]
+        keys = wedges * n + np.repeat(far[lo:lo + step], c)
+        closed = arcs[np.minimum(np.searchsorted(arcs, keys), arcs.size - 1)] == keys
+        triangles += np.bincount(wedges[closed], minlength=n)
+    coefficients = {
+        node: 2.0 * t / (d * (d - 1)) if d >= 2 else 0.0
+        for node, t, d in zip(view.labels, triangles.tolist(), degree.tolist())
+    }
     average = sum(coefficients.values()) / len(coefficients)
     return coefficients, average
 
@@ -266,15 +274,9 @@ def avg_shortest_path(
     n = component.node_count
     if n < 2:
         raise DegenerateDataError("largest component has fewer than 2 nodes")
-    labels = sorted(component.nodes)
-    indptr, indices = _compact(labels, component.adjacency())
-    if sample_sources is None or sample_sources >= n:
-        sources = range(n)
-    else:
-        if sample_sources < 1:
-            raise ValueError("sample_sources must be >= 1")
-        sources = sorted(random.Random(seed).sample(range(n), sample_sources))
-    means = [float(total) / (n - 1) for total in _distance_sums(indptr, indices, sources).tolist()]
+    view = component._view
+    totals = _distance_sums(view.indptr, view.indices, _sources(n, sample_sources, seed))
+    means = [float(total) / (n - 1) for total in totals.tolist()]
     return sum(means) / len(means)
 
 
@@ -303,9 +305,7 @@ def small_world_check(
     """
     component = largest_component_subgraph(graph)
     n = component.node_count
-    if n < 2:
-        raise DegenerateDataError("largest component has fewer than 2 nodes")
-    length = avg_shortest_path(component, sample_sources, seed)
+    length = avg_shortest_path(component, sample_sources, seed)  # raises below 2 nodes
     ln_n = math.log(n)
     _, avg_clust = clustering(component)
     ratio = length / ln_n
@@ -480,24 +480,27 @@ class AssortativityResult:
         return self.r is not None
 
 
-def _assortativity_over_edges(edges, degree: dict[str, int], size: int) -> AssortativityResult:
-    # exact integer sums over both edge orientations; the remaining-degree
-    # shift by 1 cancels out of the correlation
-    sum_x = sum_xy = sum_xx = 0
-    count = 0
-    for a, b in edges:
-        da, db = degree[a], degree[b]
-        sum_x += da + db
-        sum_xy += 2 * da * db
-        sum_xx += da * da + db * db
-        count += 2
-    if count == 0:
-        return AssortativityResult(r=None, component_size=size)
-    cov_num = count * sum_xy - sum_x * sum_x
-    var_num = count * sum_xx - sum_x * sum_x
-    if var_num == 0:
-        return AssortativityResult(r=None, component_size=size)
-    return AssortativityResult(r=cov_num / var_num, component_size=size)
+def _assortativity(graph: WeightedGraph, groups: int, group_of: np.ndarray) -> list[float | None]:
+    """Assortativity of each group of arcs, given each node's group.
+
+    Exact integer sums over every arc (both orientations of each non-loop
+    edge); the remaining-degree shift by 1 cancels out of the correlation.
+    A group without arcs or without endpoint-degree variance gets None.
+    """
+    import numpy as np
+    view = graph._view
+    degree = view.degree
+    tails = np.repeat(np.arange(degree.size), degree)
+    x, y = degree[tails], degree[view.indices]
+    group = group_of[tails]
+    sums = np.zeros((4, groups), dtype=np.int64)
+    for row, values in enumerate((np.ones_like(x), x, x * y, x * x)):
+        np.add.at(sums[row], group, values)
+    results = []
+    for count, sum_x, sum_xy, sum_xx in zip(*sums.tolist()):
+        var_num = count * sum_xx - sum_x * sum_x
+        results.append(None if count == 0 or var_num == 0 else (count * sum_xy - sum_x * sum_x) / var_num)
+    return results
 
 
 def degree_assortativity(graph: WeightedGraph) -> AssortativityResult:
@@ -507,12 +510,11 @@ def degree_assortativity(graph: WeightedGraph) -> AssortativityResult:
     Undefined (r=None) when the endpoint-degree variance is zero, as on
     regular graphs.
     """
-    edges = [pair for pair in graph.edges if pair[0] != pair[1]]
-    if not edges:
+    import numpy as np
+    if graph._view.indices.size == 0:
         raise DegenerateDataError("assortativity needs at least one non-loop edge")
-    adjacency = graph.adjacency()
-    degree = {node: len(neighbors) for node, neighbors in adjacency.items()}
-    return _assortativity_over_edges(edges, degree, graph.node_count)
+    [r] = _assortativity(graph, 1, np.zeros(graph.node_count, dtype=np.int64))
+    return AssortativityResult(r=r, component_size=graph.node_count)
 
 
 def per_component_assortativity(graph: WeightedGraph) -> list[AssortativityResult]:
@@ -521,21 +523,9 @@ def per_component_assortativity(graph: WeightedGraph) -> list[AssortativityResul
     Undefined entries are kept in the output (flagged via r=None) so a
     caller can exclude them from plots without losing the raw series.
     """
-    adjacency = graph.adjacency()
-    degree = {node: len(neighbors) for node, neighbors in adjacency.items()}
     components = connected_components(graph)
-    member_of: dict[str, int] = {}
-    for i, component in enumerate(components):
-        for node in component:
-            member_of[node] = i
-    edges_by_component: dict[int, list[tuple[str, str]]] = {}
-    for pair in graph.edges:
-        if pair[0] != pair[1]:
-            edges_by_component.setdefault(member_of[pair[0]], []).append(pair)
-    return [
-        _assortativity_over_edges(edges_by_component.get(i, []), degree, len(component))
-        for i, component in enumerate(components)
-    ]
+    series = _assortativity(graph, len(components), graph._view.component)
+    return [AssortativityResult(r=r, component_size=len(c)) for r, c in zip(series, components)]
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ import csv
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import combinations
+from functools import cached_property
+from itertools import chain, combinations
 from pathlib import Path
 
 from .wos_ingest import Corpus
@@ -39,6 +40,10 @@ class WeightedGraph:
 
     Edge keys are stored in canonical (lexicographic) orientation;
     self-pairs are allowed only for the country and institution kinds.
+
+    The structural functions read one integer view of the graph, derived
+    on its first read and kept: `add_pair` drops it, so nodes and edges
+    must not change any other way once the graph has been analysed.
     """
 
     kind: GraphKind
@@ -63,6 +68,11 @@ class WeightedGraph:
         self.nodes.add(a)
         self.nodes.add(b)
         self.edges[pair] = self.edges.get(pair, 0) + weight
+        self.__dict__.pop("_view", None)
+
+    @cached_property
+    def _view(self) -> _GraphView:
+        return _build_view(self)
 
     def adjacency(self) -> dict[str, set[str]]:
         """Neighbor sets of the simple-graph view (self-loops ignored)."""
@@ -140,30 +150,65 @@ class GraphFacts:
     component_sizes: tuple[int, ...]
 
 
+@dataclass(eq=False)
+class _GraphView:
+    """The simple graph (self-loops dropped) on node i = `labels[i]`.
+
+    The `degree[i]` neighbours of node i are
+    `indices[indptr[i]:indptr[i + 1]]`, in index order; `component[i]`
+    is its component's position in `connected_components`.  `largest`
+    keeps the largest component subgraph once it has been derived.
+    """
+
+    labels: list[str]
+    indptr: np.ndarray
+    indices: np.ndarray
+    degree: np.ndarray
+    component: np.ndarray
+    largest: WeightedGraph | None = None
+
+
+def _build_view(graph: WeightedGraph) -> _GraphView:
+    import numpy as np
+    labels = sorted(graph.nodes)
+    n = len(labels)
+    index = {label: i for i, label in enumerate(labels)}
+    pairs = chain.from_iterable(pair for pair in graph.edges if pair[0] != pair[1])
+    ends = np.fromiter(map(index.__getitem__, pairs), dtype=np.int64).reshape(-1, 2)
+    # each edge in both orientations, sorted by (tail, head); canonical
+    # edge keys make every arc distinct
+    arcs = np.sort(np.concatenate([ends[:, 0] * n + ends[:, 1], ends[:, 1] * n + ends[:, 0]]))
+    tails, indices = np.divmod(arcs, n)
+    degree = np.bincount(tails, minlength=n)
+    indptr = np.concatenate([[0], np.cumsum(degree)])
+
+    # each node takes the smallest index among its own and its
+    # neighbours' labels, then the label of that label, until no label
+    # moves: every component ends on its smallest index (smallest label)
+    root = np.arange(n, dtype=np.int64)
+    while True:
+        lower = root.copy()
+        np.minimum.at(lower, tails, root[indices])
+        lower = lower[lower]
+        if np.array_equal(lower, root):
+            break
+        root = lower
+    # a component's id is the rank of its (-size, smallest index) among all
+    key = (n - np.bincount(root, minlength=n)[root]) * n + root
+    component = np.searchsorted(np.sort(key[root == np.arange(n)]), key)
+    return _GraphView(labels, indptr, indices, degree, component)
+
+
 def connected_components(graph: WeightedGraph) -> list[set[str]]:
     """Components of the simple-graph view, largest first.
 
     Ties on size break by smallest member label for determinism.
     """
-    adj = graph.adjacency()
-    seen: set[str] = set()
-    components = []
-    for start in sorted(graph.nodes):
-        if start in seen:
-            continue
-        component = {start}
-        frontier = [start]
-        seen.add(start)
-        while frontier:
-            node = frontier.pop()
-            for neighbor in adj[node]:
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    component.add(neighbor)
-                    frontier.append(neighbor)
-        components.append(component)
-    components.sort(key=lambda c: (-len(c), min(c)))
-    return components
+    view = graph._view
+    members: dict[int, set[str]] = {}
+    for label, component in zip(view.labels, view.component.tolist()):
+        members.setdefault(component, set()).add(label)
+    return [members[component] for component in range(len(members))]
 
 
 def graph_facts(graph: WeightedGraph) -> GraphFacts:
@@ -172,16 +217,13 @@ def graph_facts(graph: WeightedGraph) -> GraphFacts:
     A node is isolated only when it has no incident edges at all; a
     node carrying just a self-loop is not isolated.
     """
-    touched: set[str] = set()
-    for (a, b) in graph.edges:
-        touched.add(a)
-        touched.add(b)
     components = connected_components(graph)
+    looped = {a for a, _ in graph.self_loops()}  # one self-loop key per node
     return GraphFacts(
         node_count=graph.node_count,
         edge_count=graph.edge_count,
-        self_loop_count=len(graph.self_loops()),
-        isolated_count=len(graph.nodes - touched),
+        self_loop_count=len(looped),
+        isolated_count=sum(1 for c in components if len(c) == 1 and not c <= looped),
         component_count=len(components),
         component_sizes=tuple(len(c) for c in components),
     )
@@ -204,8 +246,7 @@ def top_weighted_edges(
 
 def degree_counts(graph: WeightedGraph) -> Counter:
     """Histogram of distinct-neighbor degrees."""
-    adj = graph.adjacency()
-    return Counter(len(neighbors) for neighbors in adj.values())
+    return Counter(graph._view.degree.tolist())
 
 
 # ElementTree's attribute escaping, in its order

@@ -12,6 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
+from .errors import FormatError
 from .stopwords import DEFAULT_STOPWORDS
 from .wos_ingest import Corpus
 
@@ -34,9 +35,12 @@ class StopwordSet:
 
     @classmethod
     def from_file(cls, path: str | Path, include_digits: bool = True) -> "StopwordSet":
-        """Load a custom list, one word per line; blank lines ignored."""
-        with open(path, encoding="utf-8") as fh:
-            words = frozenset(line.strip().lower() for line in fh if line.strip())
+        """Load a custom UTF-8 list, one word per line; blank lines ignored."""
+        try:
+            with open(path, encoding="utf-8") as fh:
+                words = frozenset(line.strip().lower() for line in fh if line.strip())
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8: {exc}") from exc
         return cls(words=words, include_digits=include_digits)
 
 

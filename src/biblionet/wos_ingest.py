@@ -32,12 +32,13 @@ from .normalize import (
 PUBLICATION_TYPES = frozenset({"B", "J", "P", "S"})
 
 # tag -> BiblioRecord attribute, in canonical column order
-RETAINED_TAGS = (
-    "PT", "AF", "TI", "JI", "LA", "DT", "DE", "AB",
-    "C1", "NR", "TC", "PD", "PY", "SC", "PG", "UT",
-)
-
-_LIST_TAGS = frozenset({"AF", "DE", "SC"})
+_TAG_ATTRIBUTES = {
+    "PT": "publication_type", "AF": "author_full_names", "TI": "title", "JI": "source_abbrev",
+    "LA": "language", "DT": "document_type", "DE": "author_keywords", "AB": "abstract",
+    "C1": "addresses", "NR": "cited_reference_count", "TC": "times_cited", "PD": "publication_date",
+    "PY": "publication_year", "SC": "research_areas", "PG": "page_count", "UT": "accession_id",
+}
+RETAINED_TAGS = tuple(_TAG_ATTRIBUTES)
 
 _TAG_LINE = re.compile(r"^([A-Z0-9]{2})( |$)")
 _TAG_TOKEN = re.compile(r"^[A-Z0-9]{2}$")
@@ -250,10 +251,9 @@ def _parse_tagged(text: str) -> ParseResult:
                 record_start = line_no
             current_tag = tag
             fields.setdefault(tag, []).append(line[3:].strip())
-        elif line.startswith("   ") and current_tag:
-            fields[current_tag].append(line.strip())
         elif current_tag:
-            # tolerate nonstandard wrapping without the 3-space indent
+            # a continuation line; nonstandard wrapping without the
+            # 3-space indent is tolerated
             fields[current_tag].append(line.strip())
     flush(0)
     return ParseResult(records=records, warnings=warnings)
@@ -301,16 +301,16 @@ def parse_export(stream: BinaryIO | str | bytes, format: str = "auto") -> ParseR
 
     `stream` may be a binary file object, bytes, or already-decoded
     text; content must be UTF-8 (an optional byte-order mark is
-    stripped).  `format` is "tagged", "tab_delimited", or "auto".
-    Unknown tags are ignored; a record missing its title is skipped
-    with a counted warning.
+    stripped), or FormatError is raised.  `format` is "tagged",
+    "tab_delimited", or "auto".  Unknown tags are ignored; a record
+    missing its title is skipped with a counted warning.
     """
-    if isinstance(stream, bytes):
-        text = stream.decode("utf-8-sig")
-    elif isinstance(stream, str):
-        text = stream.lstrip("\ufeff")
-    else:
-        text = stream.read().decode("utf-8-sig")
+    if not isinstance(stream, (bytes, str)):
+        stream = stream.read()
+    try:
+        text = stream.decode("utf-8-sig") if isinstance(stream, bytes) else stream.lstrip("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"not UTF-8: {exc}") from exc
     if format == "auto":
         format = sniff_format(text)
     if format == "tagged":
@@ -322,7 +322,10 @@ def parse_export(stream: BinaryIO | str | bytes, format: str = "auto") -> ParseR
 
 def parse_file(path: str | Path, format: str = "auto") -> ParseResult:
     with open(path, "rb") as fh:
-        return parse_export(fh, format)
+        try:
+            return parse_export(fh, format)
+        except FormatError as exc:
+            raise FormatError(f"{path}: {exc}") from exc
 
 
 def _duplicate_key_triple(record: BiblioRecord) -> tuple[str, str, str]:
@@ -408,51 +411,22 @@ def write_corpus_jsonl(corpus: Corpus, path: str | Path) -> None:
 
 def read_corpus_jsonl(path: str | Path, rules: NormalizationRules | None = None) -> Corpus:
     records = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                records.append(BiblioRecord(**json.loads(line)))
-            except (json.JSONDecodeError, TypeError, ValueError) as exc:
+                records.append(BiblioRecord(**json.loads(line.decode("utf-8"))))
+            except (TypeError, ValueError) as exc:  # also bad JSON and bad UTF-8
                 raise FormatError(f"{path}:{line_no}: bad corpus record: {exc}") from exc
     return Corpus.from_records(records, rules)
 
 
 def _serialize_field(record: BiblioRecord, tag: str) -> str:
-    if tag == "PT":
-        return record.publication_type
-    if tag == "AF":
-        return "; ".join(record.author_full_names)
-    if tag == "TI":
-        return record.title
-    if tag == "JI":
-        return record.source_abbrev
-    if tag == "LA":
-        return record.language
-    if tag == "DT":
-        return record.document_type
-    if tag == "DE":
-        return "; ".join(record.author_keywords)
-    if tag == "AB":
-        return record.abstract or ""
-    if tag == "C1":
-        return record.addresses
-    if tag == "NR":
-        return str(record.cited_reference_count)
-    if tag == "TC":
-        return str(record.times_cited)
-    if tag == "PD":
-        return record.publication_date
-    if tag == "PY":
-        return str(record.publication_year)
-    if tag == "SC":
-        return "; ".join(record.research_areas)
-    if tag == "PG":
-        return "" if record.page_count is None else str(record.page_count)
-    if tag == "UT":
-        return record.accession_id or ""
-    raise KeyError(tag)
+    value = getattr(record, _TAG_ATTRIBUTES[tag])
+    if isinstance(value, list):
+        return "; ".join(value)
+    return "" if value is None else str(value)
 
 
 def to_tab_delimited(records: list[BiblioRecord], tags: tuple[str, ...] = RETAINED_TAGS) -> str:

@@ -145,8 +145,9 @@ def numpy_pearson(x: list[float], y: list[float]) -> float:
 
 
 # ---------------------------------------------------------------------------
-# all-pairs centrality oracle, and the one-source-at-a-time traversals
-# that the batched graph_stats kernels replace
+# all-pairs centrality oracle, the string-keyed CSR and components that
+# the graph's integer view replaces, and the one-source-at-a-time
+# traversals that the batched graph_stats kernels replace
 
 def allpairs_matrices(graph: WeightedGraph) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Hop distances and shortest-path counts between every node pair."""
@@ -177,6 +178,62 @@ def allpairs_matrices(graph: WeightedGraph) -> tuple[list[str], np.ndarray, np.n
             frontier = sorted(set(upcoming))
             d += 1
     return labels, dist, sigma
+
+
+def compact_csr(labels: list[str], adjacency: dict[str, set[str]]) -> tuple[np.ndarray, np.ndarray]:
+    """CSR of `adjacency` restricted to `labels`, row by row from neighbour sets."""
+    index = {label: i for i, label in enumerate(labels)}
+    indptr = np.zeros(len(labels) + 1, dtype=np.int64)
+    chunks = []
+    for i, label in enumerate(labels):
+        neighbors = sorted(index[n] for n in adjacency[label])
+        indptr[i + 1] = indptr[i] + len(neighbors)
+        chunks.append(np.asarray(neighbors, dtype=np.int64))
+    indices = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+    return indptr, indices
+
+
+def string_set_components(graph: WeightedGraph) -> list[set[str]]:
+    """Components by a BFS over neighbour sets, ordered (-size, min label)."""
+    adj = graph.adjacency()
+    seen: set[str] = set()
+    components = []
+    for start in sorted(graph.nodes):
+        if start in seen:
+            continue
+        component = {start}
+        frontier = [start]
+        seen.add(start)
+        while frontier:
+            node = frontier.pop()
+            for neighbor in adj[node]:
+                if neighbor not in seen:
+                    seen.add(neighbor)
+                    component.add(neighbor)
+                    frontier.append(neighbor)
+        components.append(component)
+    components.sort(key=lambda c: (-len(c), min(c)))
+    return components
+
+
+def set_clustering(graph: WeightedGraph) -> tuple[dict[str, float], float]:
+    """Local clustering by intersecting the neighbour sets of each edge's ends."""
+    adjacency = graph.adjacency()
+    triangles = {node: 0 for node in graph.nodes}
+    for (a, b) in graph.edges:
+        if a == b:
+            continue
+        small, large = (adjacency[a], adjacency[b])
+        if len(small) > len(large):
+            small, large = large, small
+        for node in small:
+            if node in large:
+                triangles[node] += 1
+    coefficients = {}
+    for node in sorted(graph.nodes):
+        degree = len(adjacency[node])
+        coefficients[node] = 2.0 * triangles[node] / (degree * (degree - 1)) if degree >= 2 else 0.0
+    return coefficients, sum(coefficients.values()) / len(coefficients)
 
 
 def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -3,7 +3,10 @@ import json
 import networkx as nx
 import pytest
 
+from biblionet import graphs
 from biblionet.cli import EXIT_CONFIG_ERROR, EXIT_DEGENERATE, EXIT_INPUT_ERROR, EXIT_OK, main
+from biblionet.wos_ingest import BiblioRecord, Corpus, write_corpus_jsonl
+from oracles import synthetic_author_pool_corpus
 
 
 def run(*argv) -> int:
@@ -167,6 +170,27 @@ class TestNetworkCommand:
         payload = json.loads((parsed_out / "network_country" / "powerlaw.json").read_text())
         assert "skipped" in payload  # fewer than 50 positive-degree nodes
 
+    @pytest.mark.parametrize("connected", [True, False])
+    def test_run_builds_one_view_per_analysed_graph(self, tmp_path, monkeypatch, connected):
+        if connected:
+            corpus = Corpus.from_records([BiblioRecord("J", "Paper", ["Chen, Wei", "Garcia, Maria", "Smith, John"])])
+        else:
+            corpus = synthetic_author_pool_corpus(300, seed=5)
+        write_corpus_jsonl(corpus, tmp_path / "corpus.jsonl")
+        builds = []
+        build = graphs._build_view
+
+        def counted(graph):
+            builds.append(graph)
+            return build(graph)
+
+        monkeypatch.setattr(graphs, "_build_view", counted)
+        assert run("network", tmp_path / "corpus.jsonl", "--kind", "coauthor", "--out", tmp_path / "out") == EXIT_OK
+        facts = json.loads((tmp_path / "out" / "network_coauthor" / "facts.json").read_text())
+        assert (facts["component_count"] == 1) == connected
+        # the graph, and its largest component when that is not the graph
+        assert len(builds) == (1 if connected else 2)
+
     def test_seed_recorded_in_reports(self, parsed_out):
         run("network", parsed_out / "corpus.jsonl", "--kind", "coauthor",
             "--out", parsed_out, "--seed", "42")
@@ -327,3 +351,39 @@ def test_custom_rules_flow_through(tmp_path, fixture_paths):
     rows = json.loads((out / "stats" / "countries.json").read_text())
     values = {row["value"] for row in rows}
     assert "Magyarorszag" in values and "Hungary" not in values
+
+
+class TestNonUtf8Input:
+    """Bytes that are not UTF-8 end in a one-line message and no output."""
+
+    def assert_rejected(self, capsys, out, code, argv):
+        assert run(*argv, "--out", out) == code
+        message = capsys.readouterr().err
+        assert message.count("\n") == 1 and "utf-8" in message.lower()
+        assert not out.exists()
+        return message
+
+    def test_latin1_export(self, tmp_path, capsys):
+        export = tmp_path / "latin1.txt"
+        export.write_bytes(b"PT J\nAF Sm\xe9th, J\nTI A title\nER\nEF\n")
+        message = self.assert_rejected(capsys, tmp_path / "o", EXIT_INPUT_ERROR, ("parse", export))
+        assert str(export) in message
+
+    def test_corpus(self, tmp_path, parsed_out, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_bytes((parsed_out / "corpus.jsonl").read_bytes() + b'{"title": "\xff"}\n')
+        message = self.assert_rejected(capsys, tmp_path / "o", EXIT_INPUT_ERROR, ("stats", corpus))
+        assert f"{corpus}:21:" in message
+
+    def test_config(self, tmp_path, parsed_out, capsys):
+        config = tmp_path / "config.json"
+        config.write_bytes(b'{"seed": 1\xff}')
+        self.assert_rejected(capsys, tmp_path / "o", EXIT_CONFIG_ERROR,
+                             ("stats", parsed_out / "corpus.jsonl", "--config", config))
+
+    def test_stopwords(self, tmp_path, parsed_out, capsys):
+        stopwords = tmp_path / "stopwords.txt"
+        stopwords.write_bytes(b"the\n\xffand\n")
+        message = self.assert_rejected(capsys, tmp_path / "o", EXIT_INPUT_ERROR,
+                                       ("keywords", parsed_out / "corpus.jsonl", "--stopwords", stopwords))
+        assert str(stopwords) in message

@@ -13,7 +13,6 @@ from biblionet.errors import DegenerateDataError
 from biblionet.graph_stats import (
     AssortativityResult,
     _brandes_dependencies,
-    _compact,
     _distance_sums,
     _hurwitz_zeta,
     avg_shortest_path,
@@ -28,7 +27,7 @@ from biblionet.graph_stats import (
     per_component_assortativity,
     small_world_check,
 )
-from biblionet.graphs import GraphKind, WeightedGraph, connected_components
+from biblionet.graphs import SELF_LOOP_KINDS, GraphKind, WeightedGraph, connected_components, graph_facts
 from oracles import (
     bfs_distances,
     brandes_dependencies,
@@ -36,9 +35,12 @@ from oracles import (
     brute_betweenness,
     brute_closeness,
     brute_degree_centrality,
+    compact_csr,
     random_graph,
     sample_discrete_power_law,
     scipy_fit_power_law,
+    set_clustering,
+    string_set_components,
 )
 
 
@@ -525,7 +527,7 @@ KERNEL_GRAPHS = {
 
 def csr_of(graph):
     labels = sorted(graph.nodes)
-    indptr, indices = _compact(labels, graph.adjacency())
+    indptr, indices = compact_csr(labels, graph.adjacency())
     return labels, indptr, indices
 
 
@@ -546,11 +548,11 @@ def slow_betweenness(graph, sample=None, seed=0):
 def slow_closeness(graph, literal=False):
     adjacency = graph.adjacency()
     result = {}
-    for component in connected_components(graph):
+    for component in string_set_components(graph):
         if len(component) < 2:
             continue
         labels = sorted(component)
-        indptr, indices = _compact(labels, adjacency)
+        indptr, indices = compact_csr(labels, adjacency)
         numerator = len(component) if literal else len(component) - 1
         for i, label in enumerate(labels):
             result[label] = numerator / int(bfs_distances(indptr, indices, i, len(labels)).sum())
@@ -558,7 +560,8 @@ def slow_closeness(graph, literal=False):
 
 
 def slow_avg_shortest_path(graph, sample=None, seed=0):
-    labels, indptr, indices = csr_of(largest_component_subgraph(graph))
+    labels = sorted(string_set_components(graph)[0])
+    indptr, indices = compact_csr(labels, graph.adjacency())
     n = len(labels)
     if sample is None or sample >= n:
         sources = range(n)
@@ -634,7 +637,107 @@ class TestTraversalKernels:
             node: expected.get(node) for node in kernel_graph.nodes
         }
 
+    @pytest.mark.parametrize("budget", [1, 200, 2**20])
+    def test_clustering_equals_set_intersections(self, kernel_graph, budget, monkeypatch):
+        # small budgets check the wedges in slices of one and of a few edges
+        monkeypatch.setattr(graph_stats, "_WEDGE_BUDGET", budget)
+        assert clustering(kernel_graph) == set_clustering(kernel_graph)
+
     @pytest.mark.parametrize("count", (None, *SOURCE_COUNTS))
     def test_avg_shortest_path_equals_slow_path(self, kernel_graph, count):
         assert (avg_shortest_path(kernel_graph, sample_sources=count, seed=7)
                 == slow_avg_shortest_path(kernel_graph, count, seed=7))
+
+
+# ---------------------------------------------------------------------------
+# the integer view against the string-keyed references it replaced
+
+def assert_view_matches_references(graph):
+    view = graph._view
+    labels = sorted(graph.nodes)
+    indptr, indices = compact_csr(labels, graph.adjacency())
+    components = string_set_components(graph)
+    component_of = {label: i for i, component in enumerate(components) for label in component}
+    assert view.labels == labels
+    assert np.array_equal(view.indptr, indptr)
+    assert np.array_equal(view.indices, indices)
+    assert view.component.tolist() == [component_of[label] for label in labels]
+    assert connected_components(graph) == components
+    touched = {label for pair in graph.edges for label in pair}
+    facts = graph_facts(graph)
+    assert facts.isolated_count == len(graph.nodes - touched)
+    assert facts.component_sizes == tuple(len(c) for c in components)
+
+
+@st.composite
+def labelled_graphs(draw):
+    kind = draw(st.sampled_from(GraphKind))
+    labels = draw(st.lists(st.text(min_size=1, max_size=3), max_size=30, unique=True))
+    graph = WeightedGraph(kind)
+    graph.nodes.update(labels)
+    if labels:
+        ends = st.sampled_from(labels)
+        for a, b in draw(st.lists(st.tuples(ends, ends), max_size=60)):
+            if a != b or kind in SELF_LOOP_KINDS:
+                graph.add_pair(a, b)
+    return graph
+
+
+def self_loops_only():
+    g = WeightedGraph(GraphKind.COUNTRY)
+    for label in ("Italy", "Japan", "Spain"):
+        g.add_pair(label, label)
+    return g
+
+
+class TestIntegerView:
+    def test_kernel_graphs(self, kernel_graph):
+        assert_view_matches_references(kernel_graph)
+
+    def test_self_loops_only(self):
+        g = self_loops_only()
+        assert_view_matches_references(g)
+        facts = graph_facts(g)
+        assert (facts.isolated_count, facts.self_loop_count, facts.component_count) == (0, 3, 3)
+
+    def test_isolated_nodes(self):
+        g = graph_from_edges([("a", "b")], extra_nodes=("z", "c", "y"))
+        assert_view_matches_references(g)
+        assert graph_facts(g).isolated_count == 3
+
+    def test_empty_graph(self):
+        g = WeightedGraph(GraphKind.KEYWORD)
+        assert_view_matches_references(g)
+        assert graph_facts(g).component_count == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(labelled_graphs())
+    def test_hypothesis_graphs(self, graph):
+        assert_view_matches_references(graph)
+        if graph.nodes:
+            assert clustering(graph) == set_clustering(graph)
+            assert closeness_centrality(graph) == slow_closeness(graph)
+
+
+class TestViewLifetime:
+    def test_largest_component_is_derived_once(self):
+        g = KERNEL_GRAPHS["disconnected"]()
+        largest = largest_component_subgraph(g)
+        assert largest is largest_component_subgraph(g)
+        assert largest is not g
+        assert largest_component_subgraph(largest) is largest
+
+    def test_connected_graph_is_its_own_largest_component(self):
+        g = path3()
+        assert largest_component_subgraph(g) is g
+
+    def test_add_pair_after_analysis_shows_in_the_next_results(self):
+        g = path3()
+        assert graph_facts(g).component_sizes == (3,)
+        assert degree_centrality(g) == {"a": 0.5, "b": 1.0, "c": 0.5}
+        assert largest_component_subgraph(g) is g
+        g.add_pair("c", "d")
+        g.add_pair("x", "y")
+        assert graph_facts(g).component_sizes == (4, 2)
+        assert degree_centrality(g) == {"a": 0.2, "b": 0.4, "c": 0.4, "d": 0.2, "x": 0.2, "y": 0.2}
+        assert largest_component_subgraph(g).nodes == {"a", "b", "c", "d"}
