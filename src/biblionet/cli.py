@@ -154,6 +154,28 @@ def _write_manifest(outdir: Path, command: str, config: RunConfig, **extra) -> N
     _write_json(outdir / "manifest.json", payload)
 
 
+def _write_staged(target: Path, write) -> int:
+    """Run `write` on a fresh staging directory beside `target` and, when
+    it returns EXIT_OK, swap the staging directory in for `target`.
+
+    A run that fails or raises leaves no partial tree and an earlier
+    complete one untouched; the staging directory goes either way.
+    """
+    staging = target.with_name(f".{target.name}.partial")
+    if staging.exists():
+        shutil.rmtree(staging)
+    staging.mkdir(parents=True)
+    try:
+        code = write(staging)
+        if code == EXIT_OK:
+            if target.exists():
+                shutil.rmtree(target)
+            os.replace(staging, target)
+        return code
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+
+
 def _counts_table(outdir: Path, name: str, counts, k: int) -> None:
     ranked = metrics.top_k(dict(counts), k) if counts else []
     _write_csv(outdir / f"{name}.csv", ["value", "count"], ranked)
@@ -201,24 +223,10 @@ def cmd_parse(args: argparse.Namespace, config: RunConfig) -> int:
 def cmd_stats(args: argparse.Namespace, config: RunConfig) -> int:
     corpus = read_corpus_jsonl(args.corpus, config.rule_tables)
     target = config.out / "stats"
-    # the tables go to a staging directory beside stats/ that replaces it
-    # once all are written, so a failed run leaves no partial table set
-    # and an earlier complete one untouched
-    staging = config.out / ".stats.partial"
-    if staging.exists():
-        shutil.rmtree(staging)
-    staging.mkdir(parents=True)
-    try:
-        code = _write_stats_tables(corpus, staging, config)
-        if code == EXIT_OK:
-            _write_manifest(staging, "stats", config)
-            if target.exists():
-                shutil.rmtree(target)
-            os.replace(staging, target)
-            print(f"stats written to {target}")
-        return code
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)
+    code = _write_staged(target, lambda outdir: _write_stats_tables(corpus, outdir, config))
+    if code == EXIT_OK:
+        print(f"stats written to {target}")
+    return code
 
 
 def _write_stats_tables(corpus, outdir: Path, config: RunConfig) -> int:
@@ -320,6 +328,7 @@ def _write_stats_tables(corpus, outdir: Path, config: RunConfig) -> int:
     except DegenerateDataError as exc:
         print(f"stats: {table}: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
+    _write_manifest(outdir, "stats", config)
     return EXIT_OK
 
 
@@ -350,9 +359,13 @@ _GRAPH_BUILDERS = {
 def cmd_network(args: argparse.Namespace, config: RunConfig) -> int:
     corpus = read_corpus_jsonl(args.corpus, config.rule_tables)
     graph = _GRAPH_BUILDERS[args.kind](corpus)
-    outdir = config.out / f"network_{args.kind.replace('-', '_')}"
-    outdir.mkdir(parents=True, exist_ok=True)
+    target = config.out / f"network_{args.kind.replace('-', '_')}"
+    _write_staged(target, lambda outdir: _write_network(graph, outdir, args, config))
+    print(f"network analytics for kind={args.kind} written to {target}")
+    return EXIT_OK
 
+
+def _write_network(graph: graphs.WeightedGraph, outdir: Path, args: argparse.Namespace, config: RunConfig) -> int:
     facts = graphs.graph_facts(graph)
     _write_json(outdir / "facts.json", {
         "kind": graph.kind.value,
@@ -461,7 +474,6 @@ def cmd_network(args: argparse.Namespace, config: RunConfig) -> int:
     })
 
     _write_manifest(outdir, "network", config, kind=args.kind)
-    print(f"network analytics for kind={args.kind} written to {outdir}")
     return EXIT_OK
 
 

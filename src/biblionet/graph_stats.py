@@ -4,10 +4,17 @@ small-world check, power-law degree fit, and degree assortativity.
 Shortest paths are unweighted hop counts; edge weights are collaboration
 counts, not distances.  Every function reads the graph's one integer
 view: the CSR of the simple graph (self-loops ignored) and its component
-ids, derived on the first read and kept on the graph.  Closeness and path
-length share a bit-parallel breadth-first search that advances 64
-sources at once, one per bit of a uint64 word; betweenness runs Brandes
-dependency accumulation for a batch of up to 16 sources per pass.
+ids, derived on the first read and kept on the graph.
+
+Every traversal is exact, and fewer are run than there are sources: the
+true twins of a class (equal closed neighbourhoods) share one, and a
+pendant (degree 1) reuses its hub's, with a closed-form correction.
+Closeness and path length read one cached pass per view, a bit-parallel
+breadth-first search that advances 64 sources at once, one per bit of a
+uint64 word.  Betweenness runs Brandes dependency accumulation for a
+batch of up to 16 sources per pass, each wide level bottom-up, and keeps
+the rows that later twins and pendants reuse in a cache of fixed size;
+its values are bit-identical to one traversal per source.
 
 numpy is imported inside the functions that use it, so CLI commands
 that analyse no graph do not pay its start-up cost.  It is the only
@@ -74,8 +81,20 @@ def _distance_sums(indptr: np.ndarray, indices: np.ndarray, sources) -> np.ndarr
 # below 2**16 slots.
 _BRANDES_BUDGET = 2**16
 _BRANDES_MAX_BATCH = 16
+# bytes of dependency rows that betweenness keeps for later twins and pendants
+_ROW_CACHE_BYTES = 2**21
 # (edge, neighbour) pairs that `clustering` checks at once
 _WEDGE_BUDGET = 2**15
+
+
+def _row_arcs(indptr: np.ndarray, rows: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every arc of `rows`, row by row: the position of its row in `rows`
+    and its position in the CSR.  `counts` holds each row's degree."""
+    import numpy as np
+    slots = np.repeat(np.arange(rows.size), counts)
+    positions = np.arange(slots.size)
+    positions += (indptr[rows] - np.cumsum(counts) + counts)[slots]
+    return slots, positions
 
 
 def _brandes_dependencies(indptr: np.ndarray, indices: np.ndarray, sources: np.ndarray, n: int) -> np.ndarray:
@@ -83,6 +102,14 @@ def _brandes_dependencies(indptr: np.ndarray, indices: np.ndarray, sources: np.n
 
     The B searches run side by side over a flattened (B, n) state; row b
     of the result holds the dependencies of every node on sources[b].
+
+    A level runs top-down, over the arcs leaving the frontier, or
+    bottom-up, where every unreached (source, node) pair scans its own
+    row for parents on the frontier, whichever scans fewer arcs
+    (direction-optimizing BFS: Beamer, Asanovic & Patterson, SC 2012).
+    Either way a node's parents, and a parent's children, reach
+    `bincount` in ascending order, so every sigma and delta is summed in
+    the same order and the result does not depend on the direction.
     """
     import numpy as np
     batch = sources.size
@@ -93,42 +120,110 @@ def _brandes_dependencies(indptr: np.ndarray, indices: np.ndarray, sources: np.n
     frontier = offsets + sources
     dist[frontier] = 0
     sigma[frontier] = 1.0
+    slot_of[frontier] = np.arange(batch)
     degree = np.diff(indptr)
+    local = sources
+    counts = degree[local]
+    frontier_arcs = int(counts.sum())
+    unreached_arcs = batch * indices.size - frontier_arcs
     levels = []
     level = 0
     while True:
         level += 1
-        local = frontier % n
-        counts = degree[local]
-        # one slot per arc leaving the frontier, tagged with its origin
-        slots = np.repeat(np.arange(frontier.size), counts)
-        targets = np.arange(slots.size)
-        targets += (indptr[local] - np.cumsum(counts) + counts)[slots]
-        targets = indices[targets]
-        targets += (frontier - local)[slots]
-        # shortest-path DAG edges from this level to the next
-        mask = dist[targets] < 0
-        target_edges = targets[mask]
-        if target_edges.size == 0:
-            break
-        origin_slots = slots[mask]
-        dist[target_edges] = level
-        fresh = np.flatnonzero(dist == level)
-        slot_of[fresh] = np.arange(fresh.size)
-        target_slots = slot_of[target_edges]
+        if frontier_arcs <= unreached_arcs:
+            # one slot per arc leaving the frontier, tagged with its origin
+            origin_slots, targets = _row_arcs(indptr, local, counts)
+            targets = indices[targets]
+            targets += (frontier - local)[origin_slots]
+            # shortest-path DAG edges from this level to the next
+            edges = np.flatnonzero(dist[targets] < 0)
+            if edges.size == 0:
+                break
+            target_edges = targets[edges]
+            origin_slots = origin_slots[edges]
+            dist[target_edges] = level
+            fresh = np.flatnonzero(dist == level)
+            slot_of[fresh] = np.arange(fresh.size)
+            target_slots = slot_of[target_edges]
+            parents = frontier[origin_slots]
+        else:
+            unreached = np.flatnonzero(dist < 0)
+            unreached_local = unreached % n
+            children, candidates = _row_arcs(indptr, unreached_local, degree[unreached_local])
+            candidates = indices[candidates]
+            candidates += (unreached - unreached_local)[children]
+            edges = np.flatnonzero(dist[candidates] == level - 1)
+            if edges.size == 0:
+                break
+            parents = candidates[edges]
+            children = children[edges]
+            first = np.ones(children.size, dtype=bool)
+            np.not_equal(children[1:], children[:-1], out=first[1:])
+            fresh = unreached[children[first]]
+            target_slots = np.cumsum(first) - 1
+            target_edges = fresh[target_slots]
+            dist[fresh] = level
+            slot_of[fresh] = np.arange(fresh.size)
+            origin_slots = slot_of[parents]
         # every slot written here is still 0, so bincount sums exactly
         # as an in-order scatter-add would
-        sigma[fresh] = np.bincount(target_slots, weights=sigma[frontier[origin_slots]], minlength=fresh.size)
-        levels.append((frontier, fresh, origin_slots, target_slots))
+        weights = sigma[parents]
+        sigma[fresh] = np.bincount(target_slots, weights=weights, minlength=fresh.size)
+        levels.append((frontier, origin_slots, target_edges, weights))
         frontier = fresh
+        local = fresh % n
+        counts = degree[local]
+        frontier_arcs = int(counts.sum())
+        unreached_arcs -= frontier_arcs
     delta = np.zeros(batch * n, dtype=np.float64)
-    for origins, targets, origin_slots, target_slots in reversed(levels):
-        origin_edges = origins[origin_slots]
-        target_edges = targets[target_slots]
-        contrib = sigma[origin_edges] / sigma[target_edges] * (1.0 + delta[target_edges])
+    for origins, origin_slots, target_edges, weights in reversed(levels):
+        contrib = weights / sigma[target_edges] * (1.0 + delta[target_edges])
         delta[origins] = np.bincount(origin_slots, weights=contrib, minlength=origins.size)
     delta[offsets + sources] = 0.0
     return delta.reshape(batch, n)
+
+
+def _dependency_rows(indptr: np.ndarray, indices: np.ndarray, keys: list[int], batch: int, capacity: int):
+    """Yield the dependency row of each node of `keys`, in order.
+
+    A node's row is computed once for all its repeats, in batches of up
+    to `batch` nodes taken in order of first use, and is kept until its
+    last use.  At most `capacity` rows are kept; when that is not enough,
+    the kept row needed again latest is dropped, to be computed anew.
+    """
+    import numpy as np
+    n = indptr.size - 1
+    never = len(keys)
+    following = [never] * len(keys)  # position of the next use of the same key
+    first_use = {}
+    for position in range(len(keys) - 1, -1, -1):
+        following[position] = first_use.get(keys[position], never)
+        first_use[keys[position]] = position
+    by_first_use = list(dict.fromkeys(keys))
+    pointer = 0  # by_first_use[:pointer] have been computed
+    cache: dict[int, np.ndarray] = {}
+    next_use: dict[int, int] = {}
+    for position, key in enumerate(keys):
+        if key not in cache:
+            wanted = [key]
+            if pointer < len(by_first_use) and by_first_use[pointer] == key:
+                pointer += 1
+            while len(wanted) < batch and pointer < len(by_first_use):
+                wanted.append(by_first_use[pointer])
+                pointer += 1
+            while len(cache) + len(wanted) > capacity:
+                victim = max(next_use, key=next_use.__getitem__)
+                del cache[victim], next_use[victim]
+            rows = _brandes_dependencies(indptr, indices, np.asarray(wanted, dtype=np.int64), n)
+            for node, row in zip(wanted, rows):
+                cache[node] = row.copy()  # a view would keep the whole batch alive
+                next_use[node] = first_use[node]
+        row = cache[key]
+        if following[position] == never:
+            del cache[key], next_use[key]
+        else:
+            next_use[key] = following[position]
+        yield row
 
 
 def largest_component_subgraph(graph: WeightedGraph) -> WeightedGraph:
@@ -154,6 +249,99 @@ def _sources(n: int, sample_sources: int | None, seed: int):
     return sorted(random.Random(seed).sample(range(n), sample_sources))
 
 
+def _served_by(view) -> tuple[np.ndarray, np.ndarray]:
+    """The node whose traversal serves each node, and whether the node is
+    a pendant of it; derived once per view.
+
+    True twins, nodes with equal closed neighbourhoods, lie at equal
+    distances from every other node and have bit-identical Brandes rows,
+    so the smallest member of each twin class serves the class.  A
+    pendant, a node of degree 1 whose neighbour (its hub) has a larger
+    degree, lies one hop further than its hub from every other node, so
+    the hub serves it (Sariyuce, Kaya, Saule & Catalyurek, "Graph
+    Manipulations for Fast Centrality Computation", TKDD 2017).
+
+    Twin candidates share a degree and a 64-bit fingerprint of their
+    closed neighbourhood; each candidate is checked against the smallest
+    one, so a fingerprint collision can only cost a reduction.
+    """
+    if view.served_by is not None:
+        return view.served_by
+    import numpy as np
+    indptr, indices, degree = view.indptr, view.indices, view.degree
+    n = degree.size
+    nodes = np.arange(n, dtype=np.int64)
+    # a splitmix64 word per node; N[v] is fingerprinted by the wrapping
+    # sum of the words of v and of its neighbours
+    word = (nodes.astype(np.uint64) + np.uint64(1)) * np.uint64(0x9E3779B97F4A7C15)
+    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        word = (word ^ (word >> np.uint64(shift))) * np.uint64(factor)
+    word ^= word >> np.uint64(31)
+    running = np.zeros(indices.size + 1, dtype=np.uint64)
+    np.cumsum(word[indices], out=running[1:])
+    fingerprint = running[indptr[1:]] - running[indptr[:-1]] + word
+    order = np.lexsort((nodes, fingerprint, degree))
+    starts = np.ones(n, dtype=bool)
+    starts[1:] = (np.diff(degree[order]) != 0) | (np.diff(fingerprint[order]) != 0)
+    candidate = np.empty(n, dtype=np.int64)
+    candidate[order] = order[np.flatnonzero(starts)][np.cumsum(starts) - 1]
+    # v and its candidate r, both of degree d, are twins when they are
+    # adjacent and N(v) without r equals N(r) without v
+    pairs = np.flatnonzero(candidate != nodes)
+    partners = candidate[pairs]
+    segment, own = _row_arcs(indptr, pairs, degree[pairs])
+    _, theirs = _row_arcs(indptr, partners, degree[pairs])
+    own, theirs = indices[own], indices[theirs]
+    keep_own = own != partners[segment]
+    keep_theirs = theirs != pairs[segment]
+    adjacent = np.bincount(segment[~keep_own], minlength=pairs.size) > 0
+    differ = np.bincount(segment[keep_own][own[keep_own] != theirs[keep_theirs]], minlength=pairs.size) > 0
+    twin = pairs[adjacent & ~differ]
+    served = nodes.copy()
+    served[twin] = candidate[twin]
+    leaves = np.flatnonzero(degree == 1)
+    hubs = indices[indptr[leaves]]
+    on_hub = degree[hubs] > 1  # the two ends of a lone edge are twins instead
+    served[leaves[on_hub]] = hubs[on_hub]
+    pendant = np.zeros(n, dtype=bool)
+    pendant[leaves[on_hub]] = True
+    view.served_by = served, pendant
+    return view.served_by
+
+
+def _component_distance_sums(view, nodes=None) -> np.ndarray:
+    """Total hop distance from each of `nodes` to the rest of its
+    component; for every node when `nodes` is None, derived once per view.
+
+    One bit-parallel pass serves every twin class and hub: a twin's sum
+    is its class's, and a pendant's is its hub's plus c - 2, with c the
+    size of its component.  A subset is read from the full array when it
+    exists.
+    """
+    import numpy as np
+    if view.distance_sums is not None:
+        return view.distance_sums if nodes is None else view.distance_sums[nodes]
+    n = len(view.labels)
+    everything = nodes is None
+    nodes = np.arange(n) if everything else np.asarray(nodes, dtype=np.int64)
+    served, pendant = _served_by(view)
+    keys = served[nodes]
+    traversed = np.zeros(n, dtype=bool)
+    traversed[keys] = True
+    traversed &= view.degree > 0
+    sources = np.flatnonzero(traversed)
+    # a batch stops at its deepest search, so components stay together
+    sources = sources[np.argsort(view.component[sources], kind="stable")]
+    totals = np.zeros(n, dtype=np.int64)
+    totals[sources] = _distance_sums(view.indptr, view.indices, sources)
+    sums = totals[keys]
+    sizes = np.bincount(view.component)[view.component[nodes]]
+    sums += np.where(pendant[nodes], sizes - 2, 0)
+    if everything:
+        view.distance_sums = sums
+    return sums
+
+
 # ---------------------------------------------------------------------------
 # centralities
 
@@ -177,6 +365,14 @@ def betweenness_centrality(
     `sample_sources` set, dependencies are accumulated from a seeded
     uniform source sample and scaled by N/sample, an unbiased estimate
     that reproduces the exact values when the sample covers all nodes.
+
+    Only the nodes that serve the sources (see `_served_by`) are
+    traversed.  A twin's row is its class's row.  A pendant v's row is
+    its hub u's row except at u, where v's search reaches every other
+    neighbour w of u with sigma 1, so the entry is the sum, in CSR order
+    and from 0.0, of 1.0 + (u's dependency on w), as `bincount` forms it
+    in the kernel.  The rows are added in source order, as one row per
+    source would be, so the values are bit-identical.
     """
     import numpy as np
     view = graph._view
@@ -184,13 +380,21 @@ def betweenness_centrality(
     n = len(labels)
     if n < 3:
         return {label: 0.0 for label in labels}
-    sources = np.asarray(_sources(n, sample_sources, seed), dtype=np.int64)
-    scale = n / sources.size
+    sources = _sources(n, sample_sources, seed)
+    scale = n / len(sources)
+    served, pendant = _served_by(view)
     batch = max(1, min(_BRANDES_MAX_BATCH, _BRANDES_BUDGET // (n + indices.size)))
+    capacity = max(batch, _ROW_CACHE_BYTES // (8 * n))
+    keys = served[sources].tolist()
     accumulated = np.zeros(n, dtype=np.float64)
-    for first in range(0, sources.size, batch):
-        for row in _brandes_dependencies(indptr, indices, sources[first:first + batch], n):
-            accumulated += row
+    for source, hub, row in zip(sources, keys, _dependency_rows(indptr, indices, keys, batch, capacity)):
+        accumulated += row
+        if pendant[source]:
+            others = indices[indptr[hub]:indptr[hub + 1]]
+            others = others[others != source]
+            # row[hub] is 0.0, so this gives what adding v's own row would
+            accumulated[hub] += np.bincount(np.zeros(others.size, dtype=np.int64), weights=1.0 + row[others],
+                                            minlength=1)[0]
     # halve: each unordered pair is seen from both endpoints
     values = accumulated * (scale / 2.0 / ((n - 1) * (n - 2) / 2.0))
     return dict(zip(labels, values.tolist()))
@@ -203,8 +407,9 @@ def closeness_centrality(graph: WeightedGraph, literal: bool = False) -> dict[st
     `literal=True` the numerator is N_c (the Bavelas form), which can
     exceed 1 on small components.  Size-1 components are omitted.
 
-    One pass over the whole graph's CSR serves every component, since a
-    search never leaves its own; nodes are keyed component by component.
+    The distance sums come from the view's one shared pass, which
+    `avg_shortest_path` reads too; nodes are keyed component by
+    component.
     """
     import numpy as np
     view = graph._view
@@ -212,7 +417,7 @@ def closeness_centrality(graph: WeightedGraph, literal: bool = False) -> dict[st
     sources = np.flatnonzero(sizes >= 2)
     sources = sources[np.argsort(view.component[sources], kind="stable")]
     numerators = sizes[sources] - (0 if literal else 1)
-    totals = _distance_sums(view.indptr, view.indices, sources)
+    totals = _component_distance_sums(view)[sources]
     return {
         view.labels[source]: numerator / total
         for source, numerator, total in zip(sources.tolist(), numerators.tolist(), totals.tolist())
@@ -242,11 +447,10 @@ def clustering(graph: WeightedGraph) -> tuple[dict[str, float], float]:
     # edges in slices of at most _WEDGE_BUDGET wedges, to bound the memory
     step = max(1, _WEDGE_BUDGET // int(counts.max(initial=1)))
     for lo in range(0, near.size, step):
-        c = counts[lo:lo + step]
         # the neighbours of each edge's near end, one run per edge
-        offsets = np.repeat(indptr[near[lo:lo + step]] - np.cumsum(c) + c, c)
-        wedges = indices[offsets + np.arange(offsets.size)]
-        keys = wedges * n + np.repeat(far[lo:lo + step], c)
+        edge, positions = _row_arcs(indptr, near[lo:lo + step], counts[lo:lo + step])
+        wedges = indices[positions]
+        keys = wedges * n + far[lo:lo + step][edge]
         closed = arcs[np.minimum(np.searchsorted(arcs, keys), arcs.size - 1)] == keys
         triangles += np.bincount(wedges[closed], minlength=n)
     coefficients = {
@@ -274,8 +478,8 @@ def avg_shortest_path(
     n = component.node_count
     if n < 2:
         raise DegenerateDataError("largest component has fewer than 2 nodes")
-    view = component._view
-    totals = _distance_sums(view.indptr, view.indices, _sources(n, sample_sources, seed))
+    sources = _sources(n, sample_sources, seed)
+    totals = _component_distance_sums(component._view, None if len(sources) == n else sources)
     means = [float(total) / (n - 1) for total in totals.tolist()]
     return sum(means) / len(means)
 
@@ -436,7 +640,9 @@ def fit_power_law(degrees, min_samples: int = 50) -> PowerLawFit:
     # every cutoff's KS distance (q = each tail value + 1); an entry does
     # not depend on the rest of the table
     alpha_grid = np.arange(1.01, 6.0, 0.01)
-    qs = np.union1d(candidates, values + 1)
+    # their sorted union; np.union1d would import numpy.ma
+    qs = np.sort(np.concatenate([candidates, values + 1]))
+    qs = qs[np.concatenate([[True], qs[1:] != qs[:-1]])]
     table = _hurwitz_zeta(alpha_grid, qs)
     candidate_cols = np.searchsorted(qs, candidates)
     shifted_cols = np.searchsorted(qs, values + 1)

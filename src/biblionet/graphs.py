@@ -156,8 +156,10 @@ class _GraphView:
 
     The `degree[i]` neighbours of node i are
     `indices[indptr[i]:indptr[i + 1]]`, in index order; `component[i]`
-    is its component's position in `connected_components`.  `largest`
-    keeps the largest component subgraph once it has been derived.
+    is its component's position in `connected_components`.  The last
+    three fields keep what `graph_stats` derives from the view once it
+    has been asked for: the largest component subgraph, the node whose
+    traversal serves each node, and every node's distance sum.
     """
 
     labels: list[str]
@@ -166,6 +168,8 @@ class _GraphView:
     degree: np.ndarray
     component: np.ndarray
     largest: WeightedGraph | None = None
+    served_by: tuple[np.ndarray, np.ndarray] | None = None
+    distance_sums: np.ndarray | None = None
 
 
 def _build_view(graph: WeightedGraph) -> _GraphView:

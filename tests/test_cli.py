@@ -144,6 +144,40 @@ def snapshot(directory):
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
 
 
+def failing_write_dot(graph, path):
+    raise OSError("no space left on device")
+
+
+class TestNetworkStaging:
+    def test_oserror_mid_write_keeps_the_earlier_tree(self, parsed_out, monkeypatch):
+        corpus = parsed_out / "corpus.jsonl"
+        assert run("network", corpus, "--kind", "coauthor", "--out", parsed_out) == EXIT_OK
+        before = snapshot(parsed_out / "network_coauthor")
+        assert "manifest.json" in before
+        # graph.dot comes after facts.json and graph.graphml
+        monkeypatch.setattr(graphs, "write_dot", failing_write_dot)
+        assert run("network", corpus, "--kind", "coauthor", "--out", parsed_out, "--top-k", "3") == EXIT_INPUT_ERROR
+        assert snapshot(parsed_out / "network_coauthor") == before
+        assert not [p for p in parsed_out.iterdir() if p.name.startswith(".")]
+
+    def test_oserror_on_a_first_run_leaves_no_network_directory(self, parsed_out, tmp_path, monkeypatch):
+        monkeypatch.setattr(graphs, "write_dot", failing_write_dot)
+        out = tmp_path / "fresh"
+        assert run("network", parsed_out / "corpus.jsonl", "--kind", "coauthor", "--out", out) == EXIT_INPUT_ERROR
+        assert list(out.iterdir()) == []
+
+    def test_successful_rerun_replaces_the_tree(self, parsed_out):
+        corpus = parsed_out / "corpus.jsonl"
+        stale = parsed_out / "network_coauthor" / "stale.csv"
+        stale.parent.mkdir(parents=True)
+        stale.write_text("left over\n", encoding="utf-8")
+        assert run("network", corpus, "--kind", "coauthor", "--out", parsed_out, "--top-k", "3") == EXIT_OK
+        tree = snapshot(parsed_out / "network_coauthor")
+        assert "stale.csv" not in tree
+        assert json.loads(tree["manifest.json"])["top_k"] == 3
+        assert not [p for p in parsed_out.iterdir() if p.name.startswith(".")]
+
+
 class TestNetworkCommand:
     @pytest.mark.parametrize("kind", ["coauthor", "country", "institution", "research-area", "keyword"])
     def test_outputs_exist_and_parse(self, parsed_out, kind):

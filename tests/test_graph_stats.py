@@ -1,6 +1,8 @@
 import math
 import random
 import re
+from itertools import combinations
+from unittest import mock
 
 import networkx as nx
 import numpy as np
@@ -13,6 +15,7 @@ from biblionet.errors import DegenerateDataError
 from biblionet.graph_stats import (
     AssortativityResult,
     _brandes_dependencies,
+    _component_distance_sums,
     _distance_sums,
     _hurwitz_zeta,
     avg_shortest_path,
@@ -29,6 +32,7 @@ from biblionet.graph_stats import (
 )
 from biblionet.graphs import SELF_LOOP_KINDS, GraphKind, WeightedGraph, connected_components, graph_facts
 from oracles import (
+    batched_betweenness,
     bfs_distances,
     brandes_dependencies,
     brute_assortativity,
@@ -517,6 +521,8 @@ def component_union(sizes, seed, kind=GraphKind.COAUTHOR):
 
 KERNEL_GRAPHS = {
     "connected": lambda: random_graph(1, max_nodes=160, min_nodes=140, p_range=(0.03, 0.06)),
+    # wide middle levels, which the Brandes kernel runs bottom-up
+    "dense": lambda: random_graph(5, max_nodes=150, min_nodes=140, p_range=(0.15, 0.25)),
     "disconnected": lambda: random_graph(2, max_nodes=160, min_nodes=140, p_range=(0.004, 0.01)),
     "country_loops": lambda: with_self_loops(
         random_graph(3, max_nodes=160, min_nodes=140, kind=GraphKind.COUNTRY, p_range=(0.005, 0.02))),
@@ -741,3 +747,154 @@ class TestViewLifetime:
         assert graph_facts(g).component_sizes == (4, 2)
         assert degree_centrality(g) == {"a": 0.2, "b": 0.4, "c": 0.4, "d": 0.2, "x": 0.2, "y": 0.2}
         assert largest_component_subgraph(g).nodes == {"a", "b", "c", "d"}
+
+
+# ---------------------------------------------------------------------------
+# twin and pendant reuse: one traversal serves each true-twin class and
+# each hub with its pendants
+
+@st.composite
+def twin_rich_graphs(draw):
+    """Co-authorship-like graphs: each paper joins all its authors, so the
+    one-paper authors of a paper are true twins; leaves hung on existing
+    authors are pendants, lone pairs are K2 components, and lone authors
+    isolated nodes."""
+    pool = draw(st.integers(1, 30))
+    authors = st.integers(0, pool - 1)
+    graph = WeightedGraph(GraphKind.COAUTHOR)
+    for team in draw(st.lists(st.lists(authors, min_size=1, max_size=6, unique=True), min_size=1, max_size=20)):
+        labels = [f"a{i:02d}" for i in team]
+        graph.nodes.update(labels)
+        for a, b in combinations(labels, 2):
+            graph.add_pair(a, b)
+    for i, host in enumerate(draw(st.lists(authors, max_size=10))):
+        if f"a{host:02d}" in graph.nodes:
+            graph.add_pair(f"a{host:02d}", f"p{i:02d}")
+    for i in range(draw(st.integers(0, 3))):
+        graph.add_pair(f"k{i}a", f"k{i}b")
+    graph.nodes.update(f"z{i}" for i in range(draw(st.integers(0, 3))))
+    return graph
+
+
+def clique_with_pendants():
+    """K4 on a..d with a pendant on a and one on b: classes {a}, {b}, {c, d}."""
+    g = complete(4)
+    g.add_pair("v0", "p0")
+    g.add_pair("v1", "p1")
+    return g
+
+
+def drop_view(graph):
+    graph.__dict__.pop("_view", None)
+    return graph
+
+
+def assert_betweenness_matches_batched_reference(graph, sample, seed):
+    assert betweenness_centrality(graph, sample, seed) == batched_betweenness(graph, sample, seed)
+
+
+def assert_distance_sums_match_bfs(graph):
+    labels, indptr, indices = csr_of(graph)
+    n = len(labels)
+    expected = []
+    for source in range(n):
+        dist = bfs_distances(indptr, indices, source, n)
+        expected.append(int(dist[dist > 0].sum()))
+    subset = sorted(random.Random(n).sample(range(n), n // 2))
+    # a subset before the full pass exists, then the full pass, then a subset read from it
+    assert _component_distance_sums(drop_view(graph)._view, subset).tolist() == [expected[i] for i in subset]
+    assert graph._view.distance_sums is None
+    assert _component_distance_sums(graph._view).tolist() == expected
+    assert _component_distance_sums(graph._view, subset).tolist() == [expected[i] for i in subset]
+
+
+class TestTwinAndPendantReuse:
+    @settings(max_examples=150, deadline=None)
+    @given(twin_rich_graphs(), st.integers(1, 40), st.integers(0, 3))
+    def test_betweenness_equals_batched_reference(self, graph, sample, seed):
+        assert_betweenness_matches_batched_reference(graph, None, 0)
+        assert_betweenness_matches_batched_reference(graph, sample, seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(twin_rich_graphs(), st.sampled_from([None, 3]))
+    def test_small_batches_and_a_one_batch_row_cache(self, graph, sample):
+        # batches of one and of a few sources; a cache of one batch evicts
+        # rows that later twins and pendants need, and recomputes them
+        for budget in (1, 200):
+            with mock.patch.object(graph_stats, "_BRANDES_BUDGET", budget), \
+                    mock.patch.object(graph_stats, "_ROW_CACHE_BYTES", 1):
+                assert_betweenness_matches_batched_reference(graph, sample, 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(twin_rich_graphs(), st.sampled_from(["largest", "whole"]), st.sampled_from([None, 2]))
+    def test_table_betweenness_in_both_scopes(self, graph, scope, sample):
+        target = graph if scope == "whole" else largest_component_subgraph(graph)
+        if target.node_count < 2:
+            return
+        table = centrality_table(graph, betweenness_sample=sample, seed=5, scope=scope)
+        expected = batched_betweenness(target, sample, 5)
+        assert {row.node: row.betweenness for row in table.rows} == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(twin_rich_graphs())
+    def test_distance_sums_on_twin_rich_graphs(self, graph):
+        assert_distance_sums_match_bfs(graph)
+        assert closeness_centrality(graph) == slow_closeness(graph)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_distance_sums_on_random_graphs(self, seed):
+        assert_distance_sums_match_bfs(random_graph(seed, max_nodes=80))
+
+    @pytest.mark.parametrize("name", ["disconnected", "components", "dense"])
+    def test_distance_sums_and_betweenness_on_kernel_graphs(self, name):
+        graph = KERNEL_GRAPHS[name]()
+        assert_distance_sums_match_bfs(graph)
+        assert_betweenness_matches_batched_reference(graph, None, 0)
+
+    def test_path_length_reads_the_closeness_pass(self, monkeypatch):
+        graph = clique_with_pendants()
+        closeness_centrality(graph)
+        monkeypatch.setattr(graph_stats, "_distance_sums", None)  # any further pass would fail
+        assert avg_shortest_path(graph) == slow_avg_shortest_path(graph)
+
+
+def traversed_sources(monkeypatch, kernel, analysis, graph):
+    """Sources that `analysis(graph)` hands to the traversal kernel named `kernel`."""
+    sources = []
+    real = getattr(graph_stats, kernel)
+
+    def counting(indptr, indices, batch, *rest):
+        sources.extend(np.asarray(batch).tolist())
+        return real(indptr, indices, batch, *rest)
+
+    monkeypatch.setattr(graph_stats, kernel, counting)
+    analysis(graph)
+    return sorted(sources)
+
+
+# graph, traversals needed: a star's leaves are pendants of its centre, a
+# clique is one twin class, P4's ends are pendants of its two inner
+# nodes, and a clique with pendants on two members keeps those two
+# members as their own classes beside the class of the rest
+TRAVERSAL_COUNTS = {
+    "star K1,5": (lambda: star(5), 1),
+    "K5": (lambda: complete(5), 1),
+    "P4": (lambda: graph_from_edges([("a", "b"), ("b", "c"), ("c", "d")]), 2),
+    "clique with two pendants": (clique_with_pendants, 3),
+}
+
+
+class TestTraversalCounts:
+    @pytest.mark.parametrize("name", sorted(TRAVERSAL_COUNTS))
+    def test_brandes_sources(self, name, monkeypatch):
+        make, expected = TRAVERSAL_COUNTS[name]
+        graph = make()
+        assert len(traversed_sources(monkeypatch, "_brandes_dependencies", betweenness_centrality, graph)) == expected
+        assert betweenness_centrality(graph) == pytest.approx(brute_betweenness(graph))
+
+    @pytest.mark.parametrize("name", sorted(TRAVERSAL_COUNTS))
+    def test_distance_sum_sources(self, name, monkeypatch):
+        make, expected = TRAVERSAL_COUNTS[name]
+        graph = make()
+        assert len(traversed_sources(monkeypatch, "_distance_sums", closeness_centrality, graph)) == expected
+        assert closeness_centrality(graph) == pytest.approx(brute_closeness(graph))

@@ -1,5 +1,5 @@
-"""Import footprint: numpy loads only on the code paths that use it, and
-no command loads scipy.
+"""Import footprint: numpy loads only on the code paths that use it, no
+command loads scipy, and `network` leaves `numpy.ma` unloaded.
 
 Each case runs in a fresh interpreter, because this test process has
 already imported numpy and scipy through other tests.
@@ -78,3 +78,5 @@ def test_network_with_power_law_fit_leaves_scipy_unloaded(tmp_path):
     assert powerlaw["n_tail"] >= 1
     assert "numpy" in loaded
     assert "scipy" not in loaded
+    # np.union1d and a flagless np.unique would import it, ~15 ms
+    assert "numpy.ma" not in loaded
