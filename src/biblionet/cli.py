@@ -483,13 +483,18 @@ def cmd_keywords(args: argparse.Namespace, config: RunConfig) -> int:
         keywords.StopwordSet.from_file(config.stopwords) if config.stopwords else keywords.StopwordSet()
     )
     ranked = keywords.keyword_frequencies(corpus, stopword_set, args.n)
-    outdir = config.out / "keywords"
-    _write_csv(outdir / "keyword_frequencies.csv", ["token", "count"], ranked)
-    _write_json(outdir / "keyword_frequencies.json", [
-        {"token": token, "count": count} for token, count in ranked
-    ])
-    _write_manifest(outdir, "keywords", config, n=args.n)
-    print(f"{len(ranked)} keyword frequencies written to {outdir}")
+    target = config.out / "keywords"
+
+    def write(outdir: Path) -> int:
+        _write_csv(outdir / "keyword_frequencies.csv", ["token", "count"], ranked)
+        _write_json(outdir / "keyword_frequencies.json", [
+            {"token": token, "count": count} for token, count in ranked
+        ])
+        _write_manifest(outdir, "keywords", config, n=args.n)
+        return EXIT_OK
+
+    _write_staged(target, write)
+    print(f"{len(ranked)} keyword frequencies written to {target}")
     return EXIT_OK
 
 
@@ -499,11 +504,15 @@ def cmd_dedup_authors(args: argparse.Namespace, config: RunConfig) -> int:
     if config.sample is not None:
         names = dedup.sample_names(names, config.sample, config.seed)
     pairs = dedup.find_suspect_pairs(names, config.fuzzy_threshold)
-    outdir = config.out / "dedup"
-    outdir.mkdir(parents=True, exist_ok=True)
-    dedup.write_suspect_pairs_csv(pairs, outdir / "suspect_pairs.csv")
-    _write_manifest(outdir, "dedup-authors", config, names_compared=len(names))
-    print(f"{len(pairs)} suspect pairs (threshold {config.fuzzy_threshold}) written to {outdir}")
+    target = config.out / "dedup"
+
+    def write(outdir: Path) -> int:
+        dedup.write_suspect_pairs_csv(pairs, outdir / "suspect_pairs.csv")
+        _write_manifest(outdir, "dedup-authors", config, names_compared=len(names))
+        return EXIT_OK
+
+    _write_staged(target, write)
+    print(f"{len(pairs)} suspect pairs (threshold {config.fuzzy_threshold}) written to {target}")
     return EXIT_OK
 
 
@@ -552,6 +561,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # no command calls BLAS, so numpy's OpenBLAS need start no worker threads
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

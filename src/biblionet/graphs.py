@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import chain, combinations
+from operator import itemgetter
 from pathlib import Path
 
 from .wos_ingest import Corpus
@@ -41,9 +42,10 @@ class WeightedGraph:
     Edge keys are stored in canonical (lexicographic) orientation;
     self-pairs are allowed only for the country and institution kinds.
 
-    The structural functions read one integer view of the graph, derived
-    on its first read and kept: `add_pair` drops it, so nodes and edges
-    must not change any other way once the graph has been analysed.
+    The structural functions read one integer view of the graph, and the
+    writers one sorted edge list, each derived on its first read and
+    kept: `add_pair` drops both, so nodes and edges must not change any
+    other way once the graph has been analysed or written.
     """
 
     kind: GraphKind
@@ -69,10 +71,18 @@ class WeightedGraph:
         self.nodes.add(b)
         self.edges[pair] = self.edges.get(pair, 0) + weight
         self.__dict__.pop("_view", None)
+        self.__dict__.pop("_sorted_edges", None)
 
     @cached_property
     def _view(self) -> _GraphView:
         return _build_view(self)
+
+    @cached_property
+    def _sorted_edges(self) -> list[tuple[str, str, int]]:
+        """Every (a, b, weight), in canonical pair order."""
+        # flat tuples sort faster than ((a, b), weight) items; pairs are
+        # distinct, so the weight never decides
+        return sorted([(a, b, weight) for (a, b), weight in self.edges.items()])
 
     def adjacency(self) -> dict[str, set[str]]:
         """Neighbor sets of the simple-graph view (self-loops ignored)."""
@@ -239,13 +249,11 @@ def top_weighted_edges(
     """Heaviest k edges, ties by canonical pair ascending."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    edges = [
-        (a, b, weight)
-        for (a, b), weight in graph.edges.items()
-        if include_self_loops or a != b
-    ]
-    edges.sort(key=lambda edge: (-edge[2], edge[0], edge[1]))
-    return edges[:k]
+    edges = graph._sorted_edges
+    if not include_self_loops:
+        edges = [edge for edge in edges if edge[0] != edge[1]]
+    # a stable sort keeps the pair order among equal weights
+    return sorted(edges, key=itemgetter(2), reverse=True)[:k]
 
 
 def degree_counts(graph: WeightedGraph) -> Counter:
@@ -292,7 +300,7 @@ def write_graphml(graph: WeightedGraph, path: str | Path) -> None:
             f'    <edge source="{quoted[a]}" target="{quoted[b]}">\n'
             f'      <data key="weight">{weight}</data>\n'
             "    </edge>\n"
-            for (a, b), weight in sorted(graph.edges.items())
+            for a, b, weight in graph._sorted_edges
         )
         fh.write("  </graph>\n</graphml>")
 
@@ -303,12 +311,13 @@ def _dot_quote(label: str) -> str:
 
 def write_dot(graph: WeightedGraph, path: str | Path) -> None:
     """DOT export with a `weight` edge attribute."""
+    quoted = {node: _dot_quote(node) for node in graph.nodes}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"graph {graph.kind.value} {{\n")
-        for node in sorted(graph.nodes):
-            fh.write(f"  {_dot_quote(node)};\n")
-        for (a, b) in sorted(graph.edges):
-            fh.write(f"  {_dot_quote(a)} -- {_dot_quote(b)} [weight={graph.edges[(a, b)]}];\n")
+        fh.writelines(f"  {quoted[node]};\n" for node in sorted(quoted))
+        fh.writelines(
+            f"  {quoted[a]} -- {quoted[b]} [weight={weight}];\n" for a, b, weight in graph._sorted_edges
+        )
         fh.write("}\n")
 
 
@@ -317,5 +326,4 @@ def write_edge_csv(graph: WeightedGraph, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["label_a", "label_b", "weight"])
-        for (a, b) in sorted(graph.edges):
-            writer.writerow([a, b, graph.edges[(a, b)]])
+        writer.writerows(graph._sorted_edges)

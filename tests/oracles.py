@@ -7,6 +7,7 @@ so the implementations under test are checked against a second route.
 
 from __future__ import annotations
 
+import csv
 import random
 from collections import Counter
 from pathlib import Path
@@ -509,6 +510,39 @@ def elementtree_write_graphml(graph: WeightedGraph, path: str | Path) -> None:
     tree = ElementTree.ElementTree(root)
     ElementTree.indent(tree)
     tree.write(path, encoding="utf-8", xml_declaration=True)
+
+
+# ---------------------------------------------------------------------------
+# the DOT and CSV writers and top edges, each sorting the graph's edges
+# itself, as references for the graph's one shared sorted edge list
+
+def loop_write_dot(graph: WeightedGraph, path: str | Path) -> None:
+    def quote(label: str) -> str:
+        return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"graph {graph.kind.value} {{\n")
+        for node in sorted(graph.nodes):
+            fh.write(f"  {quote(node)};\n")
+        for (a, b) in sorted(graph.edges):
+            fh.write(f"  {quote(a)} -- {quote(b)} [weight={graph.edges[(a, b)]}];\n")
+        fh.write("}\n")
+
+
+def loop_write_edge_csv(graph: WeightedGraph, path: str | Path) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["label_a", "label_b", "weight"])
+        for (a, b) in sorted(graph.edges):
+            writer.writerow([a, b, graph.edges[(a, b)]])
+
+
+def key_sorted_top_weighted_edges(
+    graph: WeightedGraph, k: int, include_self_loops: bool = True
+) -> list[tuple[str, str, int]]:
+    edges = [(a, b, w) for (a, b), w in graph.edges.items() if include_self_loops or a != b]
+    edges.sort(key=lambda edge: (-edge[2], edge[0], edge[1]))
+    return edges[:k]
 
 
 # ---------------------------------------------------------------------------

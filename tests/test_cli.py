@@ -3,7 +3,7 @@ import json
 import networkx as nx
 import pytest
 
-from biblionet import graphs
+from biblionet import cli, graphs
 from biblionet.cli import EXIT_CONFIG_ERROR, EXIT_DEGENERATE, EXIT_INPUT_ERROR, EXIT_OK, main
 from biblionet.wos_ingest import BiblioRecord, Corpus, write_corpus_jsonl
 from oracles import synthetic_author_pool_corpus
@@ -175,6 +175,47 @@ class TestNetworkStaging:
         tree = snapshot(parsed_out / "network_coauthor")
         assert "stale.csv" not in tree
         assert json.loads(tree["manifest.json"])["top_k"] == 3
+        assert not [p for p in parsed_out.iterdir() if p.name.startswith(".")]
+
+
+def failing_write_manifest(outdir, *args, **kwargs):
+    # the manifest is each tree's last file; leave it half written
+    (outdir / "manifest.json").write_text("{", encoding="utf-8")
+    raise OSError("no space left on device")
+
+
+STAGED_COMMANDS = {"keywords": ("keywords",), "dedup": ("dedup-authors", "--sample", "30")}
+
+
+@pytest.mark.parametrize("name", sorted(STAGED_COMMANDS))
+class TestKeywordsAndDedupStaging:
+    def test_oserror_mid_write_keeps_the_earlier_tree(self, parsed_out, monkeypatch, name):
+        command, *flags = STAGED_COMMANDS[name]
+        corpus = parsed_out / "corpus.jsonl"
+        assert run(command, corpus, *flags, "--out", parsed_out) == EXIT_OK
+        before = snapshot(parsed_out / name)
+        assert "manifest.json" in before
+        monkeypatch.setattr(cli, "_write_manifest", failing_write_manifest)
+        assert run(command, corpus, *flags, "--out", parsed_out, "--seed", "7") == EXIT_INPUT_ERROR
+        assert snapshot(parsed_out / name) == before
+        assert not [p for p in parsed_out.iterdir() if p.name.startswith(".")]
+
+    def test_oserror_on_a_first_run_leaves_no_directory(self, parsed_out, tmp_path, monkeypatch, name):
+        command, *flags = STAGED_COMMANDS[name]
+        monkeypatch.setattr(cli, "_write_manifest", failing_write_manifest)
+        out = tmp_path / "fresh"
+        assert run(command, parsed_out / "corpus.jsonl", *flags, "--out", out) == EXIT_INPUT_ERROR
+        assert list(out.iterdir()) == []
+
+    def test_successful_rerun_replaces_the_tree(self, parsed_out, name):
+        command, *flags = STAGED_COMMANDS[name]
+        stale = parsed_out / name / "stale.csv"
+        stale.parent.mkdir(parents=True)
+        stale.write_text("left over\n", encoding="utf-8")
+        assert run(command, parsed_out / "corpus.jsonl", *flags, "--out", parsed_out, "--seed", "3") == EXIT_OK
+        tree = snapshot(parsed_out / name)
+        assert "stale.csv" not in tree
+        assert json.loads(tree["manifest.json"])["seed"] == 3
         assert not [p for p in parsed_out.iterdir() if p.name.startswith(".")]
 
 

@@ -20,7 +20,13 @@ from biblionet.graphs import (
 )
 from biblionet.normalize import ExtractionMode, extract_countries, extract_institutions
 from biblionet.wos_ingest import BiblioRecord, Corpus
-from oracles import elementtree_write_graphml, random_corpus
+from oracles import (
+    elementtree_write_graphml,
+    key_sorted_top_weighted_edges,
+    loop_write_dot,
+    loop_write_edge_csv,
+    random_corpus,
+)
 
 
 def record(**kwargs) -> BiblioRecord:
@@ -292,6 +298,17 @@ FIVE_KINDS = {
 }
 
 
+def escaped_label_graph(extra_labels=()):
+    g = WeightedGraph(GraphKind.COUNTRY)
+    labels = ['a&b', "<tag>", 'say "hi"', "it's", "cr\rlf\n", "tab\there", "&amp;", "back\\slash",
+              "comma, \"quoted\"", "Zürich", "Łódź", "東京", "emoji \U0001f600", *extra_labels, " padded "]
+    for i, label in enumerate(labels):
+        g.add_pair(label, labels[(i * 5 + 3) % len(labels)], i % 4 + 1)
+    g.add_pair("tab\there", "tab\there", 7)
+    g.nodes.add("isolated\t&")
+    return g
+
+
 def assert_graphml_matches_elementtree(graph, tmp_path):
     ours, expected = tmp_path / "direct.graphml", tmp_path / "elementtree.graphml"
     write_graphml(graph, ours)
@@ -311,13 +328,7 @@ class TestGraphmlMatchesElementTree:
             assert_graphml_matches_elementtree(build(corpus), tmp_path)
 
     def test_escaped_and_non_ascii_labels(self, tmp_path):
-        g = WeightedGraph(GraphKind.COUNTRY)
-        labels = ['a&b', "<tag>", 'say "hi"', "it's", "cr\rlf\n", "tab\there", "&amp;",
-                  "Zürich", "Łódź", "東京", "emoji \U0001f600", "lone \ud800 surrogate", " padded "]
-        for i, label in enumerate(labels):
-            g.add_pair(label, labels[(i * 5 + 3) % len(labels)], i + 1)
-        g.add_pair("tab\there", "tab\there", 7)
-        g.nodes.add("isolated\t&")
+        g = escaped_label_graph(["lone \ud800 surrogate"])
         assert_graphml_matches_elementtree(g, tmp_path)
         assert b"&#55296;" in (tmp_path / "direct.graphml").read_bytes()
 
@@ -326,6 +337,45 @@ class TestGraphmlMatchesElementTree:
         assert_graphml_matches_elementtree(g, tmp_path)
         g.nodes.update({"b", "a"})
         assert_graphml_matches_elementtree(g, tmp_path)
+
+
+def assert_writers_match_references(graph, tmp_path):
+    for write, reference in ((write_dot, loop_write_dot), (write_edge_csv, loop_write_edge_csv)):
+        ours, expected = tmp_path / "direct", tmp_path / "reference"
+        write(graph, ours)
+        reference(graph, expected)
+        assert ours.read_bytes() == expected.read_bytes(), write.__name__
+    for k in (1, 2, 5, len(graph.edges) + 1):
+        for loops in (True, False):
+            assert (top_weighted_edges(graph, k, include_self_loops=loops)
+                    == key_sorted_top_weighted_edges(graph, k, include_self_loops=loops))
+
+
+class TestWritersShareOneSortedEdgeList:
+    @pytest.mark.parametrize("kind", sorted(FIVE_KINDS))
+    def test_fixture_graphs(self, fixture_corpus, kind, tmp_path):
+        assert_writers_match_references(FIVE_KINDS[kind](fixture_corpus), tmp_path)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_corpus_graphs(self, seed, tmp_path):
+        corpus = random_corpus(seed, n_records=30)
+        for build in FIVE_KINDS.values():
+            assert_writers_match_references(build(corpus), tmp_path)
+
+    def test_escaped_labels_and_tied_weights(self, tmp_path):
+        assert_writers_match_references(escaped_label_graph(), tmp_path)
+
+    def test_add_pair_drops_the_sorted_list(self, tmp_path):
+        g = escaped_label_graph()
+        assert_writers_match_references(g, tmp_path)
+        g.add_pair("Aachen", "Zürich", 9)
+        g.add_pair("<tag>", "a&b", 1)
+        assert top_weighted_edges(g, 1) == [("Aachen", "Zürich", 9)]
+        assert_writers_match_references(g, tmp_path)
+        assert_graphml_matches_elementtree(g, tmp_path)
+
+    def test_empty_graph(self, tmp_path):
+        assert_writers_match_references(WeightedGraph(GraphKind.KEYWORD), tmp_path)
 
 
 def test_fixture_country_graph_has_expected_shape(fixture_corpus):

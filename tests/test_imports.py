@@ -1,10 +1,12 @@
 """Import footprint: numpy loads only on the code paths that use it, no
-command loads scipy, and `network` leaves `numpy.ma` unloaded.
+command loads scipy, `network` leaves `numpy.ma` unloaded and, since no
+kernel calls BLAS, starts no OpenBLAS worker threads.
 
 Each case runs in a fresh interpreter, because this test process has
 already imported numpy and scipy through other tests.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -16,15 +18,25 @@ from oracles import synthetic_author_pool_corpus
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 LAYERS = ("wos_ingest", "normalize", "metrics", "keywords", "dedup", "graphs", "graph_stats", "cli")
+BLAS_NAMES = {"dot", "matmul", "vdot", "inner", "tensordot", "einsum", "linalg"}
+
+
+def report_after(script: str, expression: str, **env_overrides: str):
+    """The JSON value of `expression` once `script` has run in a fresh
+    interpreter, whose environment lacks OPENBLAS_NUM_THREADS (an
+    in-process `cli.main` call may have set it here) unless given."""
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env.update(env_overrides)
+    code = f"{script}\nimport json, os, sys\nprint(json.dumps({expression}))"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                            timeout=120, check=True)
+    return json.loads(result.stdout.splitlines()[-1])
 
 
 def modules_after(script: str) -> set[str]:
     """Top-level names of the modules loaded once `script` has run."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    code = f"{script}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                            timeout=120, check=True)
-    return set(json.loads(result.stdout.splitlines()[-1]))
+    return set(report_after(script, "sorted(sys.modules)"))
 
 
 def run_cli(*argv) -> str:
@@ -80,3 +92,47 @@ def test_network_with_power_law_fit_leaves_scipy_unloaded(tmp_path):
     assert "scipy" not in loaded
     # np.union1d and a flagless np.unique would import it, ~15 ms
     assert "numpy.ma" not in loaded
+
+
+def test_no_kernel_calls_blas():
+    """The CLI's one-thread OpenBLAS default costs nothing only while no
+    code in the package reaches BLAS."""
+    found = []
+    for path in sorted((SRC / "biblionet").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names = {node.id}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, ast.alias):
+                names = set(node.name.split("."))
+            elif isinstance(node, ast.ImportFrom):
+                names = set((node.module or "").split("."))
+            elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                names = {"@"}
+            else:
+                continue
+            found.extend(f"{path.name}:{getattr(node, 'lineno', '-')}: {name}"
+                         for name in sorted(names & (BLAS_NAMES | {"@"})))
+    assert found == []
+
+
+def test_network_runs_with_one_blas_thread_unless_the_caller_sets_one(tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    write_corpus_jsonl(synthetic_author_pool_corpus(300, seed=5), corpus)
+    # the thread count is read only where /proc/self/task exists (Linux)
+    probe = ("[os.environ.get('OPENBLAS_NUM_THREADS'), "
+             "len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else None]")
+    trees = {}
+    for preset in (None, "2"):
+        out = tmp_path / f"out_{preset}"
+        script = run_cli("network", corpus, "--kind", "coauthor", "--out", out)
+        env = {} if preset is None else {"OPENBLAS_NUM_THREADS": preset}
+        setting, threads = report_after(script, probe, **env)
+        assert setting == (preset or "1")
+        if preset is None and threads is not None:
+            assert threads == 1
+        tree = out / "network_coauthor"
+        trees[preset] = {p.relative_to(tree): p.read_bytes() for p in sorted(tree.rglob("*")) if p.is_file()}
+    assert trees[None] == trees["2"]
+    assert len(trees[None]) == 13
