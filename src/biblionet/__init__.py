@@ -72,6 +72,7 @@ from .wos_ingest import (
     merge_corpora,
     parse_export,
     parse_file,
+    read_corpus_column,
     read_corpus_jsonl,
     write_corpus_jsonl,
 )

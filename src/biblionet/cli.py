@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import os
 import shutil
@@ -20,7 +19,7 @@ from pathlib import Path
 from . import dedup, graph_stats, graphs, keywords, metrics
 from .errors import DegenerateDataError, FormatError
 from .normalize import NormalizationRules
-from .wos_ingest import merge_corpora, parse_file, read_corpus_jsonl, write_corpus_jsonl
+from .wos_ingest import merge_corpora, parse_file, read_corpus_column, read_corpus_jsonl, write_corpus_jsonl
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -345,21 +344,11 @@ def _stats_payload(values) -> dict:
     }
 
 
-# looked up on each call, so that a wrapper set on the graphs module
-# (a tracer or a test double) sees the build
-_GRAPH_BUILDERS = {
-    "coauthor": lambda corpus: graphs.build_coauthorship(corpus),
-    "country": lambda corpus: graphs.build_country_graph(corpus),
-    "institution": lambda corpus: graphs.build_institution_graph(corpus),
-    "research-area": lambda corpus: graphs.build_cooccurrence(corpus, "research_area"),
-    "keyword": lambda corpus: graphs.build_cooccurrence(corpus, "keyword"),
-}
-
-
 def cmd_network(args: argparse.Namespace, config: RunConfig) -> int:
-    corpus = read_corpus_jsonl(args.corpus, config.rule_tables)
-    graph = _GRAPH_BUILDERS[args.kind](corpus)
-    target = config.out / f"network_{args.kind.replace('-', '_')}"
+    kind = graphs.GraphKind(args.kind.replace("-", "_"))
+    # built from one streamed column, which no name keeps once it is paired
+    graph = graphs.pair_graph(kind, read_corpus_column(args.corpus, graphs.COLUMNS[kind], config.rule_tables))
+    target = config.out / f"network_{kind.value}"
     _write_staged(target, lambda outdir: _write_network(graph, outdir, args, config))
     print(f"network analytics for kind={args.kind} written to {target}")
     return EXIT_OK
@@ -444,6 +433,7 @@ def _write_network(graph: graphs.WeightedGraph, outdir: Path, args: argparse.Nam
     degrees = [degree for degree, count in histogram if degree for _ in range(count)]
     try:
         fit = graph_stats.fit_power_law(degrees)
+        import hashlib  # only here: it loads OpenSSL, which no other command needs
         digest = hashlib.sha256(",".join(map(str, degrees)).encode()).hexdigest()
         _write_json(outdir / "powerlaw.json", {
             "meta": meta,
@@ -499,8 +489,8 @@ def cmd_keywords(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def cmd_dedup_authors(args: argparse.Namespace, config: RunConfig) -> int:
-    corpus = read_corpus_jsonl(args.corpus, config.rule_tables)
-    names = sorted({name for authors in corpus.authors for name in authors})
+    column = read_corpus_column(args.corpus, "authors", config.rule_tables)
+    names = sorted({name for authors in column for name in authors})
     if config.sample is not None:
         names = dedup.sample_names(names, config.sample, config.seed)
     pairs = dedup.find_suspect_pairs(names, config.fuzzy_threshold)
@@ -542,7 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_network = sub.add_parser("network", parents=[common], help="build and analyze one graph")
     p_network.add_argument("corpus", help="corpus.jsonl produced by parse")
-    p_network.add_argument("--kind", required=True, choices=sorted(_GRAPH_BUILDERS))
+    p_network.add_argument("--kind", required=True,
+                           choices=sorted(kind.value.replace("_", "-") for kind in graphs.GraphKind))
     p_network.add_argument("--whole-graph", action="store_true", help="centrality over the whole graph instead of the largest component")
     p_network.add_argument("--literal-closeness", action="store_true", help="closeness numerator N instead of N-1")
     p_network.set_defaults(func=cmd_network)

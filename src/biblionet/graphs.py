@@ -29,6 +29,10 @@ class GraphKind(str, Enum):
 
 
 SELF_LOOP_KINDS = frozenset({GraphKind.COUNTRY, GraphKind.INSTITUTION})
+# the corpus column whose values each kind pairs
+COLUMNS = {GraphKind.COAUTHOR: "authors", GraphKind.COUNTRY: "country_multisets",
+           GraphKind.INSTITUTION: "institution_multisets", GraphKind.RESEARCH_AREA: "research_areas",
+           GraphKind.KEYWORD: "keywords"}
 
 
 def canonical_pair(a: str, b: str) -> tuple[str, str]:
@@ -105,19 +109,22 @@ class WeightedGraph:
                 raise ValueError(f"self-loop {a!r} in {self.kind.value} graph")
 
 
-def _pair_graph(kind: GraphKind, column: list[list[str]]) -> WeightedGraph:
+def pair_graph(kind: GraphKind, column: list[list[str]]) -> WeightedGraph:
     """Each unordered pair of one record's values adds 1 to its weight.
 
     A value alone in its record still becomes a node.  Equal values of
     one multiset (from different address segments) pair into self-loops:
-    intra-country / intra-institution collaboration.
+    intra-country / intra-institution collaboration.  Edges are in the
+    order of their first pairs, as `add_pair` calls would add them.
     """
-    graph = WeightedGraph(kind)
+    edges: dict[tuple[str, str], int] = {}
     for values in column:
-        graph.nodes.update(values)
         for a, b in combinations(values, 2):
-            graph.add_pair(a, b)
-    return graph
+            pair = (a, b) if a <= b else (b, a)
+            edges[pair] = edges.get(pair, 0) + 1
+    if kind not in SELF_LOOP_KINDS and any(a == b for a, b in edges):
+        raise ValueError(f"self-loops are not allowed in {kind.value} graphs")
+    return WeightedGraph(kind, set(chain.from_iterable(column)), edges)
 
 
 def build_coauthorship(corpus: Corpus) -> WeightedGraph:
@@ -125,17 +132,17 @@ def build_coauthorship(corpus: Corpus) -> WeightedGraph:
 
     Solo authors become isolated nodes.
     """
-    return _pair_graph(GraphKind.COAUTHOR, corpus.authors)
+    return pair_graph(GraphKind.COAUTHOR, corpus.authors)
 
 
 def build_country_graph(corpus: Corpus) -> WeightedGraph:
     """Country collaboration graph over per-segment country multisets."""
-    return _pair_graph(GraphKind.COUNTRY, corpus.country_multisets)
+    return pair_graph(GraphKind.COUNTRY, corpus.country_multisets)
 
 
 def build_institution_graph(corpus: Corpus) -> WeightedGraph:
     """Institution collaboration graph over per-segment institution multisets."""
-    return _pair_graph(GraphKind.INSTITUTION, corpus.institution_multisets)
+    return pair_graph(GraphKind.INSTITUTION, corpus.institution_multisets)
 
 
 def build_cooccurrence(corpus: Corpus, field: str) -> WeightedGraph:
@@ -144,9 +151,9 @@ def build_cooccurrence(corpus: Corpus, field: str) -> WeightedGraph:
     Values are de-duplicated within a record, so no self-loops arise.
     """
     if field == "research_area":
-        return _pair_graph(GraphKind.RESEARCH_AREA, corpus.research_areas)
+        return pair_graph(GraphKind.RESEARCH_AREA, corpus.research_areas)
     if field == "keyword":
-        return _pair_graph(GraphKind.KEYWORD, corpus.keywords)
+        return pair_graph(GraphKind.KEYWORD, corpus.keywords)
     raise ValueError(f"unknown co-occurrence field {field!r}")
 
 

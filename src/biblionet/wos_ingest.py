@@ -12,8 +12,9 @@ from __future__ import annotations
 import io
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
+from itertools import repeat
 from pathlib import Path
 from typing import BinaryIO, Iterable
 
@@ -73,7 +74,7 @@ class BiblioRecord:
         if self.page_count is not None and self.page_count < 1:
             raise ValueError("page_count must be positive when present")
         for name in ("author_full_names", "author_keywords", "research_areas"):
-            if any(not entry for entry in getattr(self, name)):
+            if not all(getattr(self, name)):
                 raise ValueError(f"{name} contains an empty entry")
 
     def distinct_authors(self) -> list[str]:
@@ -92,6 +93,18 @@ def _unique(column: Iterable[list[str]]) -> list[list[str]]:
     # it; a list without repeats is its own unique view
     return [values if len(set(values)) == len(values) else list(dict.fromkeys(values))
             for values in column]
+
+
+# column -> its derivation, record by record, for `Corpus` and `read_corpus_column`
+_COLUMNS = {
+    "authors": lambda records, rules: _pooled(r.distinct_authors() for r in records),
+    "country_multisets": lambda records, rules: _pooled(
+        extract_countries(r.addresses, ExtractionMode.MULTISET, rules) for r in records),
+    "institution_multisets": lambda records, rules: _pooled(
+        extract_institutions(r.addresses, ExtractionMode.MULTISET) for r in records),
+    "research_areas": lambda records, rules: _unique(r.research_areas for r in records),
+    "keywords": lambda records, rules: _unique(r.author_keywords for r in records),
+}
 
 
 @dataclass
@@ -125,12 +138,12 @@ class Corpus:
     @cached_property
     def authors(self) -> list[list[str]]:
         """Distinct authors of each record."""
-        return _pooled(record.distinct_authors() for record in self.records)
+        return _COLUMNS["authors"](self.records, self.rules)
 
     @cached_property
     def country_multisets(self) -> list[list[str]]:
         """Canonical countries of each record, one per address segment."""
-        return _pooled(extract_countries(r.addresses, ExtractionMode.MULTISET, self.rules) for r in self.records)
+        return _COLUMNS["country_multisets"](self.records, self.rules)
 
     @cached_property
     def countries(self) -> list[list[str]]:
@@ -139,7 +152,7 @@ class Corpus:
     @cached_property
     def institution_multisets(self) -> list[list[str]]:
         """Institutions of each record, one per address segment."""
-        return _pooled(extract_institutions(r.addresses, ExtractionMode.MULTISET) for r in self.records)
+        return _COLUMNS["institution_multisets"](self.records, self.rules)
 
     @cached_property
     def institutions(self) -> list[list[str]]:
@@ -147,11 +160,11 @@ class Corpus:
 
     @cached_property
     def research_areas(self) -> list[list[str]]:
-        return _unique(record.research_areas for record in self.records)
+        return _COLUMNS["research_areas"](self.records, self.rules)
 
     @cached_property
     def keywords(self) -> list[list[str]]:
-        return _unique(record.author_keywords for record in self.records)
+        return _COLUMNS["keywords"](self.records, self.rules)
 
     @classmethod
     def from_records(cls, records: list[BiblioRecord], rules: NormalizationRules | None = None) -> "Corpus":
@@ -409,17 +422,44 @@ def write_corpus_jsonl(corpus: Corpus, path: str | Path) -> None:
             fh.write("\n")
 
 
-def read_corpus_jsonl(path: str | Path, rules: NormalizationRules | None = None) -> Corpus:
-    records = []
+# field -> the JSON types that may hold it (a bool is no count)
+_JSON_TYPES = {"str": str, "int": int, "list[str]": list, "None": type(None)}
+_FIELD_TYPES = {f.name: tuple(_JSON_TYPES[t] for t in f.type.split(" | ")) for f in fields(BiblioRecord)}
+
+
+def _checked(values: dict) -> dict:
+    if type(values) is not dict:
+        raise TypeError(f"a record must be a JSON object, got {values!r}")
+    for name, value in values.items():
+        kind = type(value)  # unknown fields pass here, for BiblioRecord to name
+        if kind not in _FIELD_TYPES.get(name, (kind,)) or kind is list and not all(map(isinstance, value, repeat(str))):
+            raise TypeError(f"{name} must be {BiblioRecord.__annotations__[name]}, got {value!r}")
+    return values
+
+
+def _corpus_records(path: str | Path) -> Iterable[BiblioRecord]:
+    """The records of a corpus.jsonl file, built and checked one line at a time."""
     with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                records.append(BiblioRecord(**json.loads(line.decode("utf-8"))))
+                record = BiblioRecord(**_checked(json.loads(line.decode("utf-8"))))
             except (TypeError, ValueError) as exc:  # also bad JSON and bad UTF-8
                 raise FormatError(f"{path}:{line_no}: bad corpus record: {exc}") from exc
-    return Corpus.from_records(records, rules)
+            yield record
+
+
+def read_corpus_jsonl(path: str | Path, rules: NormalizationRules | None = None) -> Corpus:
+    return Corpus(list(_corpus_records(path)), rules)
+
+
+def read_corpus_column(path: str | Path, name: str, rules: NormalizationRules | None = None) -> list[list[str]]:
+    """`read_corpus_jsonl(path, rules).<name>` for the columns authors, country_multisets,
+    institution_multisets, research_areas and keywords, keeping no record once its feature is taken."""
+    if name not in _COLUMNS:
+        raise ValueError(f"unknown corpus column {name!r}, expected one of {sorted(_COLUMNS)}")
+    return _COLUMNS[name](_corpus_records(path), rules)
 
 
 def _serialize_field(record: BiblioRecord, tag: str) -> str:

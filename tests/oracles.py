@@ -545,6 +545,18 @@ def key_sorted_top_weighted_edges(
     return edges[:k]
 
 
+def add_pair_graph(kind: GraphKind, column: list[list[str]]) -> WeightedGraph:
+    """The pair graph of a column, one `add_pair` call per pair of each
+    record's values: the reference for the counting build."""
+    graph = WeightedGraph(kind)
+    for values in column:
+        graph.nodes.update(values)
+        for i, a in enumerate(values):
+            for b in values[i + 1:]:
+                graph.add_pair(a, b)
+    return graph
+
+
 # ---------------------------------------------------------------------------
 # seeded generators
 

@@ -462,3 +462,36 @@ class TestNonUtf8Input:
         message = self.assert_rejected(capsys, tmp_path / "o", EXIT_INPUT_ERROR,
                                        ("keywords", parsed_out / "corpus.jsonl", "--stopwords", stopwords))
         assert str(stopwords) in message
+
+
+# each corpus command, and the tree it writes under --out
+CORPUS_COMMANDS = {
+    "stats": (("stats",), "stats"),
+    "keywords": (("keywords",), "keywords"),
+    "dedup-authors": (("dedup-authors",), "dedup"),
+    **{f"network-{kind}": (("network", "--kind", kind), f"network_{kind.replace('-', '_')}")
+       for kind in ("coauthor", "country", "institution", "research-area", "keyword")},
+}
+
+
+class TestMistypedCorpus:
+    """A corpus line whose field holds the wrong JSON type ends in a
+    one-line message naming the line, exit 1 and no output tree."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("author_full_names", "Smith, John"), ("times_cited", 2.5), ("title", 7),
+    ])
+    @pytest.mark.parametrize("command", CORPUS_COMMANDS)
+    def test_rejected_before_any_write(self, tmp_path, parsed_out, capsys, command, field, value):
+        lines = (parsed_out / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
+        lines[4] = json.dumps({**json.loads(lines[4]), field: value}, sort_keys=True)
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        argv, tree = CORPUS_COMMANDS[command]
+        out = tmp_path / "o"
+        assert run(argv[0], corpus, *argv[1:], "--out", out) == EXIT_INPUT_ERROR
+        message = capsys.readouterr().err
+        assert message.startswith(f"input error: {corpus}:5: bad corpus record: {field} must be ")
+        assert message.count("\n") == 1
+        assert not (out / tree).exists()
+        assert not out.exists()

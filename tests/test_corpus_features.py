@@ -1,7 +1,9 @@
 """The cleaned feature columns of a Corpus against the per-record public
-cleaning functions, and how often each CLI command runs those."""
+cleaning functions and against the streamed `read_corpus_column`, and how
+often each CLI command runs those functions."""
 
 import json
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -16,8 +18,17 @@ from biblionet.normalize import (
     extract_institutions,
     split_authors,
 )
-from biblionet.wos_ingest import Corpus, merge_corpora, parse_file
-from oracles import random_corpus
+from biblionet.wos_ingest import (
+    Corpus,
+    merge_corpora,
+    parse_file,
+    read_corpus_column,
+    read_corpus_jsonl,
+    write_corpus_jsonl,
+)
+from oracles import random_corpus, synthetic_author_pool_corpus
+
+STREAMED = ("authors", "country_multisets", "institution_multisets", "research_areas", "keywords")
 
 CUSTOM_RULES = {
     "country_exact": {"Italy": "Italia", "Hungary": "Magyarorszag"},
@@ -64,6 +75,39 @@ def test_columns_equal_the_public_functions(fixture_paths, tab_fixture_path, cus
     assert repeats > 0
 
 
+@pytest.mark.parametrize("custom", [False, True], ids=["default-rules", "custom-rules"])
+def test_streamed_columns_equal_the_corpus_columns(fixture_paths, tab_fixture_path, custom_rules, custom, tmp_path):
+    rules = custom_rules if custom else None
+    corpora = [*_corpora(fixture_paths, tab_fixture_path, rules),
+               ("author-pool", synthetic_author_pool_corpus(400, seed=3))]
+    for name, corpus in corpora:
+        path = tmp_path / f"{name}.jsonl"
+        write_corpus_jsonl(corpus, path)
+        loaded = read_corpus_jsonl(path, rules)
+        for column in STREAMED:
+            streamed = read_corpus_column(path, column, rules)
+            assert streamed == getattr(loaded, column) == getattr(Corpus(corpus.records, rules), column), (name, column)
+
+
+def test_streamed_column_keeps_no_record(tmp_path):
+    """tracemalloc's peak while streaming one column stays a small part
+    of the peak while loading every record and then deriving it."""
+    corpus = Corpus.from_records([record for seed in range(40) for record in random_corpus(seed, 100).records])
+    path = tmp_path / "corpus.jsonl"
+    write_corpus_jsonl(corpus, path)
+    peaks = []
+    for read in (lambda: read_corpus_column(path, "country_multisets"),
+                 lambda: read_corpus_jsonl(path).country_multisets):
+        tracemalloc.start()
+        try:
+            column = read()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert column == corpus.country_multisets
+    assert peaks[0] < peaks[1] / 5, peaks
+
+
 def test_columns_are_built_once(fixture_corpus):
     corpus = Corpus.from_records(fixture_corpus.records)
     assert corpus.countries is corpus.countries
@@ -108,6 +152,14 @@ def test_stats_cleans_each_record_once(tmp_path, fixture_paths, fixture_corpus, 
     calls.clear()
     assert _run("stats", out / "corpus.jsonl", "--out", out) == EXIT_OK
     assert calls == Counter({name: len(fixture_corpus) for name in _COUNTED})
+
+
+def test_dedup_cleans_only_the_authors(tmp_path, fixture_paths, fixture_corpus, calls):
+    out = tmp_path / "run"
+    assert _run("parse", *fixture_paths, "--out", out) == EXIT_OK
+    calls.clear()
+    assert _run("dedup-authors", out / "corpus.jsonl", "--out", out) == EXIT_OK
+    assert calls == Counter({"split_authors": len(fixture_corpus)})
 
 
 @pytest.mark.parametrize("kind, expected", [

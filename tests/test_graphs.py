@@ -6,6 +6,7 @@ import networkx as nx
 import pytest
 
 from biblionet.graphs import (
+    COLUMNS,
     GraphKind,
     WeightedGraph,
     build_coauthorship,
@@ -13,6 +14,7 @@ from biblionet.graphs import (
     build_country_graph,
     build_institution_graph,
     graph_facts,
+    pair_graph,
     top_weighted_edges,
     write_dot,
     write_edge_csv,
@@ -21,6 +23,7 @@ from biblionet.graphs import (
 from biblionet.normalize import ExtractionMode, extract_countries, extract_institutions
 from biblionet.wos_ingest import BiblioRecord, Corpus
 from oracles import (
+    add_pair_graph,
     elementtree_write_graphml,
     key_sorted_top_weighted_edges,
     loop_write_dot,
@@ -387,3 +390,42 @@ def test_fixture_country_graph_has_expected_shape(fixture_corpus):
     facts = graph_facts(graph)
     assert facts.self_loop_count >= 2  # China-China and India-India and USA-USA
     assert "Thailand" in graph.nodes
+
+
+class TestPairGraphCountsOnce:
+    """The counting build against one `add_pair` call per pair: the same
+    nodes, and the same edges in the same insertion order."""
+
+    @staticmethod
+    def assert_same_build(kind, column):
+        built, expected = pair_graph(kind, column), add_pair_graph(kind, column)
+        assert built.kind == kind
+        assert built.nodes == expected.nodes
+        assert list(built.edges.items()) == list(expected.edges.items())
+        assert type(built.edges) is dict
+
+    @pytest.mark.parametrize("kind", list(GraphKind), ids=lambda kind: kind.value)
+    def test_corpus_columns(self, fixture_corpus, kind):
+        corpora = [fixture_corpus, *(random_corpus(seed, n_records=60) for seed in range(6))]
+        for corpus in corpora:
+            self.assert_same_build(kind, getattr(corpus, COLUMNS[kind]))
+            # the CLI builds from the named column; the library from the corpus
+            assert pair_graph(kind, getattr(corpus, COLUMNS[kind])) == FIVE_KINDS[kind.value](corpus)
+
+    @pytest.mark.parametrize("kind", [GraphKind.COUNTRY, GraphKind.INSTITUTION])
+    def test_repeated_values_pair_into_self_loops(self, kind):
+        column = [["b", "a", "b", "b"], ["a"], [], ["c", "a", "c"], ["b", "a"]]
+        self.assert_same_build(kind, column)
+        assert pair_graph(kind, column).edges == {("a", "b"): 4, ("b", "b"): 3, ("a", "c"): 2, ("c", "c"): 1}
+
+    @pytest.mark.parametrize("kind", [GraphKind.COAUTHOR, GraphKind.RESEARCH_AREA, GraphKind.KEYWORD])
+    def test_self_loops_raise_where_the_kind_forbids_them(self, kind):
+        with pytest.raises(ValueError, match=f"self-loops are not allowed in {kind.value} graphs"):
+            pair_graph(kind, [["a", "b"], ["c", "a", "c"]])
+        with pytest.raises(ValueError, match="self-loops are not allowed"):
+            add_pair_graph(kind, [["a", "b"], ["c", "a", "c"]])
+
+    def test_empty_column_and_lone_values(self):
+        assert pair_graph(GraphKind.KEYWORD, []) == WeightedGraph(GraphKind.KEYWORD)
+        graph = pair_graph(GraphKind.KEYWORD, [["x"], [], ["y"]])
+        assert graph.nodes == {"x", "y"} and graph.edges == {}

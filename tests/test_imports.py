@@ -1,6 +1,7 @@
 """Import footprint: numpy loads only on the code paths that use it, no
 command loads scipy, `network` leaves `numpy.ma` unloaded and, since no
-kernel calls BLAS, starts no OpenBLAS worker threads.
+kernel calls BLAS, starts no OpenBLAS worker threads. OpenSSL (`_hashlib`)
+loads only where `network` writes its power-law digest.
 
 Each case runs in a fresh interpreter, because this test process has
 already imported numpy and scipy through other tests.
@@ -63,6 +64,7 @@ def test_parse_stats_keywords_and_dedup_leave_numpy_unloaded(tmp_path, fixture_p
     assert (out / "keywords" / "keyword_frequencies.csv").exists()
     assert (out / "dedup" / "suspect_pairs.csv").exists()
     assert "numpy" not in loaded
+    assert "_hashlib" not in loaded
 
 
 def test_network_without_power_law_fit_leaves_scipy_unloaded(tmp_path, fixture_paths):
@@ -89,6 +91,7 @@ def test_network_with_power_law_fit_leaves_scipy_unloaded(tmp_path):
     assert "skipped" not in powerlaw
     assert powerlaw["n_tail"] >= 1
     assert "numpy" in loaded
+    assert "_hashlib" in loaded
     assert "scipy" not in loaded
     # np.union1d and a flagless np.unique would import it, ~15 ms
     assert "numpy.ma" not in loaded

@@ -11,6 +11,7 @@ from biblionet.wos_ingest import (
     merge_corpora,
     parse_export,
     parse_file,
+    read_corpus_column,
     read_corpus_jsonl,
     to_tab_delimited,
     write_corpus_jsonl,
@@ -229,6 +230,90 @@ class TestCorpusJsonl:
         path.write_text('{"nonsense": 1}\n', encoding="utf-8")
         with pytest.raises(FormatError, match="bad.jsonl:1"):
             read_corpus_jsonl(path)
+
+
+COLUMN_NAMES = ("authors", "country_multisets", "institution_multisets", "research_areas", "keywords")
+
+# one field of a canonical line, given a value of the wrong JSON type
+MISTYPED = [
+    ("author_full_names", "Smith, John", "list[str]"),
+    ("author_keywords", ["ok", 3], "list[str]"),
+    ("research_areas", [None], "list[str]"),
+    ("author_full_names", None, "list[str]"),
+    ("title", 7, "str"),
+    ("publication_type", ["J"], "str"),
+    ("addresses", None, "str"),
+    ("publication_date", {"month": "SEP"}, "str"),
+    ("times_cited", 2.5, "int"),
+    ("times_cited", True, "int"),
+    ("cited_reference_count", "3", "int"),
+    ("publication_year", False, "int"),
+    ("page_count", 5.0, "int | None"),
+    ("page_count", "5", "int | None"),
+    ("abstract", 3, "str | None"),
+    ("accession_id", [], "str | None"),
+]
+
+
+def canonical_line(**changes) -> str:
+    values = vars(record(author_full_names=["Smith, John"], author_keywords=["virus"], research_areas=["Virology"],
+                         addresses="[Smith, John] Univ Verona, Verona, Italy.", abstract="A.", page_count=3,
+                         accession_id="WOS:1"))
+    return json.dumps({**values, **changes}, sort_keys=True)
+
+
+def read_errors(path) -> list[str]:
+    """The FormatError text of each reader on `path`."""
+    messages = []
+    for read in (read_corpus_jsonl, *(lambda p, n=name: read_corpus_column(p, n) for name in COLUMN_NAMES)):
+        with pytest.raises(FormatError) as caught:
+            read(path)
+        messages.append(str(caught.value))
+    return messages
+
+
+class TestCorpusLineTypes:
+    @pytest.mark.parametrize("field, value, declared", MISTYPED)
+    def test_mistyped_field_is_rejected_by_both_readers(self, tmp_path, field, value, declared):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(canonical_line() + "\n" + canonical_line(**{field: value}) + "\n", encoding="utf-8")
+        expected = f"{path}:2: bad corpus record: {field} must be {declared}, got {value!r}"
+        assert read_errors(path) == [expected] * (1 + len(COLUMN_NAMES))
+
+    def test_null_optional_fields_and_missing_fields_are_accepted(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        lines = [canonical_line(abstract=None, page_count=None, accession_id=None),
+                 json.dumps({"publication_type": "B", "title": "Only a title"})]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        corpus = read_corpus_jsonl(path)
+        assert [r.abstract for r in corpus.records] == [None, None]
+        assert corpus.records[1] == record(publication_type="B", title="Only a title")
+        assert read_corpus_column(path, "authors") == [["Smith, John"], []]
+
+    @pytest.mark.parametrize("line, reason", [
+        (b"{not json", "Expecting property name"),
+        (b"[1, 2]", "a record must be a JSON object, got [1, 2]"),
+        (b"null", "a record must be a JSON object, got None"),
+        (b'{"publication_type": "J", "title": "T", "nonsense": 1}', "unexpected keyword argument 'nonsense'"),
+        (b'{"publication_type": "J"}', "missing 1 required positional argument: 'title'"),
+        (b'{"publication_type": "X", "title": "T"}', "publication_type must be one of B/J/P/S"),
+        (b'{"publication_type": "J", "title": "T", "times_cited": -1}', "citation counts must be nonnegative"),
+        (b'{"publication_type": "J", "title": "T", "author_keywords": ["a", ""]}', "contains an empty entry"),
+        (b'{"publication_type": "J", "title": "\xff"}', "invalid start byte"),
+    ])
+    def test_bad_line_gives_one_message_from_both_readers(self, tmp_path, line, reason):
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(canonical_line().encode() + b"\n\n" + line + b"\n")
+        messages = read_errors(path)
+        assert messages[0].startswith(f"{path}:3: bad corpus record: ")
+        assert reason in messages[0]
+        assert messages == [messages[0]] * len(messages)
+
+    def test_unknown_column_is_a_value_error(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(canonical_line() + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="unknown corpus column 'countries'"):
+            read_corpus_column(path, "countries")
 
 
 class TestFixtureCorpus:
