@@ -68,8 +68,12 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 data = json.load(fh)
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            # json reads "\ud800" as a lone surrogate, which no path or output can hold
+            json.dumps(data, ensure_ascii=False).encode("utf-8")
+        except (OSError, UnicodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigError(f"config {args.config} must be a JSON object, got {data!r}")
         unknown = set(data) - _CONFIG_KEYS
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")

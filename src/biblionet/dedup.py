@@ -1,10 +1,10 @@
 """Fuzzy detection of near-duplicate author names.
 
 Flags suspicious name pairs for human review; nothing is ever merged or
-rewritten automatically.  The pair search is exact: a length window, a
-bag-distance lower bound and an edit distance that stops at the edit
-budget skip only pairs that cannot reach the threshold, so the result
-is the one a full DP on every pair gives.
+rewritten automatically.  The pair search is exact: a length window and
+a bag-distance lower bound skip only pairs that cannot reach the
+threshold, and every other pair is scored once with Myers' bit-parallel
+edit distance, so the result is the one a full DP on every pair gives.
 """
 
 from __future__ import annotations
@@ -17,43 +17,40 @@ from pathlib import Path
 DEFAULT_THRESHOLD = 0.8
 
 
-def _bounded_levenshtein(a: str, b: str, bound: int) -> int:
-    """Edit distance of a and b, or bound + 1 once it is known to exceed bound.
+def levenshtein(a: str, b: str) -> int:
+    """Edit distance with unit insert/delete/substitute costs.
 
-    The minimum of a DP row never falls in later rows, so the DP stops as
-    soon as a row's minimum exceeds the bound (Ukkonen 1985).
+    Myers' bit-parallel algorithm (JACM 1999) in Hyyrö's form for the
+    global distance.  The DP runs column by column over the longer
+    string; bit i of pv (mv) is set where D[i+1][j] - D[i][j] is +1
+    (-1) in column j, over the m characters of the shorter string, so a
+    column costs a few int operations whatever m is.  D[m][n] is n plus
+    the last column's deltas.  Python ints have no width, so pv alone is
+    masked to m bits: `~` sets every bit above them and the shift sets
+    bit m.  The high bits of ph, mh and xh reach pv only through that
+    mask, and mv only through `& xv`, which has none.
     """
-    if a == b:
-        return 0
     if len(a) < len(b):
         a, b = b, a
-    if len(a) - len(b) > bound:
-        return bound + 1
     if not b:
         return len(a)
-    previous = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        current = [i]
-        diag, left = i - 1, i
-        for j, cb in enumerate(b, start=1):
-            # inline comparisons run about 3x faster than min() here
-            up = previous[j]
-            cost = diag if ca == cb else diag + 1   # match or substitute
-            if up + 1 < cost:                       # delete from a
-                cost = up + 1
-            if left + 1 < cost:                     # insert into a
-                cost = left + 1
-            current.append(cost)
-            diag, left = up, cost
-        if min(current) > bound:
-            return bound + 1
-        previous = current
-    return min(previous[-1], bound + 1)
-
-
-def levenshtein(a: str, b: str) -> int:
-    """Edit distance with unit insert/delete/substitute costs."""
-    return _bounded_levenshtein(a, b, len(a) + len(b))
+    peq: dict[str, int] = {}
+    bit = 1
+    for ch in b:
+        peq[ch] = peq.get(ch, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    pv, mv = mask, 0  # column 0 is 0, 1, ..., m
+    for ch in a:
+        eq = peq.get(ch, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        ph = ph << 1 | 1  # row 0 rises by 1 in every column
+        pv = (mh << 1 | ~(xv | ph)) & mask
+        mv = ph & xv
+    return len(a) + pv.bit_count() - mv.bit_count()
 
 
 def similarity_ratio(a: str, b: str) -> float:
@@ -91,25 +88,26 @@ def _bag(name: str) -> frozenset[tuple[str, int]]:
 def find_suspect_pairs(names: list[str], threshold: float = DEFAULT_THRESHOLD) -> list[SuspectPair]:
     """All unordered name pairs with similarity >= threshold.
 
-    Sorted by ratio descending, then lexicographically.  A pair reaches
-    the threshold exactly when lev(a, b) is at most the edit budget of
-    |a| + |b|, and three exact filters skip the pairs that cannot:
+    Sorted by ratio descending, then lexicographically.  Two lower
+    bounds d <= lev(a, b) skip the pairs that cannot reach the
+    threshold.  Each is tested as (total - d) / total, the float
+    expression `similarity_ratio` evaluates with lev in place of d;
+    correctly rounded division is monotone, so that value is never below
+    the pair's ratio and no pair that reaches the threshold is skipped:
 
-    * a length window: lev(a, b) >= ||a| - |b||, so with the names in
-      length order the scan for partners of a stops at the first one
-      whose length difference alone misses the threshold;
+    * the length difference ||a| - |b||, so with the names in length
+      order the scan for partners of a stops at the first one whose
+      length difference alone misses the threshold;
     * the bag distance max(|a|, |b|) - |A & B| over character
-      multisets, a lower bound on lev (Bartolini, Ciaccia & Patella,
-      SPIRE 2002);
-    * an edit distance that gives up once a DP row exceeds the budget.
+      multisets (Bartolini, Ciaccia & Patella, SPIRE 2002).
 
-    The result equals comparing every pair with `similarity_ratio`.
+    Each remaining pair is scored once by `similarity_ratio`.  The
+    result equals comparing every pair with `similarity_ratio`.
     """
     if not 0 < threshold <= 1:
         raise ValueError(f"threshold must lie in (0, 1], got {threshold}")
     unique = sorted(dict.fromkeys(name for name in names if name), key=len)
     bags = [_bag(name) for name in unique]
-    budgets: dict[int, int] = {}
     pairs = []
     for i, a in enumerate(unique):
         bag_a = bags[i]
@@ -118,20 +116,11 @@ def find_suspect_pairs(names: list[str], threshold: float = DEFAULT_THRESHOLD) -
             total = len(a) + len(b)
             if (total - (len(b) - len(a))) / total < threshold:
                 break
-            budget = budgets.get(total)
-            if budget is None:
-                # the largest d with (total - d) / total >= threshold, by the
-                # same float expression as similarity_ratio; a closed form
-                # such as int((1 - threshold) * total) can round one below it
-                budget = total
-                while (total - budget) / total < threshold:
-                    budget -= 1
-                budgets[total] = budget
-            if len(b) - len(bag_a & bags[j]) > budget:
+            if (total - (len(b) - len(bag_a & bags[j]))) / total < threshold:
                 continue
-            if _bounded_levenshtein(a, b, budget) > budget:
-                continue
-            pairs.append(SuspectPair(min(a, b), max(a, b), similarity_ratio(a, b)))
+            ratio = similarity_ratio(a, b)
+            if ratio >= threshold:
+                pairs.append(SuspectPair(min(a, b), max(a, b), ratio))
     pairs.sort(key=lambda p: (-p.ratio, p.name_a, p.name_b))
     return pairs
 

@@ -88,26 +88,6 @@ class WeightedGraph:
         # distinct, so the weight never decides
         return sorted([(a, b, weight) for (a, b), weight in self.edges.items()])
 
-    def adjacency(self) -> dict[str, set[str]]:
-        """Neighbor sets of the simple-graph view (self-loops ignored)."""
-        adj: dict[str, set[str]] = {node: set() for node in self.nodes}
-        for (a, b) in self.edges:
-            if a != b:
-                adj[a].add(b)
-                adj[b].add(a)
-        return adj
-
-    def validate(self) -> None:
-        for (a, b), weight in self.edges.items():
-            if a not in self.nodes or b not in self.nodes:
-                raise ValueError(f"edge ({a!r}, {b!r}) references unknown node")
-            if weight < 1:
-                raise ValueError(f"edge ({a!r}, {b!r}) has nonpositive weight {weight}")
-            if not a <= b:
-                raise ValueError(f"edge ({a!r}, {b!r}) is not in canonical orientation")
-            if a == b and self.kind not in SELF_LOOP_KINDS:
-                raise ValueError(f"self-loop {a!r} in {self.kind.value} graph")
-
 
 def pair_graph(kind: GraphKind, column: list[list[str]]) -> WeightedGraph:
     """Each unordered pair of one record's values adds 1 to its weight.

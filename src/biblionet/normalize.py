@@ -98,11 +98,13 @@ class NormalizationRules:
         Recognized keys: "months" (token -> 1..12), "seasons" (list of
         tokens), "country_contains" and "country_exact" (raw -> canonical).
         Raises OSError when the file cannot be read and ValueError when it
-        is not JSON, has any other key, or a value has the wrong type or
-        range.
+        is not JSON, holds a lone surrogate, has any other key, or a value
+        has the wrong type or range.
         """
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
+        # json reads "\ud800" as a lone surrogate, which no UTF-8 output can hold
+        json.dumps(data, ensure_ascii=False).encode("utf-8")
         if not isinstance(data, dict):
             raise ValueError("rules must be a JSON object")
         unknown = set(data) - {"months", "seasons", "country_contains", "country_exact"}

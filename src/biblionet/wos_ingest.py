@@ -9,7 +9,6 @@ common record builder that keeps the retained columns.
 
 from __future__ import annotations
 
-import io
 import json
 import re
 from dataclasses import dataclass, field, fields
@@ -31,15 +30,6 @@ from .normalize import (
 )
 
 PUBLICATION_TYPES = frozenset({"B", "J", "P", "S"})
-
-# tag -> BiblioRecord attribute, in canonical column order
-_TAG_ATTRIBUTES = {
-    "PT": "publication_type", "AF": "author_full_names", "TI": "title", "JI": "source_abbrev",
-    "LA": "language", "DT": "document_type", "DE": "author_keywords", "AB": "abstract",
-    "C1": "addresses", "NR": "cited_reference_count", "TC": "times_cited", "PD": "publication_date",
-    "PY": "publication_year", "SC": "research_areas", "PG": "page_count", "UT": "accession_id",
-}
-RETAINED_TAGS = tuple(_TAG_ATTRIBUTES)
 
 _TAG_LINE = re.compile(r"^([A-Z0-9]{2})( |$)")
 _TAG_TOKEN = re.compile(r"^[A-Z0-9]{2}$")
@@ -444,8 +434,13 @@ def _corpus_records(path: str | Path) -> Iterable[BiblioRecord]:
             if not line.strip():
                 continue
             try:
-                record = BiblioRecord(**_checked(json.loads(line.decode("utf-8"))))
-            except (TypeError, ValueError) as exc:  # also bad JSON and bad UTF-8
+                values = json.loads(line.decode("utf-8"))
+                # only a \u escape spells a lone surrogate, which no UTF-8 output
+                # can hold; the one-byte search passes over most lines quickest
+                if b"\\" in line and b"\\u" in line:
+                    json.dumps(values, ensure_ascii=False).encode("utf-8")
+                record = BiblioRecord(**_checked(values))
+            except (TypeError, ValueError) as exc:  # also bad JSON, bad UTF-8 and lone surrogates
                 raise FormatError(f"{path}:{line_no}: bad corpus record: {exc}") from exc
             yield record
 
@@ -460,21 +455,3 @@ def read_corpus_column(path: str | Path, name: str, rules: NormalizationRules | 
     if name not in _COLUMNS:
         raise ValueError(f"unknown corpus column {name!r}, expected one of {sorted(_COLUMNS)}")
     return _COLUMNS[name](_corpus_records(path), rules)
-
-
-def _serialize_field(record: BiblioRecord, tag: str) -> str:
-    value = getattr(record, _TAG_ATTRIBUTES[tag])
-    if isinstance(value, list):
-        return "; ".join(value)
-    return "" if value is None else str(value)
-
-
-def to_tab_delimited(records: list[BiblioRecord], tags: tuple[str, ...] = RETAINED_TAGS) -> str:
-    """Serialize records back to the tab-delimited dialect."""
-    out = io.StringIO()
-    out.write("\t".join(tags))
-    out.write("\n")
-    for record in records:
-        out.write("\t".join(_serialize_field(record, tag) for tag in tags))
-        out.write("\n")
-    return out.getvalue()

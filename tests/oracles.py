@@ -8,6 +8,7 @@ so the implementations under test are checked against a second route.
 from __future__ import annotations
 
 import csv
+import io
 import random
 from collections import Counter
 from pathlib import Path
@@ -19,7 +20,7 @@ from scipy.special import zeta
 from biblionet.dedup import SuspectPair
 from biblionet.errors import DegenerateDataError
 from biblionet.graph_stats import PowerLawFit
-from biblionet.graphs import GraphKind, WeightedGraph
+from biblionet.graphs import SELF_LOOP_KINDS, GraphKind, WeightedGraph
 from biblionet.keywords import StopwordSet, filter_stopwords, tokenize
 from biblionet.wos_ingest import BiblioRecord, Corpus
 
@@ -58,6 +59,37 @@ def brute_force_suspect_pairs(names: list[str], threshold: float) -> list[Suspec
                 pairs.append(SuspectPair(a, b, ratio))
     pairs.sort(key=lambda p: (-p.ratio, p.name_a, p.name_b))
     return pairs
+
+
+# ---------------------------------------------------------------------------
+# records back to the tab-delimited dialect, for the parser's round trip
+
+# tag -> BiblioRecord attribute, in canonical column order
+_TAG_ATTRIBUTES = {
+    "PT": "publication_type", "AF": "author_full_names", "TI": "title", "JI": "source_abbrev",
+    "LA": "language", "DT": "document_type", "DE": "author_keywords", "AB": "abstract",
+    "C1": "addresses", "NR": "cited_reference_count", "TC": "times_cited", "PD": "publication_date",
+    "PY": "publication_year", "SC": "research_areas", "PG": "page_count", "UT": "accession_id",
+}
+RETAINED_TAGS = tuple(_TAG_ATTRIBUTES)
+
+
+def _serialize_field(record: BiblioRecord, tag: str) -> str:
+    value = getattr(record, _TAG_ATTRIBUTES[tag])
+    if isinstance(value, list):
+        return "; ".join(value)
+    return "" if value is None else str(value)
+
+
+def to_tab_delimited(records: list[BiblioRecord], tags: tuple[str, ...] = RETAINED_TAGS) -> str:
+    """Serialize records back to the tab-delimited dialect."""
+    out = io.StringIO()
+    out.write("\t".join(tags))
+    out.write("\n")
+    for record in records:
+        out.write("\t".join(_serialize_field(record, tag) for tag in tags))
+        out.write("\n")
+    return out.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +213,31 @@ def allpairs_matrices(graph: WeightedGraph) -> tuple[list[str], np.ndarray, np.n
     return labels, dist, sigma
 
 
+def neighbor_sets(graph: WeightedGraph) -> dict[str, set[str]]:
+    """Neighbor sets of the simple-graph view (self-loops ignored)."""
+    adj: dict[str, set[str]] = {node: set() for node in graph.nodes}
+    for (a, b) in graph.edges:
+        if a != b:
+            adj[a].add(b)
+            adj[b].add(a)
+    return adj
+
+
+def validate(graph: WeightedGraph) -> None:
+    """Raise ValueError unless every edge joins known nodes, in canonical
+    orientation, with a positive weight, and is a self-loop only in the
+    kinds that allow one."""
+    for (a, b), weight in graph.edges.items():
+        if a not in graph.nodes or b not in graph.nodes:
+            raise ValueError(f"edge ({a!r}, {b!r}) references unknown node")
+        if weight < 1:
+            raise ValueError(f"edge ({a!r}, {b!r}) has nonpositive weight {weight}")
+        if not a <= b:
+            raise ValueError(f"edge ({a!r}, {b!r}) is not in canonical orientation")
+        if a == b and graph.kind not in SELF_LOOP_KINDS:
+            raise ValueError(f"self-loop {a!r} in {graph.kind.value} graph")
+
+
 def compact_csr(labels: list[str], adjacency: dict[str, set[str]]) -> tuple[np.ndarray, np.ndarray]:
     """CSR of `adjacency` restricted to `labels`, row by row from neighbour sets."""
     index = {label: i for i, label in enumerate(labels)}
@@ -196,7 +253,7 @@ def compact_csr(labels: list[str], adjacency: dict[str, set[str]]) -> tuple[np.n
 
 def string_set_components(graph: WeightedGraph) -> list[set[str]]:
     """Components by a BFS over neighbour sets, ordered (-size, min label)."""
-    adj = graph.adjacency()
+    adj = neighbor_sets(graph)
     seen: set[str] = set()
     components = []
     for start in sorted(graph.nodes):
@@ -219,7 +276,7 @@ def string_set_components(graph: WeightedGraph) -> list[set[str]]:
 
 def set_clustering(graph: WeightedGraph) -> tuple[dict[str, float], float]:
     """Local clustering by intersecting the neighbour sets of each edge's ends."""
-    adjacency = graph.adjacency()
+    adjacency = neighbor_sets(graph)
     triangles = {node: 0 for node in graph.nodes}
     for (a, b) in graph.edges:
         if a == b:
@@ -353,7 +410,7 @@ def batched_betweenness(graph: WeightedGraph, sample_sources: int | None = None,
     source order: the loop `betweenness_centrality` ran before twins and
     pendants shared rows."""
     labels = sorted(graph.nodes)
-    indptr, indices = compact_csr(labels, graph.adjacency())
+    indptr, indices = compact_csr(labels, neighbor_sets(graph))
     n = len(labels)
     if n < 3:
         return {label: 0.0 for label in labels}

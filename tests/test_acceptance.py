@@ -51,6 +51,7 @@ from oracles import (
     brute_g_index,
     brute_h_index,
     dp_levenshtein,
+    neighbor_sets,
     random_corpus,
     random_graph,
     sample_discrete_power_law,
@@ -344,7 +345,7 @@ def test_scale_smoke():
 
     # sampled betweenness accuracy on a ~5,000-node subsample
     sub = largest_component_subgraph(build_coauthorship(synthetic_author_pool_corpus(3_600, seed=11)))
-    adjacency = sub.adjacency()
+    adjacency = neighbor_sets(sub)
     top = max(sorted(adjacency), key=lambda node: len(adjacency[node]))
     exact = betweenness_centrality(sub)[top]
     sampled = betweenness_centrality(sub, sample_sources=1000, seed=42)[top]

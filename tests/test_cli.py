@@ -350,6 +350,8 @@ class TestConfigResolution:
         {"sample": "5"}, {"sample": 0}, {"sample": 2.5}, {"top_k": "5"}, {"top_k": True},
         {"seed": "1"}, {"seed": 1.5}, {"fuzzy_threshold": "0.9"},
         {"out": 5}, {"out": None}, {"stopwords": 3}, {"stopwords": True},
+        {"out": "o\ud800"}, {"stopwords": "s\udfff"},
+        [], ["out"], 123, None,
     ])
     def test_bad_config_value_is_config_error_before_any_write(self, tmp_path, parsed_out, values):
         config = tmp_path / "config.json"
@@ -389,6 +391,8 @@ class TestConfigResolution:
         '{"seasons": "MON"}',
         '{"country_exact": {"Holland": 1}}',
         '{"month": {"VEND": 10}}',
+        '{"country_exact": {"France": "Fr\\ud800"}}',
+        '{"seasons": ["\\udc00"]}',
     ])
     def test_bad_rules_file_is_config_error_before_any_write(self, tmp_path, parsed_out, content):
         rules = tmp_path / "rules.json"
@@ -475,14 +479,19 @@ CORPUS_COMMANDS = {
 
 
 class TestMistypedCorpus:
-    """A corpus line whose field holds the wrong JSON type ends in a
-    one-line message naming the line, exit 1 and no output tree."""
+    """A corpus line whose field holds the wrong JSON type or a lone
+    surrogate ends in a one-line message naming the line, exit 1 and no
+    output tree."""
 
-    @pytest.mark.parametrize("field, value", [
-        ("author_full_names", "Smith, John"), ("times_cited", 2.5), ("title", 7),
-    ])
+    @pytest.mark.parametrize("field, value, reason", [
+        ("author_full_names", "Smith, John", "author_full_names must be "),
+        ("times_cited", 2.5, "times_cited must be "),
+        ("title", 7, "title must be "),
+        # json.dumps writes the escape \ud800, which json.loads reads back as a lone surrogate
+        ("title", "T\ud800", "'utf-8' codec can't encode character '\\ud800'"),
+    ], ids=["author_full_names-Smith, John", "times_cited-2.5", "title-7", "title-lone-surrogate"])
     @pytest.mark.parametrize("command", CORPUS_COMMANDS)
-    def test_rejected_before_any_write(self, tmp_path, parsed_out, capsys, command, field, value):
+    def test_rejected_before_any_write(self, tmp_path, parsed_out, capsys, command, field, value, reason):
         lines = (parsed_out / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
         lines[4] = json.dumps({**json.loads(lines[4]), field: value}, sort_keys=True)
         corpus = tmp_path / "corpus.jsonl"
@@ -491,7 +500,7 @@ class TestMistypedCorpus:
         out = tmp_path / "o"
         assert run(argv[0], corpus, *argv[1:], "--out", out) == EXIT_INPUT_ERROR
         message = capsys.readouterr().err
-        assert message.startswith(f"input error: {corpus}:5: bad corpus record: {field} must be ")
+        assert message.startswith(f"input error: {corpus}:5: bad corpus record: {reason}")
         assert message.count("\n") == 1
         assert not (out / tree).exists()
         assert not out.exists()

@@ -1,11 +1,12 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
+from biblionet import dedup
 from biblionet.dedup import (
     SuspectPair,
-    _bounded_levenshtein,
     find_suspect_pairs,
     levenshtein,
     sample_names,
@@ -56,21 +57,42 @@ class TestLevenshtein:
         assert levenshtein("Ω", "Ωx") == 1
 
 
-class TestBoundedLevenshtein:
-    @given(short_text, short_text)
-    def test_every_bound_matches_capped_oracle(self, a, b):
-        exact = dp_levenshtein(a, b)
-        for k in range(len(a) + len(b) + 1):
-            assert _bounded_levenshtein(a, b, k) == min(exact, k + 1)
+class TestLongAndWideStrings:
+    """The bit-parallel kernel against the full DP past 64 and 128 characters."""
 
-    def test_seeded_strings_every_bound(self):
-        rng = random.Random(17)
-        for _ in range(150):
-            a = "".join(rng.choice("abcxyzé ,.") for _ in range(rng.randint(0, 14)))
-            b = "".join(rng.choice("abcxyzé ,.") for _ in range(rng.randint(0, 14)))
-            exact = dp_levenshtein(a, b)
-            for k in range(len(a) + len(b) + 1):
-                assert _bounded_levenshtein(a, b, k) == min(exact, k + 1), (a, b, k)
+    @pytest.mark.parametrize("alphabet", ["ab", "abcxyzé ,.", "Smith, JohnRodriguez-Pé."])
+    def test_seeded_pairs_of_60_to_200_characters(self, alphabet):
+        rng = random.Random(len(alphabet))
+        for _ in range(25):
+            a = "".join(rng.choice(alphabet) for _ in range(rng.randint(60, 200)))
+            b = "".join(rng.choice(alphabet) for _ in range(rng.randint(60, 200)))
+            assert levenshtein(a, b) == dp_levenshtein(a, b), (a, b)
+
+    def test_near_equal_long_strings(self):
+        # few edits over 64- and 128-bit boundaries keep every bit of the column in play
+        rng = random.Random(11)
+        for length in (63, 64, 65, 127, 128, 129, 200):
+            a = "".join(rng.choice("abcd") for _ in range(length))
+            b = list(a)
+            for _ in range(3):
+                b[rng.randrange(length)] = rng.choice("abcde")
+            b = "".join(b)
+            assert levenshtein(a, b) == dp_levenshtein(a, b), (a, b)
+            assert levenshtein(a, a[1:]) == 1
+
+    def test_astral_plane_characters(self):
+        rng = random.Random(5)
+        alphabet = "a\U0001d538\U0001d539\U0001f600\U00020000Ω"
+        for _ in range(40):
+            a = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 90)))
+            b = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 90)))
+            assert levenshtein(a, b) == dp_levenshtein(a, b), (a, b)
+        assert levenshtein("\U0001d538bc", "\U0001d539bc") == 1
+
+    @pytest.mark.parametrize("length", [1, 64, 65, 150])
+    def test_one_side_empty(self, length):
+        s = "".join(chr(0x61 + i % 26) for i in range(length))
+        assert levenshtein(s, "") == levenshtein("", s) == dp_levenshtein(s, "") == length
 
 
 class TestSimilarityRatio:
@@ -141,6 +163,30 @@ class TestFindSuspectPairs:
                     expected.append(SuspectPair(a, b, r))
         expected.sort(key=lambda p: (-p.ratio, p.name_a, p.name_b))
         assert find_suspect_pairs(names, threshold=0.6) == expected
+
+
+def _bag_distance(a: str, b: str) -> int:
+    """max(|a|, |b|) minus the size of the character multiset intersection."""
+    return max(len(a), len(b)) - sum((Counter(a) & Counter(b)).values())
+
+
+@pytest.mark.parametrize("threshold", [0.5, 0.8, 0.9])
+def test_similarity_scored_once_per_bag_survivor(monkeypatch, threshold):
+    names = synthetic_names(40, 3) + ["Smith, John A", "Smith, J. A.", "abcde", "abcdf", "edcba"]
+    calls = Counter()
+    original = dedup.similarity_ratio
+
+    def counting(a, b):
+        calls[frozenset((a, b))] += 1
+        return original(a, b)
+
+    monkeypatch.setattr(dedup, "similarity_ratio", counting)
+    find_suspect_pairs(names, threshold)
+    unique = sorted(set(names))
+    survivors = {frozenset((a, b)) for i, a in enumerate(unique) for b in unique[i + 1:]
+                 if (len(a) + len(b) - _bag_distance(a, b)) / (len(a) + len(b)) >= threshold}
+    assert survivors and len(survivors) < len(unique) * (len(unique) - 1) // 2
+    assert calls == Counter(dict.fromkeys(survivors, 1))
 
 
 def _mixed_names(seed: int) -> list[str]:

@@ -40,6 +40,7 @@ from oracles import (
     brute_closeness,
     brute_degree_centrality,
     compact_csr,
+    neighbor_sets,
     random_graph,
     sample_discrete_power_law,
     scipy_fit_power_law,
@@ -533,7 +534,7 @@ KERNEL_GRAPHS = {
 
 def csr_of(graph):
     labels = sorted(graph.nodes)
-    indptr, indices = compact_csr(labels, graph.adjacency())
+    indptr, indices = compact_csr(labels, neighbor_sets(graph))
     return labels, indptr, indices
 
 
@@ -552,7 +553,7 @@ def slow_betweenness(graph, sample=None, seed=0):
 
 
 def slow_closeness(graph, literal=False):
-    adjacency = graph.adjacency()
+    adjacency = neighbor_sets(graph)
     result = {}
     for component in string_set_components(graph):
         if len(component) < 2:
@@ -567,7 +568,7 @@ def slow_closeness(graph, literal=False):
 
 def slow_avg_shortest_path(graph, sample=None, seed=0):
     labels = sorted(string_set_components(graph)[0])
-    indptr, indices = compact_csr(labels, graph.adjacency())
+    indptr, indices = compact_csr(labels, neighbor_sets(graph))
     n = len(labels)
     if sample is None or sample >= n:
         sources = range(n)
@@ -588,7 +589,7 @@ class TestTraversalKernels:
     def test_fixture_shapes(self):
         disconnected = KERNEL_GRAPHS["disconnected"]()
         assert len(connected_components(disconnected)) > 1
-        assert any(not nbrs for nbrs in disconnected.adjacency().values())
+        assert any(not nbrs for nbrs in neighbor_sets(disconnected).values())
         assert KERNEL_GRAPHS["country_loops"]().self_loops()
         sizes = [len(c) for c in connected_components(KERNEL_GRAPHS["components"]())]
         assert sizes == [130, 65, 64, 63, 2, 1, 1]
@@ -661,7 +662,7 @@ class TestTraversalKernels:
 def assert_view_matches_references(graph):
     view = graph._view
     labels = sorted(graph.nodes)
-    indptr, indices = compact_csr(labels, graph.adjacency())
+    indptr, indices = compact_csr(labels, neighbor_sets(graph))
     components = string_set_components(graph)
     component_of = {label: i for i, component in enumerate(components) for label in component}
     assert view.labels == labels

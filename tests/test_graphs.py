@@ -29,6 +29,7 @@ from oracles import (
     loop_write_dot,
     loop_write_edge_csv,
     random_corpus,
+    validate,
 )
 
 
@@ -238,7 +239,7 @@ class TestInvariants:
                  [len(set(r.author_keywords)) for r in corpus.records]),
             ]
             for graph, sizes in cases:
-                graph.validate()
+                validate(graph)
                 assert sum(graph.edges.values()) == sum(m * (m - 1) // 2 for m in sizes)
 
     def test_self_loops_only_in_allowed_kinds(self):

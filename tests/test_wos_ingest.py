@@ -13,9 +13,9 @@ from biblionet.wos_ingest import (
     parse_file,
     read_corpus_column,
     read_corpus_jsonl,
-    to_tab_delimited,
     write_corpus_jsonl,
 )
+from oracles import to_tab_delimited
 
 
 def record(**kwargs) -> BiblioRecord:
@@ -300,6 +300,8 @@ class TestCorpusLineTypes:
         (b'{"publication_type": "J", "title": "T", "times_cited": -1}', "citation counts must be nonnegative"),
         (b'{"publication_type": "J", "title": "T", "author_keywords": ["a", ""]}', "contains an empty entry"),
         (b'{"publication_type": "J", "title": "\xff"}', "invalid start byte"),
+        (b'{"publication_type": "J", "title": "Fr\\ud800"}', "surrogates not allowed"),
+        (b'{"publication_type": "J", "title": "T", "research_areas": ["\\udfff"]}', "surrogates not allowed"),
     ])
     def test_bad_line_gives_one_message_from_both_readers(self, tmp_path, line, reason):
         path = tmp_path / "corpus.jsonl"
@@ -308,6 +310,14 @@ class TestCorpusLineTypes:
         assert messages[0].startswith(f"{path}:3: bad corpus record: ")
         assert reason in messages[0]
         assert messages == [messages[0]] * len(messages)
+
+    def test_escapes_that_spell_valid_text_are_accepted(self, tmp_path):
+        # a surrogate pair escape is one astral character; an escaped backslash before u is no escape
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(b'{"publication_type": "J", "title": "\\ud835\\udd38 \\\\ud800 \\u00e9"}\n')
+        expected = "\U0001d538 \\ud800 \u00e9"
+        assert [r.title for r in read_corpus_jsonl(path).records] == [expected]
+        assert read_corpus_column(path, "authors") == [[]]
 
     def test_unknown_column_is_a_value_error(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
