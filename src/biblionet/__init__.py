@@ -28,14 +28,11 @@ from .graphs import (
     GraphFacts,
     GraphKind,
     WeightedGraph,
-    build_coauthorship,
-    build_cooccurrence,
-    build_country_graph,
-    build_institution_graph,
+    build_graph,
     graph_facts,
     top_weighted_edges,
 )
-from .keywords import StopwordSet, filter_stopwords, keyword_frequencies, tokenize
+from .keywords import StopwordSet, filter_stopwords, keyword_frequencies
 from .metrics import (
     AuthorRow,
     CorrelationMatrix,
@@ -54,7 +51,6 @@ from .metrics import (
     top_k,
 )
 from .normalize import (
-    ExtractionMode,
     NormalizationRules,
     YearMonth,
     canonicalize_country,

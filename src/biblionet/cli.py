@@ -199,7 +199,9 @@ def cmd_parse(args: argparse.Namespace, config: RunConfig) -> int:
         parts.append(result.records)
         parsed += len(result.records)
         skipped += result.skipped
-        warnings.extend(f"{path}: {message}" for message in result.warnings)
+        # a name that is not UTF-8 holds surrogate escapes, which no UTF-8 output can hold
+        shown = os.fsencode(path).decode("utf-8", "backslashreplace")
+        warnings.extend(f"{shown}: {message}" for message in result.warnings)
     corpus = merge_corpora(parts, rules)
     duplicates_removed = parsed - len(corpus)
 

@@ -35,10 +35,6 @@ COLUMNS = {GraphKind.COAUTHOR: "authors", GraphKind.COUNTRY: "country_multisets"
            GraphKind.KEYWORD: "keywords"}
 
 
-def canonical_pair(a: str, b: str) -> tuple[str, str]:
-    return (a, b) if a <= b else (b, a)
-
-
 @dataclass
 class WeightedGraph:
     """Undirected weighted graph with labeled nodes.
@@ -48,8 +44,8 @@ class WeightedGraph:
 
     The structural functions read one integer view of the graph, and the
     writers one sorted edge list, each derived on its first read and
-    kept: `add_pair` drops both, so nodes and edges must not change any
-    other way once the graph has been analysed or written.
+    kept, so nodes and edges must not change once the graph has been
+    analysed or written.
     """
 
     kind: GraphKind
@@ -66,16 +62,6 @@ class WeightedGraph:
 
     def self_loops(self) -> list[tuple[str, str]]:
         return [pair for pair in self.edges if pair[0] == pair[1]]
-
-    def add_pair(self, a: str, b: str, weight: int = 1) -> None:
-        if a == b and self.kind not in SELF_LOOP_KINDS:
-            raise ValueError(f"self-loops are not allowed in {self.kind.value} graphs")
-        pair = canonical_pair(a, b)
-        self.nodes.add(a)
-        self.nodes.add(b)
-        self.edges[pair] = self.edges.get(pair, 0) + weight
-        self.__dict__.pop("_view", None)
-        self.__dict__.pop("_sorted_edges", None)
 
     @cached_property
     def _view(self) -> _GraphView:
@@ -95,7 +81,7 @@ def pair_graph(kind: GraphKind, column: list[list[str]]) -> WeightedGraph:
     A value alone in its record still becomes a node.  Equal values of
     one multiset (from different address segments) pair into self-loops:
     intra-country / intra-institution collaboration.  Edges are in the
-    order of their first pairs, as `add_pair` calls would add them.
+    order of their first pairs.
     """
     edges: dict[tuple[str, str], int] = {}
     for values in column:
@@ -107,34 +93,13 @@ def pair_graph(kind: GraphKind, column: list[list[str]]) -> WeightedGraph:
     return WeightedGraph(kind, set(chain.from_iterable(column)), edges)
 
 
-def build_coauthorship(corpus: Corpus) -> WeightedGraph:
-    """One node per author; each shared paper adds 1 to the pair weight.
+def build_graph(kind: GraphKind, corpus: Corpus) -> WeightedGraph:
+    """`pair_graph` over the corpus column that `kind` pairs.
 
-    Solo authors become isolated nodes.
+    Authors, research areas and keywords appear once per record in their
+    columns, so only country and institution graphs carry self-loops.
     """
-    return pair_graph(GraphKind.COAUTHOR, corpus.authors)
-
-
-def build_country_graph(corpus: Corpus) -> WeightedGraph:
-    """Country collaboration graph over per-segment country multisets."""
-    return pair_graph(GraphKind.COUNTRY, corpus.country_multisets)
-
-
-def build_institution_graph(corpus: Corpus) -> WeightedGraph:
-    """Institution collaboration graph over per-segment institution multisets."""
-    return pair_graph(GraphKind.INSTITUTION, corpus.institution_multisets)
-
-
-def build_cooccurrence(corpus: Corpus, field: str) -> WeightedGraph:
-    """Co-occurrence graph of research areas or author keywords.
-
-    Values are de-duplicated within a record, so no self-loops arise.
-    """
-    if field == "research_area":
-        return pair_graph(GraphKind.RESEARCH_AREA, corpus.research_areas)
-    if field == "keyword":
-        return pair_graph(GraphKind.KEYWORD, corpus.keywords)
-    raise ValueError(f"unknown co-occurrence field {field!r}")
+    return pair_graph(kind, getattr(corpus, COLUMNS[kind]))
 
 
 @dataclass(frozen=True)
@@ -230,17 +195,12 @@ def graph_facts(graph: WeightedGraph) -> GraphFacts:
     )
 
 
-def top_weighted_edges(
-    graph: WeightedGraph, k: int, include_self_loops: bool = True
-) -> list[tuple[str, str, int]]:
-    """Heaviest k edges, ties by canonical pair ascending."""
+def top_weighted_edges(graph: WeightedGraph, k: int) -> list[tuple[str, str, int]]:
+    """Heaviest k edges, self-loops included, ties by canonical pair ascending."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    edges = graph._sorted_edges
-    if not include_self_loops:
-        edges = [edge for edge in edges if edge[0] != edge[1]]
     # a stable sort keeps the pair order among equal weights
-    return sorted(edges, key=itemgetter(2), reverse=True)[:k]
+    return sorted(graph._sorted_edges, key=itemgetter(2), reverse=True)[:k]
 
 
 def degree_counts(graph: WeightedGraph) -> Counter:

@@ -47,20 +47,6 @@ class StopwordSet:
 _DEFAULT_STOPWORD_SET = StopwordSet()
 
 
-def _text(title: str, abstract: str | None) -> str:
-    return f"{title} {abstract}" if abstract else title
-
-
-def tokenize(title: str, abstract: str | None = None) -> list[str]:
-    """Lower-case whitespace tokens with edge punctuation stripped."""
-    tokens = []
-    for raw in _text(title, abstract).lower().split():
-        token = raw.strip(string.punctuation)
-        if token:
-            tokens.append(token)
-    return tokens
-
-
 def filter_stopwords(tokens: list[str], stopwords: StopwordSet | None = None) -> list[str]:
     """Drop stopwords, pure-punctuation tokens, and (optionally) digits."""
     stopwords = stopwords or _DEFAULT_STOPWORD_SET
@@ -89,7 +75,7 @@ def keyword_frequencies(
         raise ValueError(f"n must be >= 1, got {n}")
     raw_counts: Counter = Counter()
     for record in corpus.records:
-        raw_counts.update(_text(record.title, record.abstract).lower().split())
+        raw_counts.update(f"{record.title} {record.abstract or ''}".lower().split())
     # strip and filter each distinct raw token once; several raw tokens
     # ("covid-19," and "covid-19") can strip to the same token
     counts: Counter = Counter()

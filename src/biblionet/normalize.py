@@ -12,7 +12,6 @@ import json
 import logging
 import re
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 
 log = logging.getLogger(__name__)
@@ -61,18 +60,6 @@ class YearMonth:
         return f"{self.year:04d}-{self.month:02d}"
 
 
-class ExtractionMode(Enum):
-    """How repeated values within one address field are treated.
-
-    UNIQUE keeps the first occurrence of each value (for counting),
-    MULTISET keeps every occurrence (for building collaboration graphs,
-    where repeats become self-loops).
-    """
-
-    UNIQUE = "unique"
-    MULTISET = "multiset"
-
-
 @dataclass(frozen=True)
 class NormalizationRules:
     """Rule tables used by the cleaning functions."""
@@ -98,8 +85,8 @@ class NormalizationRules:
         Recognized keys: "months" (token -> 1..12), "seasons" (list of
         tokens), "country_contains" and "country_exact" (raw -> canonical).
         Raises OSError when the file cannot be read and ValueError when it
-        is not JSON, holds a lone surrogate, has any other key, or a value
-        has the wrong type or range.
+        is not JSON, holds a lone surrogate, has any other key, a value
+        has the wrong type or range, or a country name is empty or blank.
         """
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -124,6 +111,9 @@ class NormalizationRules:
             table = data.get(key, {})
             if not isinstance(table, dict) or not all(isinstance(v, str) for v in table.values()):
                 raise ValueError(f"rules {key!r} must map strings to strings")
+            # every country contains "", and no country is ""
+            if not all(text.strip() for item in table.items() for text in item):
+                raise ValueError(f"rules {key!r} must not hold an empty or blank name")
         base = cls.default()
         months = dict(base.months)
         months.update({k.upper(): v for k, v in new_months.items()})
@@ -193,18 +183,13 @@ def _address_segments(address: str) -> list[str]:
     return [s for s in (seg.strip().rstrip(".").strip() for seg in segments) if s]
 
 
-def _apply_mode(values: list[str], mode: ExtractionMode) -> list[str]:
-    if mode is ExtractionMode.MULTISET:
-        return values
-    return list(dict.fromkeys(values))
-
-
-def extract_institutions(address: str | None, mode: ExtractionMode = ExtractionMode.UNIQUE) -> list[str]:
-    """Pull institution names out of a raw address field.
+def extract_institutions(address: str | None) -> list[str]:
+    """Pull institution names out of a raw address field, one per segment.
 
     Within each segment the institution is the text between the closing
     "]," of the author list and the next comma; segments without a
     bracketed author list use their first comma-delimited token instead.
+    Repeats are kept (`Corpus.institutions` drops them).
     """
     if not address:
         return []
@@ -219,18 +204,15 @@ def extract_institutions(address: str | None, mode: ExtractionMode = ExtractionM
             institutions.append(institution)
         else:
             log.warning("address segment yields no institution: %r", segment)
-    return _apply_mode(institutions, mode)
+    return institutions
 
 
-def extract_countries(
-    address: str | None,
-    mode: ExtractionMode = ExtractionMode.UNIQUE,
-    rules: NormalizationRules | None = None,
-) -> list[str]:
-    """Pull canonical country names out of a raw address field.
+def extract_countries(address: str | None, rules: NormalizationRules | None = None) -> list[str]:
+    """Pull canonical country names out of a raw address field, one per segment.
 
     The last comma-delimited token of each segment is taken as the raw
-    country and passed through canonicalize_country.
+    country and passed through canonicalize_country.  Repeats are kept
+    (`Corpus.countries` drops them).
     """
     if not address:
         return []
@@ -239,7 +221,7 @@ def extract_countries(
         raw = segment.rsplit(",", 1)[-1].strip()
         if raw:
             countries.append(canonicalize_country(raw, rules))
-    return _apply_mode(countries, mode)
+    return countries
 
 
 def canonicalize_country(raw: str, rules: NormalizationRules | None = None) -> str:

@@ -19,7 +19,6 @@ from typing import BinaryIO, Iterable
 
 from .errors import FormatError
 from .normalize import (
-    ExtractionMode,
     NormalizationRules,
     YearMonth,
     extract_countries,
@@ -79,8 +78,8 @@ def _pooled(column: Iterable[list[str]]) -> list[list[str]]:
 
 
 def _unique(column: Iterable[list[str]]) -> list[list[str]]:
-    # the first occurrence of each value, as ExtractionMode.UNIQUE keeps
-    # it; a list without repeats is its own unique view
+    # the first occurrence of each value; a list without repeats is its
+    # own unique view
     return [values if len(set(values)) == len(values) else list(dict.fromkeys(values))
             for values in column]
 
@@ -88,10 +87,8 @@ def _unique(column: Iterable[list[str]]) -> list[list[str]]:
 # column -> its derivation, record by record, for `Corpus` and `read_corpus_column`
 _COLUMNS = {
     "authors": lambda records, rules: _pooled(r.distinct_authors() for r in records),
-    "country_multisets": lambda records, rules: _pooled(
-        extract_countries(r.addresses, ExtractionMode.MULTISET, rules) for r in records),
-    "institution_multisets": lambda records, rules: _pooled(
-        extract_institutions(r.addresses, ExtractionMode.MULTISET) for r in records),
+    "country_multisets": lambda records, rules: _pooled(extract_countries(r.addresses, rules) for r in records),
+    "institution_multisets": lambda records, rules: _pooled(extract_institutions(r.addresses) for r in records),
     "research_areas": lambda records, rules: _unique(r.research_areas for r in records),
     "keywords": lambda records, rules: _unique(r.author_keywords for r in records),
 }
@@ -137,6 +134,7 @@ class Corpus:
 
     @cached_property
     def countries(self) -> list[list[str]]:
+        """Distinct canonical countries of each record, in first-segment order."""
         return _unique(self.country_multisets)
 
     @cached_property
@@ -146,6 +144,7 @@ class Corpus:
 
     @cached_property
     def institutions(self) -> list[list[str]]:
+        """Distinct institutions of each record, in first-segment order."""
         return _unique(self.institution_multisets)
 
     @cached_property

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import random
+import string
 from collections import Counter
 from pathlib import Path
 from xml.etree import ElementTree
@@ -21,7 +22,7 @@ from biblionet.dedup import SuspectPair
 from biblionet.errors import DegenerateDataError
 from biblionet.graph_stats import PowerLawFit
 from biblionet.graphs import SELF_LOOP_KINDS, GraphKind, WeightedGraph
-from biblionet.keywords import StopwordSet, filter_stopwords, tokenize
+from biblionet.keywords import StopwordSet, filter_stopwords
 from biblionet.wos_ingest import BiblioRecord, Corpus
 
 
@@ -138,6 +139,12 @@ def brute_g_index(citations: list[int]) -> int:
 # ---------------------------------------------------------------------------
 # keyword counts token occurrence by token occurrence, the loop that
 # keywords.keyword_frequencies runs once per distinct token instead
+
+def tokenize(title: str, abstract: str | None = None) -> list[str]:
+    """Lower-case whitespace tokens with edge punctuation stripped."""
+    text = f"{title} {abstract}" if abstract else title
+    return [token for token in (raw.strip(string.punctuation) for raw in text.lower().split()) if token]
+
 
 def per_occurrence_keyword_frequencies(
     corpus: Corpus, stopwords: StopwordSet | None = None, n: int = 100,
@@ -594,12 +601,24 @@ def loop_write_edge_csv(graph: WeightedGraph, path: str | Path) -> None:
             writer.writerow([a, b, graph.edges[(a, b)]])
 
 
-def key_sorted_top_weighted_edges(
-    graph: WeightedGraph, k: int, include_self_loops: bool = True
-) -> list[tuple[str, str, int]]:
-    edges = [(a, b, w) for (a, b), w in graph.edges.items() if include_self_loops or a != b]
+def key_sorted_top_weighted_edges(graph: WeightedGraph, k: int) -> list[tuple[str, str, int]]:
+    edges = [(a, b, w) for (a, b), w in graph.edges.items()]
     edges.sort(key=lambda edge: (-edge[2], edge[0], edge[1]))
     return edges[:k]
+
+
+def add_pair(graph: WeightedGraph, a: str, b: str, weight: int = 1) -> None:
+    """Add `weight` to the pair's edge, keyed in canonical orientation.
+
+    Only for graphs not yet analysed or written: the integer view and the
+    sorted edge list they keep are not dropped.
+    """
+    if a == b and graph.kind not in SELF_LOOP_KINDS:
+        raise ValueError(f"self-loops are not allowed in {graph.kind.value} graphs")
+    pair = (a, b) if a <= b else (b, a)
+    graph.nodes.add(a)
+    graph.nodes.add(b)
+    graph.edges[pair] = graph.edges.get(pair, 0) + weight
 
 
 def add_pair_graph(kind: GraphKind, column: list[list[str]]) -> WeightedGraph:
@@ -610,7 +629,7 @@ def add_pair_graph(kind: GraphKind, column: list[list[str]]) -> WeightedGraph:
         graph.nodes.update(values)
         for i, a in enumerate(values):
             for b in values[i + 1:]:
-                graph.add_pair(a, b)
+                add_pair(graph, a, b)
     return graph
 
 
@@ -633,7 +652,7 @@ def random_graph(
     for i in range(n):
         for j in range(i + 1, n):
             if rng.random() < p:
-                graph.add_pair(labels[i], labels[j], rng.randint(1, 5))
+                add_pair(graph, labels[i], labels[j], rng.randint(1, 5))
     return graph
 
 

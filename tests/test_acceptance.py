@@ -27,15 +27,11 @@ from biblionet.graph_stats import (
 from biblionet.graphs import (
     GraphKind,
     WeightedGraph,
-    build_coauthorship,
-    build_cooccurrence,
-    build_country_graph,
-    build_institution_graph,
+    build_graph,
     graph_facts,
 )
 from biblionet.metrics import degree_of_collaboration, g_index, h_index
 from biblionet.normalize import (
-    ExtractionMode,
     YearMonth,
     canonicalize_country,
     extract_countries,
@@ -44,6 +40,7 @@ from biblionet.normalize import (
 )
 from biblionet.wos_ingest import BiblioRecord, Corpus
 from oracles import (
+    add_pair,
     brute_betweenness,
     brute_closeness,
     brute_degree_centrality,
@@ -142,18 +139,18 @@ def test_assortativity_acceptance():
     started = time.monotonic()
     star = WeightedGraph(GraphKind.COAUTHOR)
     for leaf in range(5):
-        star.add_pair("hub", f"leaf{leaf}")
+        add_pair(star, "hub", f"leaf{leaf}")
     star_ok = degree_assortativity(star).r == -1.0
 
     regular_ok = True
     cycle = WeightedGraph(GraphKind.COAUTHOR)
     names = [f"c{i}" for i in range(5)]
     for i in range(5):
-        cycle.add_pair(names[i], names[(i + 1) % 5])
+        add_pair(cycle, names[i], names[(i + 1) % 5])
     regular_ok &= degree_assortativity(cycle).r is None
     pair = WeightedGraph(GraphKind.COAUTHOR)
-    pair.add_pair("a", "b")
-    pair.add_pair("c", "d")
+    add_pair(pair, "a", "b")
+    add_pair(pair, "c", "d")
     regular_ok &= degree_assortativity(pair).r is None
 
     from oracles import brute_assortativity
@@ -192,7 +189,7 @@ def test_small_world_discrimination():
     ws = WeightedGraph(GraphKind.COAUTHOR)
     generated = nx.watts_strogatz_graph(1000, 10, 0.1, seed=42)
     for a, b in generated.edges:
-        ws.add_pair(f"n{a:04d}", f"n{b:04d}")
+        add_pair(ws, f"n{a:04d}", f"n{b:04d}")
     ws_report_1 = small_world_check(ws)
     ws_report_2 = small_world_check(ws)
     ws_ok = (
@@ -203,7 +200,7 @@ def test_small_world_discrimination():
 
     ring = WeightedGraph(GraphKind.COAUTHOR)
     for i in range(1000):
-        ring.add_pair(f"r{i:04d}", f"r{(i + 1) % 1000:04d}")
+        add_pair(ring, f"r{i:04d}", f"r{(i + 1) % 1000:04d}")
     # every source sees the same distance profile on a cycle, so the
     # seeded source sample reproduces the exact mean
     ring_report_1 = small_world_check(ring, sample_sources=50, seed=7)
@@ -225,15 +222,15 @@ def test_graph_construction_conservation():
     for seed in range(100):
         corpus = random_corpus(seed, n_records=15)
         cases = [
-            (build_coauthorship(corpus),
+            (build_graph(GraphKind.COAUTHOR, corpus),
              [len(r.distinct_authors()) for r in corpus.records]),
-            (build_country_graph(corpus),
-             [len(extract_countries(r.addresses, ExtractionMode.MULTISET)) for r in corpus.records]),
-            (build_institution_graph(corpus),
-             [len(extract_institutions(r.addresses, ExtractionMode.MULTISET)) for r in corpus.records]),
-            (build_cooccurrence(corpus, "research_area"),
+            (build_graph(GraphKind.COUNTRY, corpus),
+             [len(extract_countries(r.addresses)) for r in corpus.records]),
+            (build_graph(GraphKind.INSTITUTION, corpus),
+             [len(extract_institutions(r.addresses)) for r in corpus.records]),
+            (build_graph(GraphKind.RESEARCH_AREA, corpus),
              [len(set(r.research_areas)) for r in corpus.records]),
-            (build_cooccurrence(corpus, "keyword"),
+            (build_graph(GraphKind.KEYWORD, corpus),
              [len(set(r.author_keywords)) for r in corpus.records]),
         ]
         for graph, sizes in cases:
@@ -334,7 +331,7 @@ def test_scale_smoke():
 
     # ~100k-node preferential-attachment co-authorship graph
     corpus = synthetic_author_pool_corpus(54_000, seed=7)
-    graph = build_coauthorship(corpus)
+    graph = build_graph(GraphKind.COAUTHOR, corpus)
     facts = graph_facts(graph)
     component = largest_component_subgraph(graph)
     betweenness_centrality(component, sample_sources=1000, seed=42)
@@ -344,7 +341,7 @@ def test_scale_smoke():
     size_ok = 50_000 <= facts.node_count <= 200_000
 
     # sampled betweenness accuracy on a ~5,000-node subsample
-    sub = largest_component_subgraph(build_coauthorship(synthetic_author_pool_corpus(3_600, seed=11)))
+    sub = largest_component_subgraph(build_graph(GraphKind.COAUTHOR, synthetic_author_pool_corpus(3_600, seed=11)))
     adjacency = neighbor_sets(sub)
     top = max(sorted(adjacency), key=lambda node: len(adjacency[node]))
     exact = betweenness_centrality(sub)[top]

@@ -1,4 +1,5 @@
 import json
+import os
 
 import networkx as nx
 import pytest
@@ -47,6 +48,20 @@ class TestParseCommand:
 
     def test_unreadable_input_exit_code(self, tmp_path):
         assert run("parse", tmp_path / "missing.txt", "--out", tmp_path / "o") == EXIT_INPUT_ERROR
+
+    def test_export_names_keep_their_bytes_in_the_summary(self, tmp_path):
+        untitled = "PT J\nAU X\nER\nEF\n"
+        not_utf8 = tmp_path / os.fsdecode(b"bad\xff.txt")
+        try:
+            not_utf8.write_text(untitled, encoding="utf-8")
+        except (OSError, UnicodeError):
+            pytest.skip("the file system refuses a name that is not UTF-8")
+        (tmp_path / "caf\u00e9.txt").write_text(untitled, encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("parse", not_utf8, tmp_path / "caf\u00e9.txt", "--out", out) == EXIT_OK
+        summary = json.loads((out / "parse_summary.json").read_bytes().decode("utf-8"))
+        skipped = ": record starting at line 1: record missing title, skipped"
+        assert summary["warnings"] == [f"{tmp_path}/bad\\xff.txt{skipped}", f"{tmp_path}/caf\u00e9.txt{skipped}"]
 
     def test_malformed_tab_header_exit_code(self, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -393,6 +408,10 @@ class TestConfigResolution:
         '{"month": {"VEND": 10}}',
         '{"country_exact": {"France": "Fr\\ud800"}}',
         '{"seasons": ["\\udc00"]}',
+        '{"country_contains": {"": "Atlantis"}}',
+        '{"country_contains": {"USA": " "}}',
+        '{"country_exact": {"france": ""}}',
+        '{"country_exact": {"  ": "France"}}',
     ])
     def test_bad_rules_file_is_config_error_before_any_write(self, tmp_path, parsed_out, content):
         rules = tmp_path / "rules.json"

@@ -11,13 +11,7 @@ import pytest
 import biblionet
 from biblionet import cli, dedup, graph_stats, graphs, keywords, metrics, normalize, wos_ingest
 from biblionet.cli import EXIT_OK, main
-from biblionet.normalize import (
-    ExtractionMode,
-    NormalizationRules,
-    extract_countries,
-    extract_institutions,
-    split_authors,
-)
+from biblionet.normalize import NormalizationRules, extract_countries, extract_institutions, split_authors
 from biblionet.wos_ingest import (
     Corpus,
     merge_corpora,
@@ -60,12 +54,12 @@ def test_columns_equal_the_public_functions(fixture_paths, tab_fixture_path, cus
         assert corpus.rules is rules, name
         records = corpus.records
         assert corpus.authors == [split_authors("; ".join(r.author_full_names)) for r in records], name
-        for mode, column in ((ExtractionMode.MULTISET, corpus.country_multisets),
-                             (ExtractionMode.UNIQUE, corpus.countries)):
-            assert column == [extract_countries(r.addresses, mode, rules) for r in records], (name, mode)
-        for mode, column in ((ExtractionMode.MULTISET, corpus.institution_multisets),
-                             (ExtractionMode.UNIQUE, corpus.institutions)):
-            assert column == [extract_institutions(r.addresses, mode) for r in records], (name, mode)
+        countries = [extract_countries(r.addresses, rules) for r in records]
+        assert corpus.country_multisets == countries, name
+        assert corpus.countries == [list(dict.fromkeys(values)) for values in countries], name
+        institutions = [extract_institutions(r.addresses) for r in records]
+        assert corpus.institution_multisets == institutions, name
+        assert corpus.institutions == [list(dict.fromkeys(values)) for values in institutions], name
         assert corpus.research_areas == [list(dict.fromkeys(r.research_areas)) for r in records], name
         assert corpus.keywords == [list(dict.fromkeys(r.author_keywords)) for r in records], name
         seen_countries.update(c for countries in corpus.country_multisets for c in countries)

@@ -9,10 +9,7 @@ from biblionet.graphs import (
     COLUMNS,
     GraphKind,
     WeightedGraph,
-    build_coauthorship,
-    build_cooccurrence,
-    build_country_graph,
-    build_institution_graph,
+    build_graph,
     graph_facts,
     pair_graph,
     top_weighted_edges,
@@ -20,9 +17,10 @@ from biblionet.graphs import (
     write_edge_csv,
     write_graphml,
 )
-from biblionet.normalize import ExtractionMode, extract_countries, extract_institutions
-from biblionet.wos_ingest import BiblioRecord, Corpus
+from biblionet.normalize import extract_countries, extract_institutions
+from biblionet.wos_ingest import BiblioRecord, Corpus, read_corpus_column, write_corpus_jsonl
 from oracles import (
+    add_pair,
     add_pair_graph,
     elementtree_write_graphml,
     key_sorted_top_weighted_edges,
@@ -53,7 +51,7 @@ def address(*pairs) -> str:
 class TestCoauthorship:
     def test_triangle(self):
         corpus = corpus_of(record(author_full_names=["A", "B", "C"]))
-        graph = build_coauthorship(corpus)
+        graph = build_graph(GraphKind.COAUTHOR, corpus)
         assert graph.nodes == {"A", "B", "C"}
         assert graph.edges == {("A", "B"): 1, ("A", "C"): 1, ("B", "C"): 1}
 
@@ -62,21 +60,21 @@ class TestCoauthorship:
             record(author_full_names=["A", "B"]),
             record(author_full_names=["B", "A"]),
         )
-        graph = build_coauthorship(corpus)
+        graph = build_graph(GraphKind.COAUTHOR, corpus)
         assert graph.edges == {("A", "B"): 2}
 
     def test_solo_author_is_isolated_node(self):
-        graph = build_coauthorship(corpus_of(record(author_full_names=["A"])))
+        graph = build_graph(GraphKind.COAUTHOR, corpus_of(record(author_full_names=["A"])))
         assert graph.nodes == {"A"}
         assert graph.edges == {}
         assert graph_facts(graph).isolated_count == 1
 
     def test_no_self_loops_from_duplicate_listing(self):
-        graph = build_coauthorship(corpus_of(record(author_full_names=["A", "A", "B"])))
+        graph = build_graph(GraphKind.COAUTHOR, corpus_of(record(author_full_names=["A", "A", "B"])))
         assert graph.edges == {("A", "B"): 1}
 
     def test_node_set_is_all_cleaned_authors(self, fixture_corpus):
-        graph = build_coauthorship(fixture_corpus)
+        graph = build_graph(GraphKind.COAUTHOR, fixture_corpus)
         expected = {name for r in fixture_corpus.records for name in r.distinct_authors()}
         assert graph.nodes == expected
 
@@ -84,16 +82,16 @@ class TestCoauthorship:
 class TestCountryGraph:
     def test_same_country_segments_make_self_loop(self):
         corpus = corpus_of(record(addresses=address(("I1", "MA 02115 USA"), ("I2", "NJ 08540 USA"))))
-        graph = build_country_graph(corpus)
+        graph = build_graph(GraphKind.COUNTRY, corpus)
         assert graph.edges == {("USA", "USA"): 1}
 
     def test_two_countries_plain_edge(self):
         corpus = corpus_of(record(addresses=address(("I1", "MA 02115 USA"), ("I2", "England"))))
-        graph = build_country_graph(corpus)
+        graph = build_graph(GraphKind.COUNTRY, corpus)
         assert graph.edges == {("USA", "United Kingdom"): 1}
 
     def test_single_segment_isolated_node(self):
-        graph = build_country_graph(corpus_of(record(addresses=address(("I1", "Italy")))))
+        graph = build_graph(GraphKind.COUNTRY, corpus_of(record(addresses=address(("I1", "Italy")))))
         assert graph.nodes == {"Italy"}
         assert graph.edges == {}
         assert graph_facts(graph).isolated_count == 1
@@ -102,29 +100,29 @@ class TestCountryGraph:
 class TestInstitutionGraph:
     def test_intra_institution_self_loop(self):
         corpus = corpus_of(record(addresses=address(("Wuhan Univ", "China"), ("Wuhan Univ", "China"))))
-        graph = build_institution_graph(corpus)
+        graph = build_graph(GraphKind.INSTITUTION, corpus)
         assert graph.edges == {("Wuhan Univ", "Wuhan Univ"): 1}
 
     def test_distinct_institutions_edge(self):
         corpus = corpus_of(record(addresses=address(("A Univ", "X"), ("B Univ", "Y"))))
-        graph = build_institution_graph(corpus)
+        graph = build_graph(GraphKind.INSTITUTION, corpus)
         assert graph.edges == {("A Univ", "B Univ"): 1}
 
     def test_three_segment_mixed(self):
         # segments [H, H, W]: one H-H self-loop, two H-W pairs
         corpus = corpus_of(record(addresses=address(("H", "X"), ("H", "X"), ("W", "Y"))))
-        graph = build_institution_graph(corpus)
+        graph = build_graph(GraphKind.INSTITUTION, corpus)
         assert graph.edges == {("H", "H"): 1, ("H", "W"): 2}
 
 
 class TestCooccurrence:
     def test_research_area_pair(self):
         corpus = corpus_of(record(research_areas=["Infectious Diseases", "Immunology"]))
-        graph = build_cooccurrence(corpus, "research_area")
+        graph = build_graph(GraphKind.RESEARCH_AREA, corpus)
         assert graph.edges == {("Immunology", "Infectious Diseases"): 1}
 
     def test_single_value_is_isolated(self):
-        graph = build_cooccurrence(corpus_of(record(research_areas=["Virology"])), "research_area")
+        graph = build_graph(GraphKind.RESEARCH_AREA, corpus_of(record(research_areas=["Virology"])))
         assert graph.nodes == {"Virology"}
         assert graph_facts(graph).isolated_count == 1
 
@@ -133,17 +131,17 @@ class TestCooccurrence:
             record(author_keywords=["covid-19", "sars-cov-2"]),
             record(author_keywords=["sars-cov-2", "covid-19"]),
         )
-        graph = build_cooccurrence(corpus, "keyword")
+        graph = build_graph(GraphKind.KEYWORD, corpus)
         assert graph.edges == {("covid-19", "sars-cov-2"): 2}
 
     def test_no_self_loops_possible(self):
         corpus = corpus_of(record(author_keywords=["covid-19", "covid-19", "pandemic"]))
-        graph = build_cooccurrence(corpus, "keyword")
+        graph = build_graph(GraphKind.KEYWORD, corpus)
         assert graph.edges == {("covid-19", "pandemic"): 1}
 
-    def test_unknown_field(self):
-        with pytest.raises(ValueError):
-            build_cooccurrence(corpus_of(), "language")
+    def test_unknown_kind(self):
+        with pytest.raises(KeyError):
+            build_graph("language", corpus_of())
 
 
 class TestGraphFacts:
@@ -154,7 +152,7 @@ class TestGraphFacts:
     def test_triangle(self):
         graph = WeightedGraph(GraphKind.COAUTHOR)
         for a, b in [("a", "b"), ("b", "c"), ("a", "c")]:
-            graph.add_pair(a, b)
+            add_pair(graph, a, b)
         facts = graph_facts(graph)
         assert facts.component_count == 1
         assert facts.component_sizes == (3,)
@@ -162,10 +160,10 @@ class TestGraphFacts:
 
     def test_mixed_components_hand_tally(self):
         graph = WeightedGraph(GraphKind.COUNTRY)
-        graph.add_pair("a", "b")
-        graph.add_pair("b", "c")
-        graph.add_pair("d", "e")
-        graph.add_pair("f", "f")  # self-loop only: not isolated
+        add_pair(graph, "a", "b")
+        add_pair(graph, "b", "c")
+        add_pair(graph, "d", "e")
+        add_pair(graph, "f", "f")  # self-loop only: not isolated
         graph.nodes.add("g")      # truly isolated
         facts = graph_facts(graph)
         assert facts.node_count == 7
@@ -178,7 +176,7 @@ class TestGraphFacts:
     def test_component_sum_equals_node_count(self):
         for seed in range(10):
             corpus = random_corpus(seed)
-            graph = build_coauthorship(corpus)
+            graph = build_graph(GraphKind.COAUTHOR, corpus)
             facts = graph_facts(graph)
             assert sum(facts.component_sizes) == facts.node_count
 
@@ -186,10 +184,10 @@ class TestGraphFacts:
 class TestTopWeightedEdges:
     def graph(self):
         g = WeightedGraph(GraphKind.COUNTRY)
-        g.add_pair("USA", "USA", 10)
-        g.add_pair("USA", "UK", 7)
-        g.add_pair("UK", "Italy", 7)
-        g.add_pair("France", "Spain", 2)
+        add_pair(g, "USA", "USA", 10)
+        add_pair(g, "USA", "UK", 7)
+        add_pair(g, "UK", "Italy", 7)
+        add_pair(g, "France", "Spain", 2)
         return g
 
     def test_k1_max(self):
@@ -198,10 +196,6 @@ class TestTopWeightedEdges:
     def test_tie_by_canonical_pair(self):
         top = top_weighted_edges(self.graph(), 3)
         assert top == [("USA", "USA", 10), ("Italy", "UK", 7), ("UK", "USA", 7)]
-
-    def test_self_loop_filter(self):
-        top = top_weighted_edges(self.graph(), 2, include_self_loops=False)
-        assert top == [("Italy", "UK", 7), ("UK", "USA", 7)]
 
     def test_invalid_k(self):
         with pytest.raises(ValueError):
@@ -215,12 +209,9 @@ class TestInvariants:
             shuffled = list(corpus.records)
             random.Random(seed + 1).shuffle(shuffled)
             permuted = Corpus.from_records(shuffled)
-            for build in (build_coauthorship,
-                          build_country_graph,
-                          build_institution_graph,
-                          lambda c: build_cooccurrence(c, "keyword")):
-                a = build(corpus)
-                b = build(permuted)
+            for kind in (GraphKind.COAUTHOR, GraphKind.COUNTRY, GraphKind.INSTITUTION, GraphKind.KEYWORD):
+                a = build_graph(kind, corpus)
+                b = build_graph(kind, permuted)
                 assert a.nodes == b.nodes
                 assert a.edges == b.edges
 
@@ -229,13 +220,13 @@ class TestInvariants:
         for seed in range(20):
             corpus = random_corpus(seed)
             cases = [
-                (build_coauthorship(corpus),
+                (build_graph(GraphKind.COAUTHOR, corpus),
                  [len(r.distinct_authors()) for r in corpus.records]),
-                (build_country_graph(corpus),
-                 [len(extract_countries(r.addresses, ExtractionMode.MULTISET)) for r in corpus.records]),
-                (build_institution_graph(corpus),
-                 [len(extract_institutions(r.addresses, ExtractionMode.MULTISET)) for r in corpus.records]),
-                (build_cooccurrence(corpus, "keyword"),
+                (build_graph(GraphKind.COUNTRY, corpus),
+                 [len(extract_countries(r.addresses)) for r in corpus.records]),
+                (build_graph(GraphKind.INSTITUTION, corpus),
+                 [len(extract_institutions(r.addresses)) for r in corpus.records]),
+                (build_graph(GraphKind.KEYWORD, corpus),
                  [len(set(r.author_keywords)) for r in corpus.records]),
             ]
             for graph, sizes in cases:
@@ -243,22 +234,20 @@ class TestInvariants:
                 assert sum(graph.edges.values()) == sum(m * (m - 1) // 2 for m in sizes)
 
     def test_self_loops_only_in_allowed_kinds(self):
-        graph = WeightedGraph(GraphKind.COAUTHOR)
         with pytest.raises(ValueError):
-            graph.add_pair("A", "A")
+            pair_graph(GraphKind.COAUTHOR, [["A", "A"]])
 
     def test_canonical_orientation(self):
-        graph = WeightedGraph(GraphKind.COAUTHOR)
-        graph.add_pair("z", "a")
+        graph = pair_graph(GraphKind.COAUTHOR, [["z", "a"]])
         assert list(graph.edges) == [("a", "z")]
 
 
 class TestExports:
     def graph(self):
         g = WeightedGraph(GraphKind.COUNTRY)
-        g.add_pair("USA", "USA", 3)
-        g.add_pair("USA", 'Uni "ted"', 2)
-        g.add_pair("Italy", "France", 1)
+        add_pair(g, "USA", "USA", 3)
+        add_pair(g, "USA", 'Uni "ted"', 2)
+        add_pair(g, "Italy", "France", 1)
         g.nodes.add("Lonely")
         return g
 
@@ -293,13 +282,7 @@ class TestExports:
         assert [tuple(r[:2]) for r in rows[1:]] == sorted(parsed)
 
 
-FIVE_KINDS = {
-    "coauthor": build_coauthorship,
-    "country": build_country_graph,
-    "institution": build_institution_graph,
-    "research_area": lambda corpus: build_cooccurrence(corpus, "research_area"),
-    "keyword": lambda corpus: build_cooccurrence(corpus, "keyword"),
-}
+KIND_NAMES = sorted(kind.value for kind in GraphKind)
 
 
 def escaped_label_graph(extra_labels=()):
@@ -307,8 +290,8 @@ def escaped_label_graph(extra_labels=()):
     labels = ['a&b', "<tag>", 'say "hi"', "it's", "cr\rlf\n", "tab\there", "&amp;", "back\\slash",
               "comma, \"quoted\"", "Zürich", "Łódź", "東京", "emoji \U0001f600", *extra_labels, " padded "]
     for i, label in enumerate(labels):
-        g.add_pair(label, labels[(i * 5 + 3) % len(labels)], i % 4 + 1)
-    g.add_pair("tab\there", "tab\there", 7)
+        add_pair(g, label, labels[(i * 5 + 3) % len(labels)], i % 4 + 1)
+    add_pair(g, "tab\there", "tab\there", 7)
     g.nodes.add("isolated\t&")
     return g
 
@@ -321,15 +304,15 @@ def assert_graphml_matches_elementtree(graph, tmp_path):
 
 
 class TestGraphmlMatchesElementTree:
-    @pytest.mark.parametrize("kind", sorted(FIVE_KINDS))
+    @pytest.mark.parametrize("kind", KIND_NAMES)
     def test_fixture_graphs(self, fixture_corpus, kind, tmp_path):
-        assert_graphml_matches_elementtree(FIVE_KINDS[kind](fixture_corpus), tmp_path)
+        assert_graphml_matches_elementtree(build_graph(GraphKind(kind), fixture_corpus), tmp_path)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_corpus_graphs(self, seed, tmp_path):
         corpus = random_corpus(seed, n_records=30)
-        for build in FIVE_KINDS.values():
-            assert_graphml_matches_elementtree(build(corpus), tmp_path)
+        for kind in GraphKind:
+            assert_graphml_matches_elementtree(build_graph(kind, corpus), tmp_path)
 
     def test_escaped_and_non_ascii_labels(self, tmp_path):
         g = escaped_label_graph(["lone \ud800 surrogate"])
@@ -350,40 +333,29 @@ def assert_writers_match_references(graph, tmp_path):
         reference(graph, expected)
         assert ours.read_bytes() == expected.read_bytes(), write.__name__
     for k in (1, 2, 5, len(graph.edges) + 1):
-        for loops in (True, False):
-            assert (top_weighted_edges(graph, k, include_self_loops=loops)
-                    == key_sorted_top_weighted_edges(graph, k, include_self_loops=loops))
+        assert top_weighted_edges(graph, k) == key_sorted_top_weighted_edges(graph, k)
 
 
 class TestWritersShareOneSortedEdgeList:
-    @pytest.mark.parametrize("kind", sorted(FIVE_KINDS))
+    @pytest.mark.parametrize("kind", KIND_NAMES)
     def test_fixture_graphs(self, fixture_corpus, kind, tmp_path):
-        assert_writers_match_references(FIVE_KINDS[kind](fixture_corpus), tmp_path)
+        assert_writers_match_references(build_graph(GraphKind(kind), fixture_corpus), tmp_path)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_corpus_graphs(self, seed, tmp_path):
         corpus = random_corpus(seed, n_records=30)
-        for build in FIVE_KINDS.values():
-            assert_writers_match_references(build(corpus), tmp_path)
+        for kind in GraphKind:
+            assert_writers_match_references(build_graph(kind, corpus), tmp_path)
 
     def test_escaped_labels_and_tied_weights(self, tmp_path):
         assert_writers_match_references(escaped_label_graph(), tmp_path)
-
-    def test_add_pair_drops_the_sorted_list(self, tmp_path):
-        g = escaped_label_graph()
-        assert_writers_match_references(g, tmp_path)
-        g.add_pair("Aachen", "Zürich", 9)
-        g.add_pair("<tag>", "a&b", 1)
-        assert top_weighted_edges(g, 1) == [("Aachen", "Zürich", 9)]
-        assert_writers_match_references(g, tmp_path)
-        assert_graphml_matches_elementtree(g, tmp_path)
 
     def test_empty_graph(self, tmp_path):
         assert_writers_match_references(WeightedGraph(GraphKind.KEYWORD), tmp_path)
 
 
 def test_fixture_country_graph_has_expected_shape(fixture_corpus):
-    graph = build_country_graph(fixture_corpus)
+    graph = build_graph(GraphKind.COUNTRY, fixture_corpus)
     # the Wuhan record has two China segments -> self-loop; the USA pair
     # comes from the Johns Hopkins + Fudan record
     assert graph.edges[("China", "China")] == 1
@@ -406,12 +378,14 @@ class TestPairGraphCountsOnce:
         assert type(built.edges) is dict
 
     @pytest.mark.parametrize("kind", list(GraphKind), ids=lambda kind: kind.value)
-    def test_corpus_columns(self, fixture_corpus, kind):
+    def test_corpus_columns(self, fixture_corpus, kind, tmp_path):
         corpora = [fixture_corpus, *(random_corpus(seed, n_records=60) for seed in range(6))]
         for corpus in corpora:
             self.assert_same_build(kind, getattr(corpus, COLUMNS[kind]))
-            # the CLI builds from the named column; the library from the corpus
-            assert pair_graph(kind, getattr(corpus, COLUMNS[kind])) == FIVE_KINDS[kind.value](corpus)
+            # the library builds from a corpus; the CLI from the named column of a corpus file
+            path = tmp_path / "corpus.jsonl"
+            write_corpus_jsonl(corpus, path)
+            assert build_graph(kind, corpus) == pair_graph(kind, read_corpus_column(path, COLUMNS[kind]))
 
     @pytest.mark.parametrize("kind", [GraphKind.COUNTRY, GraphKind.INSTITUTION])
     def test_repeated_values_pair_into_self_loops(self, kind):

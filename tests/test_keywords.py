@@ -3,30 +3,39 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from biblionet.keywords import StopwordSet, filter_stopwords, keyword_frequencies, tokenize
+from biblionet.keywords import StopwordSet, filter_stopwords, keyword_frequencies
 from biblionet.stopwords import DEFAULT_STOPWORDS
 from biblionet.wos_ingest import BiblioRecord, Corpus
-from oracles import per_occurrence_keyword_frequencies, random_corpus
+from oracles import per_occurrence_keyword_frequencies, random_corpus, tokenize
 
 
 def record(title, abstract=None):
     return BiblioRecord(publication_type="J", title=title, abstract=abstract)
 
 
+def tokens_of(title, abstract=None):
+    """Every token of one record with its count, stopwords kept."""
+    corpus = Corpus.from_records([record(title, abstract)])
+    return keyword_frequencies(corpus, StopwordSet(words=frozenset()), n=100)
+
+
 class TestTokenize:
     def test_interior_hyphen_kept(self):
-        assert tokenize("COVID-19 Spread") == ["covid-19", "spread"]
+        assert tokens_of("COVID-19 Spread") == [("covid-19", 1), ("spread", 1)]
 
     def test_edge_punctuation_stripped(self):
-        assert tokenize("A, B.") == ["a", "b"]
-        assert tokenize("(covid-19):") == ["covid-19"]
+        assert tokens_of("A, B.") == [("a", 1), ("b", 1)]
+        assert tokens_of("(covid-19): covid-19") == [("covid-19", 2)]
 
     def test_empty(self):
-        assert tokenize("", "") == []
-        assert tokenize("") == []
+        assert tokens_of("", "") == []
+        assert tokens_of("") == []
+        assert tokens_of("-- ...") == []
 
     def test_title_and_abstract_concatenated(self):
-        assert tokenize("Viral load", "Dynamics over time") == ["viral", "load", "dynamics", "over", "time"]
+        assert tokens_of("Viral load", "Dynamics over time") == [
+            ("dynamics", 1), ("load", 1), ("over", 1), ("time", 1), ("viral", 1)]
+        assert tokens_of("Load", "load.") == [("load", 2)]
 
 
 class TestStopwordSet:

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from biblionet.normalize import (
-    ExtractionMode,
     NormalizationRules,
     YearMonth,
     _address_segments,
@@ -15,11 +14,12 @@ from biblionet.normalize import (
     split_authors,
     split_list_field,
 )
-from biblionet.wos_ingest import parse_file
+from biblionet.wos_ingest import BiblioRecord, Corpus, parse_file
 from oracles import char_walk_address_segments, random_corpus
 
-UNIQUE = ExtractionMode.UNIQUE
-MULTISET = ExtractionMode.MULTISET
+
+def address_corpus(*addresses) -> Corpus:
+    return Corpus([BiblioRecord(publication_type="J", title="T", addresses=address) for address in addresses])
 
 
 class TestYearMonth:
@@ -109,9 +109,11 @@ class TestExtractInstitutions:
         got = extract_institutions("[Smith, J.] Harvard Med Sch, Dept Med, Boston, MA 02115 USA")
         assert got == ["Harvard Med Sch"]
 
-    def test_modes(self):
-        assert extract_institutions(ADDRESS, UNIQUE) == ["Harvard Med Sch", "Wuhan Univ"]
-        assert extract_institutions(ADDRESS, MULTISET) == ["Harvard Med Sch", "Wuhan Univ", "Wuhan Univ"]
+    def test_every_occurrence_and_the_unique_view(self):
+        assert extract_institutions(ADDRESS) == ["Harvard Med Sch", "Wuhan Univ", "Wuhan Univ"]
+        corpus = address_corpus(ADDRESS)
+        assert corpus.institution_multisets == [["Harvard Med Sch", "Wuhan Univ", "Wuhan Univ"]]
+        assert corpus.institutions == [["Harvard Med Sch", "Wuhan Univ"]]
 
     def test_unbracketed_segment_uses_first_token(self):
         assert extract_institutions("Univ Oxford, Dept Zool, Oxford, England") == ["Univ Oxford"]
@@ -131,25 +133,30 @@ class TestExtractCountries:
 
     def test_uk_merge_unique(self):
         address = "[A] Univ Edinburgh, Edinburgh, Scotland; [B] Univ Oxford, Oxford, England"
-        assert extract_countries(address, UNIQUE) == ["United Kingdom"]
-        assert extract_countries(address, MULTISET) == ["United Kingdom", "United Kingdom"]
+        assert extract_countries(address) == ["United Kingdom", "United Kingdom"]
+        assert address_corpus(address).countries == [["United Kingdom"]]
 
     def test_china_canonical(self):
         assert extract_countries("[W] Wuhan Univ, Wuhan, Peoples R China") == ["China"]
 
-    def test_modes_on_mixed_address(self):
-        assert extract_countries(ADDRESS, UNIQUE) == ["USA", "China"]
-        assert extract_countries(ADDRESS, MULTISET) == ["USA", "China", "China"]
+    def test_every_occurrence_and_the_unique_view_on_mixed_address(self):
+        assert extract_countries(ADDRESS) == ["USA", "China", "China"]
+        corpus = address_corpus(ADDRESS)
+        assert corpus.country_multisets == [["USA", "China", "China"]]
+        assert corpus.countries == [["USA", "China"]]
 
     def test_empty(self):
         assert extract_countries("") == []
 
     def test_unique_is_dedup_of_multiset(self):
-        for address in [ADDRESS, "", "[A] X, Y, Italy; [B] Z, W, Italy; [C] Q, R, France"]:
-            multi = extract_countries(address, MULTISET)
-            uniq = extract_countries(address, UNIQUE)
+        addresses = [ADDRESS, "", "[A] X, Y, Italy; [B] Z, W, Italy; [C] Q, R, France"]
+        corpus = address_corpus(*addresses)
+        for address, uniq in zip(addresses, corpus.countries):
+            multi = extract_countries(address)
             assert uniq == list(dict.fromkeys(multi))
             assert len(uniq) <= len(multi)
+        for address, uniq in zip(addresses, corpus.institutions):
+            assert uniq == list(dict.fromkeys(extract_institutions(address)))
 
 
 class TestAddressSegments:
@@ -229,4 +236,18 @@ class TestRulesConfig:
         path = tmp_path / "rules.json"
         path.write_text(json.dumps({"month": {"VEND": 10}}), encoding="utf-8")
         with pytest.raises(ValueError, match="month"):
+            NormalizationRules.from_file(path)
+
+    @pytest.mark.parametrize("rules", [
+        {"country_contains": {"": "Atlantis"}},
+        {"country_contains": {" ": "Atlantis"}},
+        {"country_contains": {"USA": ""}},
+        {"country_exact": {"france": ""}},
+        {"country_exact": {"france": " \t"}},
+        {"country_exact": {"": "France"}},
+    ], ids=json.dumps)
+    def test_empty_or_blank_country_name_rejected(self, tmp_path, rules):
+        path = tmp_path / "rules.json"
+        path.write_text(json.dumps(rules), encoding="utf-8")
+        with pytest.raises(ValueError, match="empty or blank"):
             NormalizationRules.from_file(path)
