@@ -144,6 +144,20 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
+def _sha256_hex(data: bytes) -> str:
+    """The SHA-256 hex digest of `data`, from CPython's built-in module
+    (`_sha2` since 3.12, `_sha256` before) where it exists: `hashlib`
+    would load OpenSSL, ~3.6 MiB of RSS, for this one digest."""
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256(data).hexdigest()
+
+
 def _write_manifest(outdir: Path, command: str, config: RunConfig, **extra) -> None:
     payload = {
         "command": command,
@@ -179,6 +193,26 @@ def _write_staged(target: Path, write) -> int:
         shutil.rmtree(staging, ignore_errors=True)
 
 
+def _write_files_staged(outdir: Path, write) -> None:
+    """Run `write` on a fresh staging directory inside `outdir`, then move
+    each file it wrote into `outdir`, only once all of them are written.
+
+    For `--out` itself, which holds every command's tree and so cannot
+    be swapped whole: a run that raises leaves the files already there
+    as they were, and the staging directory goes either way.
+    """
+    staging = outdir / ".parse.partial"
+    if staging.exists():
+        shutil.rmtree(staging)
+    staging.mkdir(parents=True)
+    try:
+        write(staging)
+        for path in sorted(staging.iterdir()):
+            os.replace(path, outdir / path.name)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+
+
 def _counts_table(outdir: Path, name: str, counts, k: int) -> None:
     ranked = metrics.top_k(dict(counts), k) if counts else []
     _write_csv(outdir / f"{name}.csv", ["value", "count"], ranked)
@@ -205,8 +239,6 @@ def cmd_parse(args: argparse.Namespace, config: RunConfig) -> int:
     corpus = merge_corpora(parts, rules)
     duplicates_removed = parsed - len(corpus)
 
-    config.out.mkdir(parents=True, exist_ok=True)
-    write_corpus_jsonl(corpus, config.out / "corpus.jsonl")
     summary = {
         "files": len(args.inputs),
         "records_parsed": parsed,
@@ -216,8 +248,13 @@ def cmd_parse(args: argparse.Namespace, config: RunConfig) -> int:
         "dated_view_size": len(corpus.dated_view),
         "warnings": warnings,
     }
-    _write_json(config.out / "parse_summary.json", summary)
-    _write_manifest(config.out, "parse", config)
+
+    def write(outdir: Path) -> None:
+        write_corpus_jsonl(corpus, outdir / "corpus.jsonl")
+        _write_json(outdir / "parse_summary.json", summary)
+        _write_manifest(outdir, "parse", config)
+
+    _write_files_staged(config.out, write)
     print(
         f"parsed {parsed} records ({skipped} skipped, {duplicates_removed} duplicates removed); "
         f"corpus {len(corpus)}, dated view {len(corpus.dated_view)}"
@@ -439,8 +476,7 @@ def _write_network(graph: graphs.WeightedGraph, outdir: Path, args: argparse.Nam
     degrees = [degree for degree, count in histogram if degree for _ in range(count)]
     try:
         fit = graph_stats.fit_power_law(degrees)
-        import hashlib  # only here: it loads OpenSSL, which no other command needs
-        digest = hashlib.sha256(",".join(map(str, degrees)).encode()).hexdigest()
+        digest = _sha256_hex(",".join(map(str, degrees)).encode())
         _write_json(outdir / "powerlaw.json", {
             "meta": meta,
             "gamma": _sig6(fit.gamma),

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import repeat
 
 from .errors import DegenerateDataError
 from .graphs import WeightedGraph, connected_components
@@ -549,6 +550,11 @@ _EULER_MACLAURIN = (
 _MACHEP = 2.0 ** -53
 
 
+# alphas per block of a zeta table: a block's transient arrays hold this
+# many rows, so the table itself is the only array that grows with the grid
+_ZETA_BLOCK = 64
+
+
 def _hurwitz_zeta(alphas, q) -> np.ndarray:
     """Hurwitz zeta(alpha, q) = sum over k >= 0 of (q + k)^-alpha, for
     every alpha (rows) and q (columns).
@@ -562,6 +568,11 @@ def _hurwitz_zeta(alphas, q) -> np.ndarray:
     distinct base; numpy's vectorised `power` can differ from libm in
     the last bit.
 
+    The table is filled `_ZETA_BLOCK` rows at a time, in place.  Every
+    entry takes the same operations in the same order whatever the
+    block, so the block size changes no value; a block whose entries
+    have all converged stops early.
+
     Domain: integer q >= 1 and 1 < alpha <= 6.02, all the power-law fit
     asks for.  There a direct term never falls below 2**-53 of the sum,
     so Cephes' early exit from the direct sum never fires, and degrees
@@ -574,31 +585,41 @@ def _hurwitz_zeta(alphas, q) -> np.ndarray:
     bases, slots = np.unique(q[:, None] + np.arange(10), return_inverse=True)
     slots = slots.reshape(q.size, 10)
     float_bases = bases.astype(np.float64).tolist()
-    powers = np.array([[math.pow(base, -alpha) for base in float_bases] for alpha in x[:, 0].tolist()])
-
-    s = powers[:, slots[:, 0]]
-    for k in range(1, 10):
-        s = s + powers[:, slots[:, k]]
-    b = powers[:, slots[:, 9]]
     w = (q + 9).astype(np.float64)
-    s = s + b * w / (x - 1.0)
-    s = s - 0.5 * b
-    a = np.ones_like(x)
-    k = 0.0
-    active = np.ones(s.shape, dtype=bool)
-    for coefficient in _EULER_MACLAURIN:
-        a = a * (x + k)
-        b = b / w
-        t = a * b / coefficient
-        s = np.where(active, s + t, s)
-        active &= ~(np.abs(t / s) < _MACHEP)
-        if not active.any():
-            break
-        k += 1.0
-        a = a * (x + k)
-        b = b / w
-        k += 1.0
-    return s
+    table = np.empty((x.shape[0], q.size))
+    for first in range(0, x.shape[0], _ZETA_BLOCK):
+        xb = x[first:first + _ZETA_BLOCK]
+        s = table[first:first + _ZETA_BLOCK]
+        powers = np.empty((xb.shape[0], bases.size))
+        for row, alpha in zip(powers, xb[:, 0].tolist()):
+            row[:] = np.fromiter(map(math.pow, float_bases, repeat(-alpha)), np.float64, bases.size)
+        np.take(powers, slots[:, 0], axis=1, out=s)
+        for k in range(1, 10):
+            s += powers[:, slots[:, k]]
+        b = powers[:, slots[:, 9]]
+        t = b * w
+        t /= xb - 1.0
+        s += t
+        np.multiply(b, 0.5, out=t)
+        s -= t
+        a = np.ones_like(xb)
+        k = 0.0
+        active = np.ones(s.shape, dtype=bool)
+        for coefficient in _EULER_MACLAURIN:
+            a *= xb + k
+            b /= w
+            np.multiply(a, b, out=t)
+            t /= coefficient
+            np.add(s, t, out=s, where=active)
+            t /= s
+            active &= ~(np.abs(t, out=t) < _MACHEP)
+            if not active.any():
+                break
+            k += 1.0
+            a *= xb + k
+            b /= w
+            k += 1.0
+    return table
 
 
 def _tail_ks(counts: np.ndarray, zetas: np.ndarray, zeta_xmin: float) -> float:
@@ -647,13 +668,23 @@ def fit_power_law(degrees, min_samples: int = 50) -> PowerLawFit:
     candidate_cols = np.searchsorted(qs, candidates)
     shifted_cols = np.searchsorted(qs, values + 1)
 
-    # discrete log-likelihood on an (alpha x candidate) grid in one shot
-    zeta_grid = table[:, candidate_cols]
-    loglik = (
-        -tail_counts[None, : candidates.size] * np.log(zeta_grid)
-        - alpha_grid[:, None] * tail_logsum[None, : candidates.size]
-    )
-    best_alpha_idx = np.argmax(loglik, axis=0)
+    # discrete log-likelihood on the (alpha x candidate) grid, one block
+    # of alphas at a time; a later block takes a candidate only with a
+    # strictly larger value, so ties keep the first alpha, as np.argmax does
+    columns = np.arange(candidates.size)
+    best_alpha_idx = np.zeros(candidates.size, dtype=np.int64)
+    best_loglik = np.full(candidates.size, -np.inf)
+    for first in range(0, alpha_grid.size, _ZETA_BLOCK):
+        rows = slice(first, first + _ZETA_BLOCK)
+        loglik = (
+            -tail_counts[None, : candidates.size] * np.log(table[rows, candidate_cols])
+            - alpha_grid[rows, None] * tail_logsum[None, : candidates.size]
+        )
+        block_best = np.argmax(loglik, axis=0)
+        block_loglik = loglik[block_best, columns]
+        better = block_loglik > best_loglik
+        best_alpha_idx[better] = block_best[better] + first
+        best_loglik[better] = block_loglik[better]
 
     best = None
     for c, xmin in enumerate(candidates):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import random
 import string
 from collections import Counter
@@ -20,7 +21,7 @@ from scipy.special import zeta
 
 from biblionet.dedup import SuspectPair
 from biblionet.errors import DegenerateDataError
-from biblionet.graph_stats import PowerLawFit
+from biblionet.graph_stats import _EULER_MACLAURIN, _MACHEP, PowerLawFit
 from biblionet.graphs import SELF_LOOP_KINDS, GraphKind, WeightedGraph
 from biblionet.keywords import StopwordSet, filter_stopwords
 from biblionet.wos_ingest import BiblioRecord, Corpus
@@ -501,8 +502,44 @@ def brute_assortativity(graph: WeightedGraph) -> float | None:
 
 
 # ---------------------------------------------------------------------------
-# the power-law fit on scipy's Hurwitz zeta, which graph_stats replaces
-# with its own bit-identical one
+# graph_stats's own Hurwitz zeta has two references: scipy's, which it
+# replaced bit for bit, and its own earlier list-of-lists form
+
+def listwise_hurwitz_zeta(alphas, q) -> np.ndarray:
+    """graph_stats._hurwitz_zeta as it was before it filled its table in
+    blocks, in place: every libm power kept in a Python list of lists, the
+    whole (alpha x q) table taken in one step of each Cephes operation."""
+    x = np.asarray(alphas, dtype=np.float64).reshape(-1, 1)
+    q = np.asarray(q, dtype=np.int64)
+    bases, slots = np.unique(q[:, None] + np.arange(10), return_inverse=True)
+    slots = slots.reshape(q.size, 10)
+    float_bases = bases.astype(np.float64).tolist()
+    powers = np.array([[math.pow(base, -alpha) for base in float_bases] for alpha in x[:, 0].tolist()])
+
+    s = powers[:, slots[:, 0]]
+    for k in range(1, 10):
+        s = s + powers[:, slots[:, k]]
+    b = powers[:, slots[:, 9]]
+    w = (q + 9).astype(np.float64)
+    s = s + b * w / (x - 1.0)
+    s = s - 0.5 * b
+    a = np.ones_like(x)
+    k = 0.0
+    active = np.ones(s.shape, dtype=bool)
+    for coefficient in _EULER_MACLAURIN:
+        a = a * (x + k)
+        b = b / w
+        t = a * b / coefficient
+        s = np.where(active, s + t, s)
+        active &= ~(np.abs(t / s) < _MACHEP)
+        if not active.any():
+            break
+        k += 1.0
+        a = a * (x + k)
+        b = b / w
+        k += 1.0
+    return s
+
 
 def scipy_tail_ks(values: np.ndarray, counts: np.ndarray, alpha: float, xmin: int) -> float:
     """KS distance between the empirical tail CDF and the fitted one."""

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import sys
 
 import networkx as nx
 import pytest
@@ -234,6 +236,41 @@ class TestKeywordsAndDedupStaging:
         assert not [p for p in parsed_out.iterdir() if p.name.startswith(".")]
 
 
+def half_write_json(path, payload):
+    # the parse summary is parse's first JSON file; leave it half written
+    text = json.dumps(payload)
+    path.write_text(text[: len(text) // 2], encoding="utf-8")
+    raise OSError("no space left on device")
+
+
+class TestParseStaging:
+    def test_oserror_mid_write_keeps_the_earlier_files(self, tmp_path, fixture_paths, monkeypatch):
+        out = tmp_path / "run"
+        assert run("parse", fixture_paths[0], "--out", out) == EXIT_OK
+        before = snapshot(out)
+        assert sorted(before) == ["corpus.jsonl", "manifest.json", "parse_summary.json"]
+        monkeypatch.setattr(cli, "_write_json", half_write_json)
+        # both parts and another seed: every one of the three files would change
+        assert run("parse", *fixture_paths, "--out", out, "--seed", "7") == EXIT_INPUT_ERROR
+        assert snapshot(out) == before
+
+    def test_oserror_on_a_first_run_leaves_nothing(self, tmp_path, fixture_paths, monkeypatch):
+        monkeypatch.setattr(cli, "_write_json", half_write_json)
+        out = tmp_path / "fresh"
+        assert run("parse", *fixture_paths, "--out", out) == EXIT_INPUT_ERROR
+        assert list(out.iterdir()) == []
+
+    def test_rerun_replaces_the_three_files_and_keeps_the_trees(self, parsed_out, fixture_paths):
+        assert run("keywords", parsed_out / "corpus.jsonl", "--out", parsed_out) == EXIT_OK
+        keywords = snapshot(parsed_out / "keywords")
+        assert run("parse", fixture_paths[0], "--out", parsed_out, "--seed", "3") == EXIT_OK
+        assert sorted(p.name for p in parsed_out.iterdir()) == [
+            "corpus.jsonl", "keywords", "manifest.json", "parse_summary.json"]
+        assert json.loads((parsed_out / "manifest.json").read_text())["seed"] == 3
+        assert json.loads((parsed_out / "parse_summary.json").read_text())["files"] == 1
+        assert snapshot(parsed_out / "keywords") == keywords
+
+
 class TestNetworkCommand:
     @pytest.mark.parametrize("kind", ["coauthor", "country", "institution", "research-area", "keyword"])
     def test_outputs_exist_and_parse(self, parsed_out, kind):
@@ -286,6 +323,44 @@ class TestNetworkCommand:
             "--out", parsed_out, "--seed", "42")
         payload = json.loads((parsed_out / "network_coauthor" / "centrality.json").read_text())
         assert payload["meta"]["seed"] == 42
+
+
+class TestPowerLawDigest:
+    @pytest.fixture()
+    def coauthor_corpus(self, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        write_corpus_jsonl(synthetic_author_pool_corpus(300, seed=5), corpus)
+        return corpus
+
+    @staticmethod
+    def digest_and_degrees(corpus, out):
+        assert run("network", corpus, "--kind", "coauthor", "--out", out) == EXIT_OK
+        tree = out / "network_coauthor"
+        powerlaw = json.loads((tree / "powerlaw.json").read_text())
+        histogram = [line.split(",") for line in (tree / "degree_histogram.csv").read_text().splitlines()[1:]]
+        degrees = [degree for degree, count in histogram if degree != "0" for _ in range(int(count))]
+        return powerlaw["sampled_degrees_hash"], degrees
+
+    def test_digest_is_the_sha256_of_the_degree_list(self, coauthor_corpus, tmp_path):
+        digest, degrees = self.digest_and_degrees(coauthor_corpus, tmp_path / "out")
+        assert len(degrees) >= 50
+        assert digest == hashlib.sha256(",".join(degrees).encode()).hexdigest()
+
+    def test_hashlib_fallback_gives_the_same_digest(self, coauthor_corpus, tmp_path, monkeypatch):
+        built_in, _ = self.digest_and_degrees(coauthor_corpus, tmp_path / "built_in")
+        for name in ("_sha2", "_sha256"):
+            monkeypatch.setitem(sys.modules, name, None)  # import raises ImportError
+        calls = []
+        openssl_sha256 = hashlib.sha256
+
+        def sha256(data):
+            calls.append(data)
+            return openssl_sha256(data)
+
+        monkeypatch.setattr(hashlib, "sha256", sha256)
+        fallback, _ = self.digest_and_degrees(coauthor_corpus, tmp_path / "fallback")
+        assert len(calls) == 1
+        assert fallback == built_in
 
 
 class TestKeywordsCommand:

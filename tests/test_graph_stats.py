@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import tracemalloc
 from itertools import combinations
 from unittest import mock
 
@@ -41,6 +42,7 @@ from oracles import (
     brute_closeness,
     brute_degree_centrality,
     compact_csr,
+    listwise_hurwitz_zeta,
     neighbor_sets,
     random_graph,
     sample_discrete_power_law,
@@ -340,6 +342,45 @@ class TestFitPowerLawMatchesScipyOracle:
     @given(st.lists(st.one_of(st.integers(1, 6), st.integers(1, 3000)), min_size=50, max_size=300))
     def test_hypothesis_degree_lists(self, degrees):
         assert_fit_matches_oracle(degrees)
+
+
+ZETA_BLOCKS = [1, 7, 499, 10_000]
+
+
+class TestBlockedZetaTable:
+    """Whatever the block size, the blocked in-place table is the
+    list-of-lists one bit for bit, and the fit does not change."""
+
+    @pytest.mark.parametrize("block", ZETA_BLOCKS)
+    def test_tables_are_hex_equal_to_the_listwise_ones(self, monkeypatch, block):
+        monkeypatch.setattr(graph_stats, "_ZETA_BLOCK", block)
+        for alphas, qs in (
+            (np.arange(1.01, 6.0, 0.01), np.arange(1, 400)),
+            (np.arange(1.0001, 6.02, 0.0005), [40, 3, 3, 1, 2999, 40, 7]),
+            ([1.0001, 2.5, 6.02], [1]),
+        ):
+            ours, expected = _hurwitz_zeta(alphas, qs), listwise_hurwitz_zeta(alphas, qs)
+            assert ours.shape == expected.shape
+            assert list(map(float.hex, ours.ravel().tolist())) == list(map(float.hex, expected.ravel().tolist()))
+
+    @pytest.mark.parametrize("block", ZETA_BLOCKS)
+    def test_fits_match_the_oracle(self, monkeypatch, block):
+        monkeypatch.setattr(graph_stats, "_ZETA_BLOCK", block)
+        assert_fit_matches_oracle(sample_discrete_power_law(2.3, 5_000, 7))
+        for seed in range(12):
+            assert_fit_matches_oracle(gappy_degrees(seed))
+
+    def test_fit_peaks_in_bounded_memory(self):
+        # 101 distinct degrees; the list-of-lists table peaked at 7.2 MiB here
+        degrees = sample_discrete_power_law(1.8, 2_000, 0)
+        fit_power_law(degrees)  # numpy's lazy imports allocate on first use
+        tracemalloc.start()
+        try:
+            fit_power_law(degrees)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 2**20
 
 
 class TestFitPowerLaw:

@@ -1,7 +1,8 @@
 """Import footprint: numpy loads only on the code paths that use it, no
-command loads scipy, `network` leaves `numpy.ma` unloaded and, since no
-kernel calls BLAS, starts no OpenBLAS worker threads. OpenSSL (`_hashlib`)
-loads only where `network` writes its power-law digest.
+command loads scipy or OpenSSL (`_hashlib`: `network` takes its power-law
+digest from CPython's built-in SHA-256), and `network` leaves `numpy.ma`
+unloaded and, since no kernel calls BLAS, starts no OpenBLAS worker
+threads.
 
 Each case runs in a fresh interpreter, because this test process has
 already imported numpy and scipy through other tests.
@@ -91,7 +92,7 @@ def test_network_with_power_law_fit_leaves_scipy_unloaded(tmp_path):
     assert "skipped" not in powerlaw
     assert powerlaw["n_tail"] >= 1
     assert "numpy" in loaded
-    assert "_hashlib" in loaded
+    assert "_hashlib" not in loaded
     assert "scipy" not in loaded
     # np.union1d and a flagless np.unique would import it, ~15 ms
     assert "numpy.ma" not in loaded
