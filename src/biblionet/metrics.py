@@ -78,19 +78,18 @@ def author_table(corpus: Corpus, k: int = 10) -> list[AuthorRow]:
 
     Ties on the total break by name ascending.
     """
-    rows = []
-    for name, vector in author_citation_vectors(corpus).items():
-        total = sum(vector)
-        rows.append(AuthorRow(
-            name=name,
-            total_cited=total,
-            papers=len(vector),
-            cited_per_paper=total / len(vector),
-            h=h_index(vector),
-            g=g_index(vector),
-        ))
-    rows.sort(key=lambda row: (-row.total_cited, row.name))
-    return rows[:k]
+    vectors = author_citation_vectors(corpus)
+    totals = {name: sum(vector) for name, vector in vectors.items()}
+    # rank first: h and g sort each vector, so they are worked out for the kept rows only
+    ranked = sorted(totals, key=lambda name: (-totals[name], name))[:k]
+    return [AuthorRow(
+        name=name,
+        total_cited=totals[name],
+        papers=len(vectors[name]),
+        cited_per_paper=totals[name] / len(vectors[name]),
+        h=h_index(vectors[name]),
+        g=g_index(vectors[name]),
+    ) for name in ranked]
 
 
 def _two_or_more_ratio(column: list[list[str]], degenerate: str) -> float:
@@ -264,7 +263,10 @@ def monthly_counts(corpus: Corpus, group_by: str = "all", keys: list[str] | None
     table: dict[str, Counter] = {}
     for index, ym in corpus.dated_view.items():
         for group in ("ALL",) if groups is None else groups[index]:
-            table.setdefault(group, Counter())[ym] += 1
+            counts = table.get(group)
+            if counts is None:
+                counts = table[group] = Counter()
+            counts[ym] += 1
     if keys is None:
         selected = sorted(table)
     else:

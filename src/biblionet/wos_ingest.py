@@ -10,7 +10,6 @@ common record builder that keeps the retained columns.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import repeat
@@ -30,8 +29,9 @@ from .normalize import (
 
 PUBLICATION_TYPES = frozenset({"B", "J", "P", "S"})
 
-_TAG_LINE = re.compile(r"^([A-Z0-9]{2})( |$)")
-_TAG_TOKEN = re.compile(r"^[A-Z0-9]{2}$")
+# the characters of a field tag, ASCII only: str.isupper and str.isalnum
+# also take letters and digits of other scripts
+_TAG_CHARS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789")
 
 
 @dataclass
@@ -173,16 +173,22 @@ class ParseResult:
 
 
 def _to_int(text: str, default: int = 0) -> int:
+    if not text:  # an empty count field is common: spare it the exception
+        return default
     try:
         return int(text.strip())
-    except (ValueError, AttributeError):
+    except ValueError:
         return default
 
 
 def _build_record(fields: dict[str, list[str]], warnings: list[str], context: str) -> BiblioRecord | None:
-    """Assemble a BiblioRecord from tag -> raw lines; None if unusable."""
+    """Assemble a BiblioRecord from tag -> stripped parts; None if unusable."""
     def joined(tag: str) -> str:
-        return " ".join(part.strip() for part in fields.get(tag, [])).strip()
+        parts = fields.get(tag)
+        if not parts:
+            return ""
+        # only an empty part at either end leaves a blank for the strip
+        return parts[0] if len(parts) == 1 else " ".join(parts).strip()
 
     title = joined("TI")
     if not title:
@@ -195,9 +201,7 @@ def _build_record(fields: dict[str, list[str]], warnings: list[str], context: st
         warnings.append(f"{context}: unknown publication type {pt!r}, record skipped")
         return None
 
-    authors: list[str] = []
-    for line in fields.get("AF", []):
-        authors.extend(name.strip() for name in line.split(";") if name.strip())
+    authors = [name for line in fields.get("AF", ()) for name in map(str.strip, line.split(";")) if name]
 
     page_count = _to_int(joined("PG"), 0)
     return BiblioRecord(
@@ -209,7 +213,7 @@ def _build_record(fields: dict[str, list[str]], warnings: list[str], context: st
         document_type=joined("DT"),
         author_keywords=split_list_field(joined("DE"), lowercase=True),
         abstract=joined("AB") or None,
-        addresses="; ".join(part.strip() for part in fields.get("C1", []) if part.strip()),
+        addresses="; ".join(filter(None, fields.get("C1", ()))),
         cited_reference_count=max(0, _to_int(joined("NR"))),
         times_cited=max(0, _to_int(joined("TC"))),
         publication_date=joined("PD"),
@@ -224,40 +228,41 @@ def _parse_tagged(text: str) -> ParseResult:
     records: list[BiblioRecord] = []
     warnings: list[str] = []
     fields: dict[str, list[str]] = {}
-    current_tag: str | None = None
-    record_start = 1
+    parts: list[str] | None = None  # the current tag's parts, which continuation lines extend
+    record_start = 0  # the line of the current record's first tag line
 
-    def flush(line_no: int) -> None:
-        nonlocal fields, current_tag, record_start
+    def flush() -> None:
+        nonlocal fields, parts
         if fields:
             record = _build_record(fields, warnings, f"record starting at line {record_start}")
             if record is not None:
                 records.append(record)
         fields = {}
-        current_tag = None
-        record_start = line_no + 1
+        parts = None
 
-    for line_no, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.rstrip()
-        if not line.strip():
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        line = line.rstrip()
+        if not line:
             continue
-        match = _TAG_LINE.match(line)
-        if match:
-            tag = match.group(1)
+        # a tag line: two tag characters, then a space or the end of the line
+        if line[0] in _TAG_CHARS and len(line) > 1 and line[1] in _TAG_CHARS and (len(line) == 2 or line[2] == " "):
+            tag = line[:2]
             if tag == "ER":
-                flush(line_no)
+                flush()
                 continue
             if tag == "EF":
                 break
             if not fields:
                 record_start = line_no
-            current_tag = tag
-            fields.setdefault(tag, []).append(line[3:].strip())
-        elif current_tag:
+            parts = fields.get(tag)
+            if parts is None:
+                parts = fields[tag] = []
+            parts.append(line[3:].lstrip())
+        elif parts is not None:
             # a continuation line; nonstandard wrapping without the
             # 3-space indent is tolerated
-            fields[current_tag].append(line.strip())
-    flush(0)
+            parts.append(line.lstrip())
+    flush()
     return ParseResult(records=records, warnings=warnings)
 
 
@@ -270,7 +275,7 @@ def _parse_tab_delimited(text: str) -> ParseResult:
 
     header = lines[0].rstrip("\r\n").split("\t")
     tags = [tag.strip() for tag in header]
-    bad = [tag for tag in tags if not _TAG_TOKEN.match(tag)]
+    bad = [tag for tag in tags if len(tag) != 2 or not _TAG_CHARS.issuperset(tag)]
     if bad:
         raise FormatError(f"malformed header at line 1: invalid field tags {bad}")
 
@@ -279,11 +284,11 @@ def _parse_tab_delimited(text: str) -> ParseResult:
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        cells = line.split("\t")
         fields: dict[str, list[str]] = {}
-        for tag, cell in zip(tags, cells):
-            if cell.strip():
-                fields[tag] = [cell.strip()]
+        for tag, cell in zip(tags, line.split("\t")):
+            cell = cell.strip()
+            if cell:
+                fields[tag] = [cell]
         record = _build_record(fields, warnings, f"line {line_no}")
         if record is not None:
             records.append(record)
@@ -405,9 +410,10 @@ def write_corpus_jsonl(corpus: Corpus, path: str | Path) -> None:
     """Write one JSON object per record, field names as in BiblioRecord."""
     # every field is a str, int, None or list of str, so the instance
     # dict serializes as is; dataclasses.asdict would deep-copy each one
+    encode = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for record in corpus.records:
-            fh.write(json.dumps(vars(record), sort_keys=True, ensure_ascii=False))
+            fh.write(encode(vars(record)))
             fh.write("\n")
 
 

@@ -11,6 +11,7 @@ import csv
 import io
 import math
 import random
+import re
 import string
 from collections import Counter
 from pathlib import Path
@@ -20,11 +21,13 @@ import numpy as np
 from scipy.special import zeta
 
 from biblionet.dedup import SuspectPair
-from biblionet.errors import DegenerateDataError
+from biblionet.errors import DegenerateDataError, FormatError
 from biblionet.graph_stats import _EULER_MACLAURIN, _MACHEP, PowerLawFit
 from biblionet.graphs import SELF_LOOP_KINDS, GraphKind, WeightedGraph
 from biblionet.keywords import StopwordSet, filter_stopwords
-from biblionet.wos_ingest import BiblioRecord, Corpus
+from biblionet.metrics import AuthorRow
+from biblionet.normalize import split_list_field
+from biblionet.wos_ingest import PUBLICATION_TYPES, BiblioRecord, Corpus, ParseResult
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +64,132 @@ def brute_force_suspect_pairs(names: list[str], threshold: float) -> list[Suspec
                 pairs.append(SuspectPair(a, b, ratio))
     pairs.sort(key=lambda p: (-p.ratio, p.name_a, p.name_b))
     return pairs
+
+
+# ---------------------------------------------------------------------------
+# the export parser as it was: tag lines by regex, every part stripped
+# again where it is read
+
+_REGEX_TAG_LINE = re.compile(r"^([A-Z0-9]{2})( |$)")
+_REGEX_TAG_TOKEN = re.compile(r"^[A-Z0-9]{2}$")
+
+
+def _int_or_default(text: str, default: int = 0) -> int:
+    try:
+        return int(text.strip())
+    except (ValueError, AttributeError):
+        return default
+
+
+def restripping_build_record(fields: dict[str, list[str]], warnings: list[str], context: str) -> BiblioRecord | None:
+    """Assemble a BiblioRecord from tag -> raw lines; None if unusable."""
+    def joined(tag: str) -> str:
+        return " ".join(part.strip() for part in fields.get(tag, [])).strip()
+
+    title = joined("TI")
+    if not title:
+        warnings.append(f"{context}: record missing title, skipped")
+        return None
+
+    pt = joined("PT")
+    pt = pt.split()[0].upper() if pt else "J"
+    if pt not in PUBLICATION_TYPES:
+        warnings.append(f"{context}: unknown publication type {pt!r}, record skipped")
+        return None
+
+    authors: list[str] = []
+    for line in fields.get("AF", []):
+        authors.extend(name.strip() for name in line.split(";") if name.strip())
+
+    page_count = _int_or_default(joined("PG"), 0)
+    return BiblioRecord(
+        publication_type=pt,
+        title=title,
+        author_full_names=authors,
+        source_abbrev=joined("JI"),
+        language=joined("LA"),
+        document_type=joined("DT"),
+        author_keywords=split_list_field(joined("DE"), lowercase=True),
+        abstract=joined("AB") or None,
+        addresses="; ".join(part.strip() for part in fields.get("C1", []) if part.strip()),
+        cited_reference_count=max(0, _int_or_default(joined("NR"))),
+        times_cited=max(0, _int_or_default(joined("TC"))),
+        publication_date=joined("PD"),
+        publication_year=_int_or_default(joined("PY")),
+        research_areas=split_list_field(joined("SC")),
+        page_count=page_count if page_count > 0 else None,
+        accession_id=joined("UT") or None,
+    )
+
+
+def regex_parse_tagged(text: str) -> ParseResult:
+    """The tagged dialect, each line matched against `^([A-Z0-9]{2})( |$)`."""
+    records: list[BiblioRecord] = []
+    warnings: list[str] = []
+    fields: dict[str, list[str]] = {}
+    current_tag: str | None = None
+    record_start = 1
+
+    def flush(line_no: int) -> None:
+        nonlocal fields, current_tag, record_start
+        if fields:
+            record = restripping_build_record(fields, warnings, f"record starting at line {record_start}")
+            if record is not None:
+                records.append(record)
+        fields = {}
+        current_tag = None
+        record_start = line_no + 1
+
+    for line_no, raw_line in enumerate(text.splitlines(), start=1):
+        line = raw_line.rstrip()
+        if not line.strip():
+            continue
+        match = _REGEX_TAG_LINE.match(line)
+        if match:
+            tag = match.group(1)
+            if tag == "ER":
+                flush(line_no)
+                continue
+            if tag == "EF":
+                break
+            if not fields:
+                record_start = line_no
+            current_tag = tag
+            fields.setdefault(tag, []).append(line[3:].strip())
+        elif current_tag:
+            fields[current_tag].append(line.strip())
+    flush(0)
+    return ParseResult(records=records, warnings=warnings)
+
+
+def regex_parse_tab_delimited(text: str) -> ParseResult:
+    """The tab-delimited dialect, header tags matched against `^[A-Z0-9]{2}$`."""
+    lines = text.splitlines()
+    while lines and not lines[0].strip():
+        lines.pop(0)
+    if not lines:
+        return ParseResult(records=[], warnings=[])
+
+    header = lines[0].rstrip("\r\n").split("\t")
+    tags = [tag.strip() for tag in header]
+    bad = [tag for tag in tags if not _REGEX_TAG_TOKEN.match(tag)]
+    if bad:
+        raise FormatError(f"malformed header at line 1: invalid field tags {bad}")
+
+    records: list[BiblioRecord] = []
+    warnings: list[str] = []
+    for line_no, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        cells = line.split("\t")
+        fields: dict[str, list[str]] = {}
+        for tag, cell in zip(tags, cells):
+            if cell.strip():
+                fields[tag] = [cell.strip()]
+        record = restripping_build_record(fields, warnings, f"line {line_no}")
+        if record is not None:
+            records.append(record)
+    return ParseResult(records=records, warnings=warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +264,19 @@ def brute_g_index(citations: list[int]) -> int:
         if g * g <= sum(ranked[:g]):
             best = g
     return best
+
+
+def every_row_author_table(corpus: Corpus, k: int) -> list[AuthorRow]:
+    """A row, with brute-force h and g, for every author; then the first
+    k by total citations descending, name ascending."""
+    vectors: dict[str, list[int]] = {}
+    for record in corpus.records:
+        for name in record.distinct_authors():
+            vectors.setdefault(name, []).append(record.times_cited)
+    rows = [AuthorRow(name, sum(vector), len(vector), sum(vector) / len(vector),
+                      brute_h_index(vector), brute_g_index(vector)) for name, vector in vectors.items()]
+    rows.sort(key=lambda row: (-row.total_cited, row.name))
+    return rows[:k]
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,10 @@ def run_cli(*argv) -> str:
 
 
 def test_importing_cli_loads_every_layer_but_neither_numpy_nor_scipy():
+    """The benchmark's tracer needs every layer loaded by `import biblionet.cli`:
+    `Tracer.install` (perfbench/tracer.py:227) reads each one from `sys.modules`
+    right after that import, so a layer imported lazily per command would make
+    every `--trace 1` run fail. Do not loosen this test to import layers lazily."""
     loaded = modules_after("import biblionet.cli")
     assert {f"biblionet.{layer}" for layer in LAYERS} <= loaded
     assert "numpy" not in loaded

@@ -25,7 +25,7 @@ from biblionet.metrics import (
 )
 from biblionet.normalize import YearMonth
 from biblionet.wos_ingest import BiblioRecord, Corpus
-from oracles import brute_g_index, brute_h_index, numpy_pearson, random_corpus
+from oracles import brute_g_index, brute_h_index, every_row_author_table, numpy_pearson, random_corpus
 
 citation_vectors = st.lists(st.integers(min_value=0, max_value=10_000), max_size=50)
 
@@ -119,6 +119,12 @@ class TestAuthorTable:
         corpus = corpus_of(record(author_full_names=["A, X", "B, Y"], times_cited=10))
         rows = author_table(corpus, 5)
         assert [r.total_cited for r in rows] == [10, 10]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_equals_a_row_for_every_author_then_cut(self, seed):
+        corpus = random_corpus(seed, n_records=80)
+        for k in (0, 1, 10, 1000):
+            assert author_table(corpus, k) == every_row_author_table(corpus, k)
 
 
 class TestCollaborationRatios:

@@ -1,7 +1,10 @@
 import dataclasses
 import json
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from biblionet.errors import FormatError
 from biblionet.normalize import YearMonth
@@ -13,9 +16,13 @@ from biblionet.wos_ingest import (
     parse_file,
     read_corpus_column,
     read_corpus_jsonl,
+    sniff_format,
     write_corpus_jsonl,
 )
-from oracles import to_tab_delimited
+from oracles import regex_parse_tab_delimited, regex_parse_tagged, to_tab_delimited
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from generate import CorpusSpec, generate  # noqa: E402
 
 
 def record(**kwargs) -> BiblioRecord:
@@ -128,6 +135,78 @@ class TestTaggedParsing:
     def test_format_sniffing(self, fixture_paths, tab_fixture_path):
         assert len(parse_file(fixture_paths[0], format="auto").records) == 11
         assert len(parse_file(tab_fixture_path, format="auto").records) == 5
+
+
+# tagged-export lines for the differential test: tag lines with one- and
+# three-character, lowercase or non-ASCII tags, tag lines whose third
+# character is a tab or U+00A0, continuation lines with and without the
+# indent, whitespace-only lines and terminators with trailing blanks
+_TAGS = ("FN", "VR", "PT", "AF", "TI", "JI", "DT", "DE", "AB", "C1", "NR", "TC", "PD", "PY", "SC",
+         "PG", "UT", "ZZ", "ER", "EF", "ti", "Ti", "T", "TII", "X9", "\uff34\uff29", "\xc0B")
+_VALUES = st.text(alphabet="aZ9 ;.,[]-\t\u00a0JSPQ", max_size=16)
+_LINES = st.one_of(
+    st.builds("".join, st.tuples(st.sampled_from(_TAGS), st.sampled_from((" ", "", "\t", "\u00a0", "   ")), _VALUES)),
+    st.builds("".join, st.tuples(st.sampled_from(("   ", "", " ", "\t", "\u00a0")), _VALUES)),
+    st.sampled_from(("", " ", "\t", "\u00a0", "ER", "ER   ", "ER \t", "EF", "PT J", "PT B", "TI", "TI A title", "C1", "DE",
+                     "PY 2020", "PD MAR 15", "TC 4", "PG 0", "AF Doe, J; Roe, R", "C1 [Doe, J] Univ X, Italy.")),
+)
+_TAGGED_TEXTS = st.builds(
+    lambda header, lines, eol, final: eol.join(header + lines) + final,
+    st.sampled_from(([], ["FN Clarivate Analytics Web of Science", "VR 1.0"])),
+    st.lists(_LINES, max_size=40),
+    st.sampled_from(("\n", "\r\n", "\r")),
+    st.sampled_from(("", "\n", "\r\n")),
+)
+_HEADER_CELLS = st.sampled_from(("PT", "TI", "AF", "TC", "PY", "UT", " TI ", "\u00a0PG", "ti", "P", "PTX", "\uff34\uff29"))
+_TAB_TEXTS = st.builds(
+    lambda header, rows: "\n".join(["\t".join(header)] + ["\t".join(row) for row in rows]),
+    st.lists(_HEADER_CELLS, min_size=1, max_size=6),
+    st.lists(st.lists(_VALUES, max_size=7), max_size=8),
+)
+
+
+def _outcome(parse, text: str):
+    try:
+        return parse(text)
+    except FormatError as exc:
+        return f"FormatError: {exc}"
+
+
+class TestParserMatchesRegexReference:
+    """Records and warnings equal those of the parser that matched tag
+    lines with a regex and stripped every part again where it was read."""
+
+    @staticmethod
+    def assert_file_matches(path: Path) -> None:
+        text = path.read_bytes().decode("utf-8-sig")
+        reference = regex_parse_tab_delimited if sniff_format(text) == "tab_delimited" else regex_parse_tagged
+        assert parse_file(path) == reference(text)
+
+    def test_fixtures(self, fixture_paths, tab_fixture_path):
+        for path in [*fixture_paths, tab_fixture_path]:
+            self.assert_file_matches(path)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_generated_exports(self, tmp_path, seed):
+        spec = CorpusSpec(records=400, new_author_prob=0.55, authors_per_paper=(1, 2, 3),
+                          institutions=20, keyword_vocabulary=60, untitled_share=0.02)
+        paths, truth = generate(spec, seed, tmp_path)
+        for path in paths:
+            self.assert_file_matches(path)
+        assert sum(parse_file(path).skipped for path in paths) == truth.records_skipped > 0
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.one_of(_TAGGED_TEXTS, st.text(alphabet="ERFTIPJ9a ;\t\u00a0\r\n", max_size=120)))
+    @example("FN Clarivate Analytics Web of Science\r\nVR 1.0\r\nPT J\r\nAF Doe, J; ;\r\n   Roe, R;\r\nTI\r\n   T\r\nC1\r\n"
+             "   [A] U, Italy.\r\nDE \r\na; b\r\nER   \r\n \r\nPT J\r\nTI U\r\nEF\r\nTI V\r\n")
+    def test_tagged_texts(self, text):
+        assert parse_export(text, format="tagged") == regex_parse_tagged(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_TAB_TEXTS)
+    def test_tab_delimited_texts(self, text):
+        assert _outcome(lambda t: parse_export(t, format="tab_delimited"), text) == _outcome(
+            regex_parse_tab_delimited, text)
 
 
 class TestDetectDuplicates:
