@@ -65,6 +65,7 @@ from .wos_ingest import (
     Corpus,
     ParseResult,
     detect_duplicates,
+    iter_corpus_records,
     merge_corpora,
     parse_export,
     parse_file,

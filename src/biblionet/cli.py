@@ -19,7 +19,9 @@ from pathlib import Path
 from . import dedup, graph_stats, graphs, keywords, metrics
 from .errors import DegenerateDataError, FormatError
 from .normalize import NormalizationRules
-from .wos_ingest import merge_corpora, parse_file, read_corpus_column, read_corpus_jsonl, write_corpus_jsonl
+from .wos_ingest import (
+    iter_corpus_records, merge_corpora, parse_file, read_corpus_column, read_corpus_jsonl, write_corpus_jsonl,
+)
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -33,7 +35,9 @@ OUT_DIR_ENV = "BIBLIONET_OUT"
 AUTO_SAMPLE_THRESHOLD = 20_000
 AUTO_SAMPLE_SIZE = 1_000
 
-_CONFIG_KEYS = {"out", "format", "top_k", "fuzzy_threshold", "seed", "sample", "stopwords", "rules"}
+# config key -> the argparse dest of the flag that overrides it
+_FLAGS = {"out": "out", "format": "format", "top_k": "top_k", "fuzzy_threshold": "threshold",
+          "seed": "seed", "sample": "sample", "stopwords": "stopwords", "rules": "rules"}
 
 
 class ConfigError(ValueError):
@@ -74,7 +78,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"config {args.config} must be a JSON object, got {data!r}")
-        unknown = set(data) - _CONFIG_KEYS
+        unknown = set(data) - _FLAGS.keys()
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         for key, value in data.items():
@@ -82,26 +86,16 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             unset = value is None and key != "out"
             if key in ("out", "stopwords", "rules") and not (isinstance(value, str) or unset):
                 raise ConfigError(f"{key} must be a file path, got {value!r}")
-            setattr(config, key, Path(value) if key == "out" else value)
-    env_out = os.environ.get(OUT_DIR_ENV)
-    if env_out:
-        config.out = Path(env_out)
-    if getattr(args, "out", None):
-        config.out = Path(args.out)
-    if getattr(args, "seed", None) is not None:
-        config.seed = args.seed
-    if getattr(args, "top_k", None) is not None:
-        config.top_k = args.top_k
-    if getattr(args, "sample", None) is not None:
-        config.sample = args.sample
-    if getattr(args, "format", None):
-        config.format = args.format
-    if getattr(args, "threshold", None) is not None:
-        config.fuzzy_threshold = args.threshold
-    if getattr(args, "stopwords", None):
-        config.stopwords = args.stopwords
-    if getattr(args, "rules", None):
-        config.rules = args.rules
+            if key == "out" and not value:
+                raise ConfigError("out must not be empty, which would write into the working directory")
+            setattr(config, key, value)
+    # the environment overrides the config file, and a flag both; an
+    # unset variable, a flag the command lacks or one given as "" sets nothing
+    overrides = [(key, getattr(args, flag, None)) for key, flag in _FLAGS.items()]
+    for key, value in [("out", os.environ.get(OUT_DIR_ENV)), *overrides]:
+        if value is not None and value != "":
+            setattr(config, key, value)
+    config.out = Path(config.out)
     _check_int("top_k", config.top_k, minimum=1)
     _check_int("seed", config.seed)
     if config.sample is not None:
@@ -171,50 +165,33 @@ def _write_manifest(outdir: Path, command: str, config: RunConfig, **extra) -> N
     _write_json(outdir / "manifest.json", payload)
 
 
-def _write_staged(target: Path, write) -> int:
-    """Run `write` on a fresh staging directory beside `target` and, when
-    it returns EXIT_OK, swap the staging directory in for `target`.
+def _write_staged(out: Path, name: str, write) -> int:
+    """Run `write` on a fresh staging directory `out/.<name>.partial` and,
+    when it returns EXIT_OK, move each entry it staged into `out`: a
+    staged directory replaces any earlier one of the same name whole.
 
-    A run that fails or raises leaves no partial tree and an earlier
-    complete one untouched; the staging directory goes either way.
+    A run that fails or raises leaves no partial output and the earlier
+    outputs untouched; the staging directory goes either way.
     """
-    staging = target.with_name(f".{target.name}.partial")
+    staging = out / f".{name}.partial"
     if staging.exists():
         shutil.rmtree(staging)
     staging.mkdir(parents=True)
     try:
         code = write(staging)
         if code == EXIT_OK:
-            if target.exists():
-                shutil.rmtree(target)
-            os.replace(staging, target)
+            for path in sorted(staging.iterdir()):
+                target = out / path.name
+                if path.is_dir() and target.exists():
+                    shutil.rmtree(target)
+                os.replace(path, target)
         return code
     finally:
         shutil.rmtree(staging, ignore_errors=True)
 
 
-def _write_files_staged(outdir: Path, write) -> None:
-    """Run `write` on a fresh staging directory inside `outdir`, then move
-    each file it wrote into `outdir`, only once all of them are written.
-
-    For `--out` itself, which holds every command's tree and so cannot
-    be swapped whole: a run that raises leaves the files already there
-    as they were, and the staging directory goes either way.
-    """
-    staging = outdir / ".parse.partial"
-    if staging.exists():
-        shutil.rmtree(staging)
-    staging.mkdir(parents=True)
-    try:
-        write(staging)
-        for path in sorted(staging.iterdir()):
-            os.replace(path, outdir / path.name)
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)
-
-
 def _counts_table(outdir: Path, name: str, counts, k: int) -> None:
-    ranked = metrics.top_k(dict(counts), k) if counts else []
+    ranked = metrics.top_k(counts, k)
     _write_csv(outdir / f"{name}.csv", ["value", "count"], ranked)
     _write_json(outdir / f"{name}.json", [{"value": value, "count": count} for value, count in ranked])
 
@@ -249,12 +226,13 @@ def cmd_parse(args: argparse.Namespace, config: RunConfig) -> int:
         "warnings": warnings,
     }
 
-    def write(outdir: Path) -> None:
+    def write(outdir: Path) -> int:
         write_corpus_jsonl(corpus, outdir / "corpus.jsonl")
         _write_json(outdir / "parse_summary.json", summary)
         _write_manifest(outdir, "parse", config)
+        return EXIT_OK
 
-    _write_files_staged(config.out, write)
+    _write_staged(config.out, "parse", write)
     print(
         f"parsed {parsed} records ({skipped} skipped, {duplicates_removed} duplicates removed); "
         f"corpus {len(corpus)}, dated view {len(corpus.dated_view)}"
@@ -264,10 +242,9 @@ def cmd_parse(args: argparse.Namespace, config: RunConfig) -> int:
 
 def cmd_stats(args: argparse.Namespace, config: RunConfig) -> int:
     corpus = read_corpus_jsonl(args.corpus, config.rule_tables)
-    target = config.out / "stats"
-    code = _write_staged(target, lambda outdir: _write_stats_tables(corpus, outdir, config))
+    code = _write_staged(config.out, "stats", lambda staging: _write_stats_tables(corpus, staging / "stats", config))
     if code == EXIT_OK:
-        print(f"stats written to {target}")
+        print(f"stats written to {config.out / 'stats'}")
     return code
 
 
@@ -334,7 +311,7 @@ def _write_stats_tables(corpus, outdir: Path, config: RunConfig) -> int:
             ("monthly_by_research_area", "research_area"),
         ):
             table = name
-            keys = None if group_by == "all" else [key for key, _ in metrics.top_k(dict(counts[group_by]), k)]
+            keys = None if group_by == "all" else [key for key, _ in metrics.top_k(counts[group_by], k)]
             series = metrics.monthly_counts(corpus, group_by, keys)
             _write_csv(
                 outdir / f"{name}.csv",
@@ -391,9 +368,9 @@ def cmd_network(args: argparse.Namespace, config: RunConfig) -> int:
     kind = graphs.GraphKind(args.kind.replace("-", "_"))
     # built from one streamed column, which no name keeps once it is paired
     graph = graphs.pair_graph(kind, read_corpus_column(args.corpus, graphs.COLUMNS[kind], config.rule_tables))
-    target = config.out / f"network_{kind.value}"
-    _write_staged(target, lambda outdir: _write_network(graph, outdir, args, config))
-    print(f"network analytics for kind={args.kind} written to {target}")
+    name = f"network_{kind.value}"
+    _write_staged(config.out, name, lambda staging: _write_network(graph, staging / name, args, config))
+    print(f"network analytics for kind={args.kind} written to {config.out / name}")
     return EXIT_OK
 
 
@@ -510,14 +487,14 @@ def _write_network(graph: graphs.WeightedGraph, outdir: Path, args: argparse.Nam
 
 
 def cmd_keywords(args: argparse.Namespace, config: RunConfig) -> int:
-    corpus = read_corpus_jsonl(args.corpus, config.rule_tables)
     stopword_set = (
         keywords.StopwordSet.from_file(config.stopwords) if config.stopwords else keywords.StopwordSet()
     )
-    ranked = keywords.keyword_frequencies(corpus, stopword_set, args.n)
-    target = config.out / "keywords"
+    # counted as the records stream past, so no record is kept
+    ranked = keywords.keyword_frequencies(iter_corpus_records(args.corpus), stopword_set, args.n)
 
-    def write(outdir: Path) -> int:
+    def write(staging: Path) -> int:
+        outdir = staging / "keywords"
         _write_csv(outdir / "keyword_frequencies.csv", ["token", "count"], ranked)
         _write_json(outdir / "keyword_frequencies.json", [
             {"token": token, "count": count} for token, count in ranked
@@ -525,8 +502,8 @@ def cmd_keywords(args: argparse.Namespace, config: RunConfig) -> int:
         _write_manifest(outdir, "keywords", config, n=args.n)
         return EXIT_OK
 
-    _write_staged(target, write)
-    print(f"{len(ranked)} keyword frequencies written to {target}")
+    _write_staged(config.out, "keywords", write)
+    print(f"{len(ranked)} keyword frequencies written to {config.out / 'keywords'}")
     return EXIT_OK
 
 
@@ -536,15 +513,16 @@ def cmd_dedup_authors(args: argparse.Namespace, config: RunConfig) -> int:
     if config.sample is not None:
         names = dedup.sample_names(names, config.sample, config.seed)
     pairs = dedup.find_suspect_pairs(names, config.fuzzy_threshold)
-    target = config.out / "dedup"
 
-    def write(outdir: Path) -> int:
+    def write(staging: Path) -> int:
+        outdir = staging / "dedup"
+        outdir.mkdir()  # which write_suspect_pairs_csv does not make
         dedup.write_suspect_pairs_csv(pairs, outdir / "suspect_pairs.csv")
         _write_manifest(outdir, "dedup-authors", config, names_compared=len(names))
         return EXIT_OK
 
-    _write_staged(target, write)
-    print(f"{len(pairs)} suspect pairs (threshold {config.fuzzy_threshold}) written to {target}")
+    _write_staged(config.out, "dedup", write)
+    print(f"{len(pairs)} suspect pairs (threshold {config.fuzzy_threshold}) written to {config.out / 'dedup'}")
     return EXIT_OK
 
 

@@ -236,8 +236,9 @@ def largest_component_subgraph(graph: WeightedGraph) -> WeightedGraph:
     view = graph._view
     if view.largest is None:
         members = components[0]
+        # its own node set: editing the subgraph's nodes leaves the shared component alone
         view.largest = graph if len(components) == 1 else WeightedGraph(
-            graph.kind, members, {pair: w for pair, w in graph.edges.items() if pair[0] in members})
+            graph.kind, set(members), {pair: w for pair, w in graph.edges.items() if pair[0] in members})
     return view.largest
 
 

@@ -119,9 +119,10 @@ class _GraphView:
     The `degree[i]` neighbours of node i are
     `indices[indptr[i]:indptr[i + 1]]`, in index order; `component[i]`
     is its component's position in `connected_components`.  The last
-    three fields keep what `graph_stats` derives from the view once it
-    has been asked for: the largest component subgraph, the node whose
-    traversal serves each node, and every node's distance sum.
+    four fields keep what is derived from the view once it has been
+    asked for: the member set of each component, the largest component
+    subgraph, the node whose traversal serves each node, and every
+    node's distance sum.
     """
 
     labels: list[str]
@@ -129,6 +130,7 @@ class _GraphView:
     indices: np.ndarray
     degree: np.ndarray
     component: np.ndarray
+    members: list[set[str]] | None = None
     largest: WeightedGraph | None = None
     served_by: tuple[np.ndarray, np.ndarray] | None = None
     distance_sums: np.ndarray | None = None
@@ -168,13 +170,17 @@ def _build_view(graph: WeightedGraph) -> _GraphView:
 def connected_components(graph: WeightedGraph) -> list[set[str]]:
     """Components of the simple-graph view, largest first.
 
-    Ties on size break by smallest member label for determinism.
+    Ties on size break by smallest member label for determinism.  The
+    sets are grouped once per graph and shared by every call: read them,
+    never modify them.
     """
     view = graph._view
-    members: dict[int, set[str]] = {}
-    for label, component in zip(view.labels, view.component.tolist()):
-        members.setdefault(component, set()).add(label)
-    return [members[component] for component in range(len(members))]
+    if view.members is None:
+        members: dict[int, set[str]] = {}
+        for label, component in zip(view.labels, view.component.tolist()):
+            members.setdefault(component, set()).add(label)
+        view.members = [members[component] for component in range(len(members))]
+    return list(view.members)
 
 
 def graph_facts(graph: WeightedGraph) -> GraphFacts:

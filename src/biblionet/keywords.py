@@ -11,10 +11,12 @@ import string
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 from .errors import FormatError
 from .stopwords import DEFAULT_STOPWORDS
-from .wos_ingest import Corpus
+from .metrics import top_k
+from .wos_ingest import BiblioRecord
 
 _PUNCTUATION = frozenset(string.punctuation)
 
@@ -63,18 +65,21 @@ def filter_stopwords(tokens: list[str], stopwords: StopwordSet | None = None) ->
 
 
 def keyword_frequencies(
-    corpus: Corpus,
+    records: Iterable[BiblioRecord],
     stopwords: StopwordSet | None = None,
     n: int = 100,
 ) -> list[tuple[str, int]]:
-    """Most frequent surviving tokens over all titles and abstracts.
+    """Most frequent surviving tokens over the titles and abstracts of
+    `records`: any iterable of records, such as a `Corpus` or a stream
+    read with `iter_corpus_records`, which keeps no record.
 
-    Sorted by count descending, ties lexicographic ascending; top n.
+    Ranked as `metrics.top_k` ranks, count descending, ties
+    lexicographic ascending; top n.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     raw_counts: Counter = Counter()
-    for record in corpus.records:
+    for record in records:
         raw_counts.update(f"{record.title} {record.abstract or ''}".lower().split())
     # strip and filter each distinct raw token once; several raw tokens
     # ("covid-19," and "covid-19") can strip to the same token
@@ -84,5 +89,4 @@ def keyword_frequencies(
         if token:
             counts[token] += count
     kept = filter_stopwords(list(counts), stopwords)
-    ranked = sorted(((token, counts[token]) for token in kept), key=lambda item: (-item[1], item[0]))
-    return ranked[:n]
+    return top_k({token: counts[token] for token in kept}, n)

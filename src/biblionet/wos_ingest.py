@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import repeat
 from pathlib import Path
-from typing import BinaryIO, Iterable
+from typing import BinaryIO, Iterable, Iterator
 
 from .errors import FormatError
 from .normalize import (
@@ -111,6 +111,9 @@ class Corpus:
 
     def __len__(self) -> int:
         return len(self.records)
+
+    def __iter__(self) -> Iterator[BiblioRecord]:
+        return iter(self.records)
 
     @cached_property
     def dated_view(self) -> dict[int, YearMonth]:
@@ -432,8 +435,9 @@ def _checked(values: dict) -> dict:
     return values
 
 
-def _corpus_records(path: str | Path) -> Iterable[BiblioRecord]:
-    """The records of a corpus.jsonl file, built and checked one line at a time."""
+def iter_corpus_records(path: str | Path) -> Iterator[BiblioRecord]:
+    """The records of a corpus.jsonl file, built and checked one line at a time,
+    so a caller that keeps none holds one record at a time."""
     with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -451,7 +455,7 @@ def _corpus_records(path: str | Path) -> Iterable[BiblioRecord]:
 
 
 def read_corpus_jsonl(path: str | Path, rules: NormalizationRules | None = None) -> Corpus:
-    return Corpus(list(_corpus_records(path)), rules)
+    return Corpus(list(iter_corpus_records(path)), rules)
 
 
 def read_corpus_column(path: str | Path, name: str, rules: NormalizationRules | None = None) -> list[list[str]]:
@@ -459,4 +463,4 @@ def read_corpus_column(path: str | Path, name: str, rules: NormalizationRules | 
     institution_multisets, research_areas and keywords, keeping no record once its feature is taken."""
     if name not in _COLUMNS:
         raise ValueError(f"unknown corpus column {name!r}, expected one of {sorted(_COLUMNS)}")
-    return _COLUMNS[name](_corpus_records(path), rules)
+    return _COLUMNS[name](iter_corpus_records(path), rules)

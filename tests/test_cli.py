@@ -2,11 +2,13 @@ import hashlib
 import json
 import os
 import sys
+from pathlib import Path
 
 import networkx as nx
 import pytest
 
 from biblionet import cli, graphs
+from biblionet.keywords import keyword_frequencies
 from biblionet.cli import EXIT_CONFIG_ERROR, EXIT_DEGENERATE, EXIT_INPUT_ERROR, EXIT_OK, main
 from biblionet.wos_ingest import BiblioRecord, Corpus, write_corpus_jsonl
 from oracles import synthetic_author_pool_corpus
@@ -379,6 +381,19 @@ class TestKeywordsCommand:
         assert not any(row["token"] in DEFAULT_STOPWORDS for row in rows)
 
 
+    def test_streams_the_corpus(self, parsed_out, monkeypatch):
+        corpus = parsed_out / "corpus.jsonl"
+        expected = keyword_frequencies(cli.read_corpus_jsonl(corpus))
+
+        def load_whole_corpus(*args, **kwargs):
+            raise AssertionError("keywords keeps no record")
+
+        monkeypatch.setattr(cli, "read_corpus_jsonl", load_whole_corpus)
+        assert run("keywords", corpus, "--out", parsed_out) == EXIT_OK
+        rows = json.loads((parsed_out / "keywords" / "keyword_frequencies.json").read_text())
+        assert [(row["token"], row["count"]) for row in rows] == expected
+
+
 class TestDedupCommand:
     def test_flags_known_variant_pair(self, parsed_out):
         assert run("dedup-authors", parsed_out / "corpus.jsonl", "--out", parsed_out) == EXIT_OK
@@ -392,7 +407,58 @@ class TestDedupCommand:
         assert lines == ["name_a,name_b,ratio"]
 
 
+# config key -> a command that has its flag, the flag, a config value and
+# a flag value; path values are file names under the test's directory
+CONFIG_ROWS = {
+    "out": (("keywords", "corpus.jsonl"), "--out", "from_config", "from_flag"),
+    "format": (("parse", "export.txt"), "--format", "tagged", "tab_delimited"),
+    "top_k": (("stats", "corpus.jsonl"), "--top-k", 3, 5),
+    "fuzzy_threshold": (("dedup-authors", "corpus.jsonl"), "--threshold", 0.9, 0.95),
+    "seed": (("network", "corpus.jsonl", "--kind", "country"), "--seed", 7, 9),
+    "sample": (("network", "corpus.jsonl", "--kind", "coauthor"), "--sample", 4, 6),
+    "stopwords": (("keywords", "corpus.jsonl"), "--stopwords", "a.txt", "b.txt"),
+    "rules": (("stats", "corpus.jsonl"), "--rules", "a.json", "b.json"),
+}
+PATH_KEYS = ("out", "stopwords", "rules")
+
+
+def resolve(argv, **namespace):
+    args = cli.build_parser().parse_args([str(a) for a in argv])
+    vars(args).update(namespace)
+    return cli.load_config(args)
+
+
 class TestConfigResolution:
+    def test_one_row_per_config_key(self):
+        assert CONFIG_ROWS.keys() == cli._FLAGS.keys()
+
+    @pytest.mark.parametrize("key", sorted(CONFIG_ROWS))
+    def test_flag_overrides_config_and_empty_flag_sets_nothing(self, tmp_path, monkeypatch, key):
+        monkeypatch.delenv(cli.OUT_DIR_ENV, raising=False)
+        command, flag, from_config, from_flag = CONFIG_ROWS[key]
+        if key in PATH_KEYS:
+            from_config, from_flag = str(tmp_path / from_config), str(tmp_path / from_flag)
+        if key == "rules":
+            for path in (from_config, from_flag):
+                Path(path).write_text("{}", encoding="utf-8")
+        resolved = Path if key == "out" else (lambda value: value)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: from_config}), encoding="utf-8")
+        argv = (*command, "--config", config)
+        assert getattr(resolve(argv), key) == resolved(from_config)
+        assert getattr(resolve((*argv, flag, from_flag)), key) == resolved(from_flag)
+        # argparse passes "" to the path flags only; the rule holds for every flag
+        empty = resolve((*argv, flag, "")) if key in PATH_KEYS else resolve(argv, **{cli._FLAGS[key]: ""})
+        assert getattr(empty, key) == resolved(from_config)
+        if key == "out":
+            # the environment sits between the config file and the flag
+            monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path / "from_env"))
+            assert resolve(argv).out == tmp_path / "from_env"
+            assert resolve((*argv, flag, "")).out == tmp_path / "from_env"
+            assert resolve((*argv, flag, from_flag)).out == Path(from_flag)
+            monkeypatch.setenv(cli.OUT_DIR_ENV, "")
+            assert resolve(argv).out == Path(from_config)
+
     def test_config_file_applies(self, tmp_path, fixture_paths, parsed_out):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"top_k": 3, "seed": 7}), encoding="utf-8")
@@ -439,7 +505,7 @@ class TestConfigResolution:
     @pytest.mark.parametrize("values", [
         {"sample": "5"}, {"sample": 0}, {"sample": 2.5}, {"top_k": "5"}, {"top_k": True},
         {"seed": "1"}, {"seed": 1.5}, {"fuzzy_threshold": "0.9"},
-        {"out": 5}, {"out": None}, {"stopwords": 3}, {"stopwords": True},
+        {"out": 5}, {"out": None}, {"out": ""}, {"stopwords": 3}, {"stopwords": True},
         {"out": "o\ud800"}, {"stopwords": "s\udfff"},
         [], ["out"], 123, None,
     ])

@@ -780,6 +780,21 @@ class TestViewLifetime:
         g = path3()
         assert largest_component_subgraph(g) is g
 
+    def test_components_are_grouped_once(self):
+        g = KERNEL_GRAPHS["disconnected"]()
+        first = connected_components(g)
+        count = len(first)
+        again = connected_components(g)
+        assert again == first and all(a is b for a, b in zip(again, first))
+        again.pop()  # each call hands out its own list
+        assert len(connected_components(g)) == count
+
+    def test_editing_the_largest_subgraph_leaves_the_components_alone(self):
+        g = KERNEL_GRAPHS["disconnected"]()
+        before = [set(c) for c in connected_components(g)]
+        largest_component_subgraph(g).nodes.add("added later")
+        assert connected_components(g) == before
+
 
 # ---------------------------------------------------------------------------
 # twin and pendant reuse: one traversal serves each true-twin class and

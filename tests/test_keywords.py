@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from biblionet.keywords import StopwordSet, filter_stopwords, keyword_frequencies
 from biblionet.stopwords import DEFAULT_STOPWORDS
-from biblionet.wos_ingest import BiblioRecord, Corpus
+from biblionet.wos_ingest import BiblioRecord, Corpus, iter_corpus_records, write_corpus_jsonl
 from oracles import per_occurrence_keyword_frequencies, random_corpus, tokenize
 
 
@@ -114,6 +114,14 @@ class TestKeywordFrequencies:
         for r in corpus.records:
             survivors += len(filter_stopwords(tokenize(r.title, r.abstract)))
         assert total == survivors
+
+    def test_any_iterable_of_records(self, tmp_path):
+        corpus = self.corpus()
+        path = tmp_path / "corpus.jsonl"
+        write_corpus_jsonl(corpus, path)
+        expected = keyword_frequencies(corpus, n=100)
+        assert keyword_frequencies(iter(corpus.records), n=100) == expected
+        assert keyword_frequencies(iter_corpus_records(path), n=100) == expected
 
     def test_order_invariance(self):
         corpus = self.corpus()
