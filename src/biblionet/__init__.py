@@ -55,6 +55,7 @@ from .normalize import (
     YearMonth,
     canonicalize_country,
     extract_countries,
+    extract_countries_and_institutions,
     extract_institutions,
     normalize_date,
     split_authors,

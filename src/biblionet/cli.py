@@ -18,9 +18,9 @@ from pathlib import Path
 
 from . import dedup, graph_stats, graphs, keywords, metrics
 from .errors import DegenerateDataError, FormatError
-from .normalize import NormalizationRules
+from .normalize import NormalizationRules, normalize_date
 from .wos_ingest import (
-    iter_corpus_records, merge_corpora, parse_file, read_corpus_column, read_corpus_jsonl, write_corpus_jsonl,
+    Corpus, iter_corpus_records, merge_corpora, parse_file, read_corpus_column, read_corpus_jsonl, write_corpus_jsonl,
 )
 
 EXIT_OK = 0
@@ -213,21 +213,22 @@ def cmd_parse(args: argparse.Namespace, config: RunConfig) -> int:
         # a name that is not UTF-8 holds surrogate escapes, which no UTF-8 output can hold
         shown = os.fsencode(path).decode("utf-8", "backslashreplace")
         warnings.extend(f"{shown}: {message}" for message in result.warnings)
-    corpus = merge_corpora(parts, rules)
-    duplicates_removed = parsed - len(corpus)
+    records = merge_corpora(parts)
+    duplicates_removed = parsed - len(records)
+    dated = sum(normalize_date(r.publication_date, r.publication_year, rules) is not None for r in records)
 
     summary = {
         "files": len(args.inputs),
         "records_parsed": parsed,
         "records_skipped": skipped,
         "duplicates_removed": duplicates_removed,
-        "corpus_size": len(corpus),
-        "dated_view_size": len(corpus.dated_view),
+        "corpus_size": len(records),
+        "dated_view_size": dated,
         "warnings": warnings,
     }
 
     def write(outdir: Path) -> int:
-        write_corpus_jsonl(corpus, outdir / "corpus.jsonl")
+        write_corpus_jsonl(records, outdir / "corpus.jsonl")
         _write_json(outdir / "parse_summary.json", summary)
         _write_manifest(outdir, "parse", config)
         return EXIT_OK
@@ -235,12 +236,13 @@ def cmd_parse(args: argparse.Namespace, config: RunConfig) -> int:
     _write_staged(config.out, "parse", write)
     print(
         f"parsed {parsed} records ({skipped} skipped, {duplicates_removed} duplicates removed); "
-        f"corpus {len(corpus)}, dated view {len(corpus.dated_view)}"
+        f"corpus {len(records)}, dated view {dated}"
     )
     return EXIT_OK
 
 
 def cmd_stats(args: argparse.Namespace, config: RunConfig) -> int:
+    # its columns are built as the records stream past, so no record is kept
     corpus = read_corpus_jsonl(args.corpus, config.rule_tables)
     code = _write_staged(config.out, "stats", lambda staging: _write_stats_tables(corpus, staging / "stats", config))
     if code == EXIT_OK:
@@ -248,7 +250,7 @@ def cmd_stats(args: argparse.Namespace, config: RunConfig) -> int:
     return code
 
 
-def _write_stats_tables(corpus, outdir: Path, config: RunConfig) -> int:
+def _write_stats_tables(corpus: Corpus, outdir: Path, config: RunConfig) -> int:
     k = config.top_k
     table = "field counts"
     counts = {}
@@ -268,7 +270,7 @@ def _write_stats_tables(corpus, outdir: Path, config: RunConfig) -> int:
             _counts_table(outdir, name, counts[field], k)
 
         table = "page_stats"
-        pages = [record.page_count for record in corpus.records if record.page_count is not None]
+        pages = [pages for pages in corpus.page_counts if pages is not None]
         _write_json(outdir / "page_stats.json", _stats_payload(pages))
 
         table = "authors_per_paper"
@@ -351,8 +353,7 @@ def _write_stats_tables(corpus, outdir: Path, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _stats_payload(values) -> dict:
-    values = list(values)
+def _stats_payload(values: list) -> dict:
     stats = metrics.descriptive_stats(values)
     return {
         "min": _sig6(stats.minimum),

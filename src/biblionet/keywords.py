@@ -70,8 +70,8 @@ def keyword_frequencies(
     n: int = 100,
 ) -> list[tuple[str, int]]:
     """Most frequent surviving tokens over the titles and abstracts of
-    `records`: any iterable of records, such as a `Corpus` or a stream
-    read with `iter_corpus_records`, which keeps no record.
+    `records`: any iterable of records, such as a list or a stream read
+    with `iter_corpus_records`, which keeps no record.
 
     Ranked as `metrics.top_k` ranks, count descending, ties
     lexicographic ascending; top n.

@@ -9,6 +9,7 @@ arrays bit for bit without loading NumPy.
 
 from __future__ import annotations
 
+import heapq
 import math
 import statistics
 from collections import Counter
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
 from operator import add
+from typing import Sequence
 
 from .errors import DegenerateDataError
 from .normalize import YearMonth
@@ -60,36 +62,27 @@ class AuthorRow:
     g: int
 
 
-def author_citation_vectors(corpus: Corpus) -> dict[str, list[int]]:
-    """Per-author citation counts, one entry per paper.
-
-    Every listed author receives the paper's full citation count; a
-    paper with no usable citation count contributes 0.
-    """
-    vectors: dict[str, list[int]] = {}
-    for record, authors in zip(corpus.records, corpus.authors):
-        for name in authors:
-            vectors.setdefault(name, []).append(record.times_cited)
-    return vectors
-
-
 def author_table(corpus: Corpus, k: int = 10) -> list[AuthorRow]:
     """Top-k authors by total citations, with h and g indices.
 
-    Ties on the total break by name ascending.
+    Every listed author receives the paper's full citation count; a
+    paper with no usable citation count contributes 0.  Ties on the
+    total break by name ascending.
     """
-    vectors = author_citation_vectors(corpus)
-    totals = {name: sum(vector) for name, vector in vectors.items()}
-    # rank first: h and g sort each vector, so they are worked out for the kept rows only
-    ranked = sorted(totals, key=lambda name: (-totals[name], name))[:k]
-    return [AuthorRow(
-        name=name,
-        total_cited=totals[name],
-        papers=len(vectors[name]),
-        cited_per_paper=totals[name] / len(vectors[name]),
-        h=h_index(vectors[name]),
-        g=g_index(vectors[name]),
-    ) for name in ranked]
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    totals: dict[str, int] = {}
+    for cited, authors in zip(corpus.times_cited, corpus.authors):
+        for name in authors:
+            totals[name] = totals.get(name, 0) + cited
+    # rank first, so that only the kept authors' citation vectors are gathered for h and g
+    vectors = {name: [] for name in heapq.nsmallest(k, totals, key=lambda name: (-totals[name], name))}
+    for cited, authors in zip(corpus.times_cited, corpus.authors):
+        for name in authors:
+            if name in vectors:
+                vectors[name].append(cited)
+    return [AuthorRow(name, totals[name], len(vector), totals[name] / len(vector), h_index(vector), g_index(vector))
+            for name, vector in vectors.items()]
 
 
 def _two_or_more_ratio(column: list[list[str]], degenerate: str) -> float:
@@ -199,12 +192,12 @@ def correlation_matrix(corpus: Corpus) -> CorrelationMatrix:
     countries, or no page count) are dropped first.
     """
     rows = [
-        (float(len(authors)), float(record.cited_reference_count), float(record.times_cited),
-         float(len(areas)), float(len(countries)), float(record.page_count))
-        for record, authors, areas, countries
-        in zip(corpus.records, corpus.authors, corpus.research_areas, corpus.countries)
+        (float(len(authors)), float(references), float(cited), float(len(areas)), float(len(countries)), float(pages))
+        for authors, references, cited, areas, countries, pages in zip(
+            corpus.authors, corpus.cited_reference_counts, corpus.times_cited,
+            corpus.research_areas, corpus.countries, corpus.page_counts)
         # listwise deletion: every variable must be observed
-        if authors and areas and countries and record.page_count is not None
+        if authors and areas and countries and pages is not None
     ]
     if len(rows) < 2:
         raise DegenerateDataError(f"need at least 2 complete rows, found {len(rows)}")
@@ -228,25 +221,16 @@ class MonthlySeries:
     points: dict[YearMonth, int]
 
 
-# field -> the values of each record, each value once per record
-_FIELD_VALUES = {
-    "publication_type": lambda corpus: [[r.publication_type] for r in corpus.records],
-    "document_type": lambda corpus: [
-        [r.document_type.split(";")[0].strip()] if r.document_type else [] for r in corpus.records
-    ],
-    "language": lambda corpus: [[r.language] if r.language else [] for r in corpus.records],
-    "source": lambda corpus: [[r.source_abbrev] if r.source_abbrev else [] for r in corpus.records],
-    "country": lambda corpus: corpus.countries,
-    "institution": lambda corpus: corpus.institutions,
-    "research_area": lambda corpus: corpus.research_areas,
-    "keyword": lambda corpus: corpus.keywords,
-}
+# field -> the corpus column of its values, each value once per record
+_FIELD_COLUMNS = {"publication_type": "publication_types", "document_type": "document_types",
+                  "language": "languages", "source": "sources", "country": "countries",
+                  "institution": "institutions", "research_area": "research_areas", "keyword": "keywords"}
 
 
-def _field_values(corpus: Corpus, field: str) -> list[list[str]]:
-    if field not in _FIELD_VALUES:
+def _field_column(corpus: Corpus, field: str) -> list[Sequence[str]]:
+    if field not in _FIELD_COLUMNS:
         raise ValueError(f"unknown field {field!r}")
-    return _FIELD_VALUES[field](corpus)
+    return getattr(corpus, _FIELD_COLUMNS[field])
 
 
 def monthly_counts(corpus: Corpus, group_by: str = "all", keys: list[str] | None = None) -> list[MonthlySeries]:
@@ -257,7 +241,7 @@ def monthly_counts(corpus: Corpus, group_by: str = "all", keys: list[str] | None
     is restricted to (and ordered by) those keys; otherwise all keys are
     returned in ascending order.
     """
-    groups = None if group_by == "all" else _field_values(corpus, group_by)
+    groups = None if group_by == "all" else _field_column(corpus, group_by)
     if not corpus.dated_view:
         raise DegenerateDataError("corpus has no dated records")
     table: dict[str, Counter] = {}
@@ -282,18 +266,17 @@ def top_k(counts: dict[str, int], k: int) -> list[tuple[str, int]]:
 
 
 def most_cited(corpus: Corpus, k: int = 10) -> list[tuple[str, str, int, tuple[str, ...]]]:
-    """Top-k papers by citations: (title, authors, cited, research areas)."""
+    """Top-k papers by citations, ties by title: (title, authors, cited,
+    research areas as exported, repeats kept)."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    titles, cited = corpus.titles, corpus.times_cited
     rows = []
-    for record, authors in zip(corpus.records, corpus.authors):
-        if not authors:
-            label = ""
-        elif len(authors) == 1:
-            label = authors[0]
-        else:
-            label = f"{authors[0]} et al."
-        rows.append((record.title, label, record.times_cited, tuple(record.research_areas)))
-    rows.sort(key=lambda row: (-row[2], row[0]))
-    return rows[:max(k, 0)]
+    for index in heapq.nsmallest(k, range(len(titles)), key=lambda i: (-cited[i], titles[i])):
+        authors = corpus.authors[index]
+        label = "" if not authors else authors[0] if len(authors) == 1 else f"{authors[0]} et al."
+        rows.append((titles[index], label, cited[index], tuple(corpus.research_area_multisets[index])))
+    return rows
 
 
 @dataclass(frozen=True)
@@ -333,4 +316,4 @@ def field_counts(corpus: Corpus, field: str) -> Counter:
     keywords) count once per record.  Document types keep only the
     leading category, so "Article; Early Access" counts as "Article".
     """
-    return Counter(chain.from_iterable(_field_values(corpus, field)))
+    return Counter(chain.from_iterable(_field_column(corpus, field)))

@@ -183,18 +183,9 @@ def _address_segments(address: str) -> list[str]:
     return [s for s in (seg.strip().rstrip(".").strip() for seg in segments) if s]
 
 
-def extract_institutions(address: str | None) -> list[str]:
-    """Pull institution names out of a raw address field, one per segment.
-
-    Within each segment the institution is the text between the closing
-    "]," of the author list and the next comma; segments without a
-    bracketed author list use their first comma-delimited token instead.
-    Repeats are kept (`Corpus.institutions` drops them).
-    """
-    if not address:
-        return []
+def _institutions(segments: list[str]) -> list[str]:
     institutions = []
-    for segment in _address_segments(address):
+    for segment in segments:
         bracket = segment.find("]")
         rest = segment[bracket + 1:].lstrip() if bracket >= 0 else segment
         if rest.startswith(","):
@@ -207,6 +198,26 @@ def extract_institutions(address: str | None) -> list[str]:
     return institutions
 
 
+def _countries(segments: list[str], rules: NormalizationRules | None) -> list[str]:
+    countries = []
+    for segment in segments:
+        raw = segment.rsplit(",", 1)[-1].strip()
+        if raw:
+            countries.append(canonicalize_country(raw, rules))
+    return countries
+
+
+def extract_institutions(address: str | None) -> list[str]:
+    """Pull institution names out of a raw address field, one per segment.
+
+    Within each segment the institution is the text between the closing
+    "]," of the author list and the next comma; segments without a
+    bracketed author list use their first comma-delimited token instead.
+    Repeats are kept (`Corpus.institutions` drops them).
+    """
+    return _institutions(_address_segments(address)) if address else []
+
+
 def extract_countries(address: str | None, rules: NormalizationRules | None = None) -> list[str]:
     """Pull canonical country names out of a raw address field, one per segment.
 
@@ -214,14 +225,17 @@ def extract_countries(address: str | None, rules: NormalizationRules | None = No
     country and passed through canonicalize_country.  Repeats are kept
     (`Corpus.countries` drops them).
     """
+    return _countries(_address_segments(address), rules) if address else []
+
+
+def extract_countries_and_institutions(address: str | None,
+                                       rules: NormalizationRules | None = None) -> tuple[list[str], list[str]]:
+    """`(extract_countries(address, rules), extract_institutions(address))`
+    from one segmentation of the address."""
     if not address:
-        return []
-    countries = []
-    for segment in _address_segments(address):
-        raw = segment.rsplit(",", 1)[-1].strip()
-        if raw:
-            countries.append(canonicalize_country(raw, rules))
-    return countries
+        return [], []
+    segments = _address_segments(address)
+    return _countries(segments, rules), _institutions(segments)
 
 
 def canonicalize_country(raw: str, rules: NormalizationRules | None = None) -> str:

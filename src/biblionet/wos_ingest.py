@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
-from functools import cached_property
 from itertools import repeat
 from pathlib import Path
+from sys import intern
 from typing import BinaryIO, Iterable, Iterator
 
 from .errors import FormatError
@@ -21,6 +21,7 @@ from .normalize import (
     NormalizationRules,
     YearMonth,
     extract_countries,
+    extract_countries_and_institutions,
     extract_institutions,
     normalize_date,
     split_authors,
@@ -71,96 +72,88 @@ class BiblioRecord:
         return split_authors("; ".join(self.author_full_names))
 
 
-def _pooled(column: Iterable[list[str]]) -> list[list[str]]:
-    # labels repeat across records: hold one string object per label
-    pool: dict[str, str] = {}
-    return [[pool.setdefault(value, value) for value in values] for values in column]
+def _distinct(values: list[str]) -> list[str]:
+    # the first occurrence of each value; a list without repeats is returned itself
+    return values if len(values) < 2 or len(set(values)) == len(values) else list(dict.fromkeys(values))
 
 
-def _unique(column: Iterable[list[str]]) -> list[list[str]]:
-    # the first occurrence of each value; a list without repeats is its
-    # own unique view
-    return [values if len(set(values)) == len(values) else list(dict.fromkeys(values))
-            for values in column]
-
-
-# column -> its derivation, record by record, for `Corpus` and `read_corpus_column`
+# column -> its value for one record, for `read_corpus_column`; `Corpus.from_records`
+# derives the same values, the two address columns from one segmentation
 _COLUMNS = {
-    "authors": lambda records, rules: _pooled(r.distinct_authors() for r in records),
-    "country_multisets": lambda records, rules: _pooled(extract_countries(r.addresses, rules) for r in records),
-    "institution_multisets": lambda records, rules: _pooled(extract_institutions(r.addresses) for r in records),
-    "research_areas": lambda records, rules: _unique(r.research_areas for r in records),
-    "keywords": lambda records, rules: _unique(r.author_keywords for r in records),
+    "authors": lambda record, rules: record.distinct_authors(),
+    "country_multisets": lambda record, rules: extract_countries(record.addresses, rules),
+    "institution_multisets": lambda record, rules: extract_institutions(record.addresses),
+    "research_areas": lambda record, rules: _distinct(record.research_areas),
+    "keywords": lambda record, rules: _distinct(record.author_keywords),
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class Corpus:
-    """A record collection and the rules the corpus is cleaned with.
+    """The cleaned features of a record collection, one column per feature
+    aligned by record index, and the rules they were cleaned with.
 
-    The cleaned features of the records are columns aligned with
-    `records`, and `dated_view` indexes the records with a usable date.
-    Each is derived in one pass on its first read and kept,
-    so the records must not change once a column has been read.  The
-    columns share lists with the records and with each other: read
-    them, never modify them.
+    `from_records` derives every column in one pass and keeps no record.
+    A single-valued field's column holds a 1-tuple per record, () for no
+    value (`document_types` the leading category: "Article; Early Access"
+    is "Article"); `research_area_multisets` the areas as exported, and
+    `dated_view` the year-month of each record index with a usable date.
+    Columns share strings, tuples and lists: never modify them.
     """
 
-    records: list[BiblioRecord]
-    rules: NormalizationRules | None = None
+    rules: NormalizationRules | None
+    titles: list[str]
+    publication_types: list[tuple[str, ...]]
+    document_types: list[tuple[str, ...]]
+    languages: list[tuple[str, ...]]
+    sources: list[tuple[str, ...]]
+    times_cited: list[int]
+    cited_reference_counts: list[int]
+    page_counts: list[int | None]
+    authors: list[list[str]]
+    country_multisets: list[list[str]]
+    countries: list[list[str]]
+    institution_multisets: list[list[str]]
+    institutions: list[list[str]]
+    research_area_multisets: list[list[str]]
+    research_areas: list[list[str]]
+    keywords: list[list[str]]
+    dated_view: dict[int, YearMonth]
 
     def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self) -> Iterator[BiblioRecord]:
-        return iter(self.records)
-
-    @cached_property
-    def dated_view(self) -> dict[int, YearMonth]:
-        """Index -> year-month of every record with a usable date."""
-        dated = {}
-        for index, record in enumerate(self.records):
-            ym = normalize_date(record.publication_date, record.publication_year, self.rules)
-            if ym is not None:
-                dated[index] = ym
-        return dated
-
-    @cached_property
-    def authors(self) -> list[list[str]]:
-        """Distinct authors of each record."""
-        return _COLUMNS["authors"](self.records, self.rules)
-
-    @cached_property
-    def country_multisets(self) -> list[list[str]]:
-        """Canonical countries of each record, one per address segment."""
-        return _COLUMNS["country_multisets"](self.records, self.rules)
-
-    @cached_property
-    def countries(self) -> list[list[str]]:
-        """Distinct canonical countries of each record, in first-segment order."""
-        return _unique(self.country_multisets)
-
-    @cached_property
-    def institution_multisets(self) -> list[list[str]]:
-        """Institutions of each record, one per address segment."""
-        return _COLUMNS["institution_multisets"](self.records, self.rules)
-
-    @cached_property
-    def institutions(self) -> list[list[str]]:
-        """Distinct institutions of each record, in first-segment order."""
-        return _unique(self.institution_multisets)
-
-    @cached_property
-    def research_areas(self) -> list[list[str]]:
-        return _COLUMNS["research_areas"](self.records, self.rules)
-
-    @cached_property
-    def keywords(self) -> list[list[str]]:
-        return _COLUMNS["keywords"](self.records, self.rules)
+        return len(self.titles)
 
     @classmethod
-    def from_records(cls, records: list[BiblioRecord], rules: NormalizationRules | None = None) -> "Corpus":
-        return cls(records=list(records), rules=rules)
+    def from_records(cls, records: Iterable[BiblioRecord], rules: NormalizationRules | None = None) -> "Corpus":
+        shared: dict = {}  # the one 1-tuple of each value, the one YearMonth of each month
+
+        def single(value: str) -> tuple[str]:
+            return shared.setdefault(value, (value,))
+
+        titles, types, documents, languages, sources, cited, references, pages = ([] for _ in range(8))
+        authors, countries, institutions, areas, keywords = ([] for _ in range(5))
+        dated: dict[int, YearMonth] = {}
+        for index, record in enumerate(records):
+            titles.append(record.title)
+            types.append(single(record.publication_type))
+            documents.append(single(record.document_type.split(";")[0].strip()) if record.document_type else ())
+            languages.append(single(record.language) if record.language else ())
+            sources.append(single(record.source_abbrev) if record.source_abbrev else ())
+            cited.append(record.times_cited)
+            references.append(record.cited_reference_count)
+            pages.append(record.page_count)
+            authors.append(list(map(intern, record.distinct_authors())))
+            record_countries, record_institutions = extract_countries_and_institutions(record.addresses, rules)
+            countries.append(list(map(intern, record_countries)))
+            institutions.append(list(map(intern, record_institutions)))
+            areas.append(list(map(intern, record.research_areas)))
+            keywords.append(_distinct(list(map(intern, record.author_keywords))))
+            month = normalize_date(record.publication_date, record.publication_year, rules)
+            if month is not None:
+                dated[index] = shared.setdefault(month, month)
+        return cls(rules, titles, types, documents, languages, sources, cited, references, pages, authors,
+                   countries, list(map(_distinct, countries)), institutions, list(map(_distinct, institutions)),
+                   areas, list(map(_distinct, areas)), keywords, dated)
 
 
 @dataclass
@@ -394,28 +387,27 @@ def detect_duplicates(records: list[BiblioRecord]) -> list[list[int]]:
     return result
 
 
-def merge_corpora(parts: list[list[BiblioRecord]], rules: NormalizationRules | None = None) -> Corpus:
-    """Concatenate parsed parts, drop duplicates, and resolve dates.
+def merge_corpora(parts: list[list[BiblioRecord]]) -> list[BiblioRecord]:
+    """The records of the parsed parts without duplicates.
 
     Parts are concatenated in argument order; for each duplicate group
-    only the first occurrence is kept.  Records whose date cannot be
-    resolved stay in the corpus but are absent from the dated view.
+    only the first occurrence is kept.  No feature is cleaned here:
+    `Corpus.from_records` cleans the kept records.
     """
     merged: list[BiblioRecord] = []
     for part in parts:
         merged.extend(part)
     dropped = {index for group in detect_duplicates(merged) for index in group[1:]}
-    kept = [record for index, record in enumerate(merged) if index not in dropped]
-    return Corpus.from_records(kept, rules)
+    return [record for index, record in enumerate(merged) if index not in dropped]
 
 
-def write_corpus_jsonl(corpus: Corpus, path: str | Path) -> None:
+def write_corpus_jsonl(records: Iterable[BiblioRecord], path: str | Path) -> None:
     """Write one JSON object per record, field names as in BiblioRecord."""
     # every field is a str, int, None or list of str, so the instance
     # dict serializes as is; dataclasses.asdict would deep-copy each one
     encode = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for record in corpus.records:
+        for record in records:
             fh.write(encode(vars(record)))
             fh.write("\n")
 
@@ -455,12 +447,14 @@ def iter_corpus_records(path: str | Path) -> Iterator[BiblioRecord]:
 
 
 def read_corpus_jsonl(path: str | Path, rules: NormalizationRules | None = None) -> Corpus:
-    return Corpus(list(iter_corpus_records(path)), rules)
+    """The corpus of a corpus.jsonl file, its columns built as the records stream past."""
+    return Corpus.from_records(iter_corpus_records(path), rules)
 
 
 def read_corpus_column(path: str | Path, name: str, rules: NormalizationRules | None = None) -> list[list[str]]:
     """`read_corpus_jsonl(path, rules).<name>` for the columns authors, country_multisets,
-    institution_multisets, research_areas and keywords, keeping no record once its feature is taken."""
+    institution_multisets, research_areas and keywords, cleaning only that feature and keeping no record."""
     if name not in _COLUMNS:
         raise ValueError(f"unknown corpus column {name!r}, expected one of {sorted(_COLUMNS)}")
-    return _COLUMNS[name](iter_corpus_records(path), rules)
+    derive = _COLUMNS[name]
+    return [list(map(intern, derive(record, rules))) for record in iter_corpus_records(path)]

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from biblionet.wos_ingest import merge_corpora, parse_file
+from biblionet.wos_ingest import Corpus, merge_corpora, parse_file
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -13,9 +13,13 @@ def fixture_paths() -> list[Path]:
 
 
 @pytest.fixture(scope="session")
-def fixture_corpus(fixture_paths):
-    parts = [parse_file(path).records for path in fixture_paths]
-    return merge_corpora(parts)
+def fixture_records(fixture_paths):
+    return merge_corpora([parse_file(path).records for path in fixture_paths])
+
+
+@pytest.fixture(scope="session")
+def fixture_corpus(fixture_records):
+    return Corpus.from_records(fixture_records)
 
 
 @pytest.fixture(scope="session")

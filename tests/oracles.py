@@ -8,6 +8,7 @@ so the implementations under test are checked against a second route.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import math
 import random
@@ -25,8 +26,8 @@ from biblionet.errors import DegenerateDataError, FormatError
 from biblionet.graph_stats import _EULER_MACLAURIN, _MACHEP, PowerLawFit
 from biblionet.graphs import SELF_LOOP_KINDS, GraphKind, WeightedGraph
 from biblionet.keywords import StopwordSet, filter_stopwords
-from biblionet.metrics import AuthorRow
-from biblionet.normalize import split_list_field
+from biblionet.metrics import AuthorRow, MonthlySeries
+from biblionet.normalize import extract_countries, extract_institutions, normalize_date, split_list_field
 from biblionet.wos_ingest import PUBLICATION_TYPES, BiblioRecord, Corpus, ParseResult
 
 
@@ -266,17 +267,79 @@ def brute_g_index(citations: list[int]) -> int:
     return best
 
 
-def every_row_author_table(corpus: Corpus, k: int) -> list[AuthorRow]:
+def every_row_author_table(records: list[BiblioRecord], k: int) -> list[AuthorRow]:
     """A row, with brute-force h and g, for every author; then the first
     k by total citations descending, name ascending."""
     vectors: dict[str, list[int]] = {}
-    for record in corpus.records:
+    for record in records:
         for name in record.distinct_authors():
             vectors.setdefault(name, []).append(record.times_cited)
     rows = [AuthorRow(name, sum(vector), len(vector), sum(vector) / len(vector),
                       brute_h_index(vector), brute_g_index(vector)) for name, vector in vectors.items()]
     rows.sort(key=lambda row: (-row.total_cited, row.name))
     return rows[:k]
+
+
+# ---------------------------------------------------------------------------
+# the tables of metrics worked out from the records, by the per-record
+# expressions that metrics read before a Corpus held each feature as a
+# column
+
+# field -> the values of one record, each value once
+RECORD_FIELD_VALUES = {
+    "publication_type": lambda r, rules: [r.publication_type],
+    "document_type": lambda r, rules: [r.document_type.split(";")[0].strip()] if r.document_type else [],
+    "language": lambda r, rules: [r.language] if r.language else [],
+    "source": lambda r, rules: [r.source_abbrev] if r.source_abbrev else [],
+    "country": lambda r, rules: list(dict.fromkeys(extract_countries(r.addresses, rules))),
+    "institution": lambda r, rules: list(dict.fromkeys(extract_institutions(r.addresses))),
+    "research_area": lambda r, rules: list(dict.fromkeys(r.research_areas)),
+    "keyword": lambda r, rules: list(dict.fromkeys(r.author_keywords)),
+}
+
+
+def record_field_counts(records: list[BiblioRecord], field: str, rules=None) -> Counter:
+    return Counter(value for r in records for value in RECORD_FIELD_VALUES[field](r, rules))
+
+
+def record_monthly_counts(records: list[BiblioRecord], group_by: str, keys: list[str] | None = None,
+                          rules=None) -> list[MonthlySeries]:
+    """Every record's month and groups, tallied, then the series of `keys`
+    (all keys, ascending, when None)."""
+    dated = [(month, r) for r in records
+             if (month := normalize_date(r.publication_date, r.publication_year, rules)) is not None]
+    if not dated:
+        raise DegenerateDataError("corpus has no dated records")
+    table: dict[str, Counter] = {}
+    for month, r in dated:
+        for group in ["ALL"] if group_by == "all" else RECORD_FIELD_VALUES[group_by](r, rules):
+            table.setdefault(group, Counter())[month] += 1
+    return [MonthlySeries(key, dict(sorted(table.get(key, Counter()).items())))
+            for key in (sorted(table) if keys is None else keys)]
+
+
+def sorted_most_cited(records: list[BiblioRecord], k: int) -> list[tuple[str, str, int, tuple[str, ...]]]:
+    """A row for every record, with its research areas as exported, sorted
+    by citations descending, title ascending; then the first k."""
+    rows = []
+    for r in records:
+        authors = r.distinct_authors()
+        label = "" if not authors else authors[0] if len(authors) == 1 else f"{authors[0]} et al."
+        rows.append((r.title, label, r.times_cited, tuple(r.research_areas)))
+    rows.sort(key=lambda row: (-row[2], row[0]))
+    return rows[:k]
+
+
+def record_correlation_rows(records: list[BiblioRecord], rules=None) -> list[tuple[float, ...]]:
+    """The six correlation variables of each record that observes them all."""
+    rows = []
+    for r in records:
+        authors, areas = r.distinct_authors(), set(r.research_areas)
+        countries = set(extract_countries(r.addresses, rules))
+        if authors and areas and countries and r.page_count is not None:
+            rows.append((float(len(authors)), float(r.cited_reference_count), float(r.times_cited),
+                         float(len(areas)), float(len(countries)), float(r.page_count)))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -290,10 +353,10 @@ def tokenize(title: str, abstract: str | None = None) -> list[str]:
 
 
 def per_occurrence_keyword_frequencies(
-    corpus: Corpus, stopwords: StopwordSet | None = None, n: int = 100,
+    records: list[BiblioRecord], stopwords: StopwordSet | None = None, n: int = 100,
 ) -> list[tuple[str, int]]:
     counts: Counter = Counter()
-    for record in corpus.records:
+    for record in records:
         counts.update(filter_stopwords(tokenize(record.title, record.abstract), stopwords))
     return sorted(counts.items(), key=lambda item: (-item[1], item[0]))[:n]
 
@@ -884,6 +947,10 @@ def synthetic_names(n: int, seed: int) -> list[str]:
 
 
 def synthetic_author_pool_corpus(n_records: int, seed: int, new_author_prob: float = 0.62) -> Corpus:
+    return Corpus.from_records(synthetic_author_pool_records(n_records, seed, new_author_prob))
+
+
+def synthetic_author_pool_records(n_records: int, seed: int, new_author_prob: float = 0.62) -> list[BiblioRecord]:
     """Preferential-attachment corpus: authors of new papers are drawn
     from an appearance-weighted pool or minted fresh."""
     rng = random.Random(seed)
@@ -907,7 +974,7 @@ def synthetic_author_pool_corpus(n_records: int, seed: int, new_author_prob: flo
             author_full_names=authors,
             publication_year=2020,
         ))
-    return Corpus.from_records(records)
+    return records
 
 
 _COUNTRY_POOL = ["Italy", "Hungary", "France", "Germany", "Japan", "Brazil", "India", "Spain"]
@@ -917,7 +984,11 @@ _KEYWORD_POOL = ["covid-19", "sars-cov-2", "pandemic", "lockdown", "mortality", 
 
 
 def random_corpus(seed: int, n_records: int = 12) -> Corpus:
-    """Small random corpus with authors, addresses, areas and keywords."""
+    return Corpus.from_records(random_records(seed, n_records))
+
+
+def random_records(seed: int, n_records: int = 12) -> list[BiblioRecord]:
+    """Small random records with authors, addresses, areas and keywords."""
     rng = random.Random(seed)
     records = []
     for i in range(n_records):
@@ -944,4 +1015,22 @@ def random_corpus(seed: int, n_records: int = 12) -> Corpus:
             page_count=rng.choice([None, 2, 5, 8, 13]),
             accession_id=f"WOS:R{seed:03d}{i:03d}",
         ))
-    return Corpus.from_records(records)
+    return records
+
+
+_DOCUMENT_TYPES = ["Article", "Article; Early Access", "Review", "Letter; Retracted", " ; Editorial", ""]
+_LANGUAGES = ["English", "English", "German", ""]
+_SOURCES = ["J. One", "J. Two", "Lancet", ""]
+
+
+def varied_records(seed: int, n_records: int = 12) -> list[BiblioRecord]:
+    """`random_records` with document types (one with a blank leading
+    category), languages, sources, and research areas listed twice."""
+    rng = random.Random(-1 - seed)
+    return [dataclasses.replace(
+        record,
+        document_type=rng.choice(_DOCUMENT_TYPES),
+        language=rng.choice(_LANGUAGES),
+        source_abbrev=rng.choice(_SOURCES),
+        research_areas=record.research_areas * rng.choice((1, 1, 2)),
+    ) for record in random_records(seed, n_records)]

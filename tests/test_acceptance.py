@@ -49,7 +49,7 @@ from oracles import (
     brute_h_index,
     dp_levenshtein,
     neighbor_sets,
-    random_corpus,
+    random_records,
     random_graph,
     sample_discrete_power_law,
     synthetic_author_pool_corpus,
@@ -220,18 +220,19 @@ def test_graph_construction_conservation():
     from biblionet.normalize import extract_institutions
     failures = 0
     for seed in range(100):
-        corpus = random_corpus(seed, n_records=15)
+        records = random_records(seed, n_records=15)
+        corpus = Corpus.from_records(records)
         cases = [
             (build_graph(GraphKind.COAUTHOR, corpus),
-             [len(r.distinct_authors()) for r in corpus.records]),
+             [len(r.distinct_authors()) for r in records]),
             (build_graph(GraphKind.COUNTRY, corpus),
-             [len(extract_countries(r.addresses)) for r in corpus.records]),
+             [len(extract_countries(r.addresses)) for r in records]),
             (build_graph(GraphKind.INSTITUTION, corpus),
-             [len(extract_institutions(r.addresses)) for r in corpus.records]),
+             [len(extract_institutions(r.addresses)) for r in records]),
             (build_graph(GraphKind.RESEARCH_AREA, corpus),
-             [len(set(r.research_areas)) for r in corpus.records]),
+             [len(set(r.research_areas)) for r in records]),
             (build_graph(GraphKind.KEYWORD, corpus),
-             [len(set(r.author_keywords)) for r in corpus.records]),
+             [len(set(r.author_keywords)) for r in records]),
         ]
         for graph, sizes in cases:
             if sum(graph.edges.values()) != sum(m * (m - 1) // 2 for m in sizes):

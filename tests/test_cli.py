@@ -10,8 +10,8 @@ import pytest
 from biblionet import cli, graphs
 from biblionet.keywords import keyword_frequencies
 from biblionet.cli import EXIT_CONFIG_ERROR, EXIT_DEGENERATE, EXIT_INPUT_ERROR, EXIT_OK, main
-from biblionet.wos_ingest import BiblioRecord, Corpus, write_corpus_jsonl
-from oracles import synthetic_author_pool_corpus
+from biblionet.wos_ingest import BiblioRecord, iter_corpus_records, write_corpus_jsonl
+from oracles import synthetic_author_pool_records
 
 
 def run(*argv) -> int:
@@ -302,10 +302,10 @@ class TestNetworkCommand:
     @pytest.mark.parametrize("connected", [True, False])
     def test_run_builds_one_view_per_analysed_graph(self, tmp_path, monkeypatch, connected):
         if connected:
-            corpus = Corpus.from_records([BiblioRecord("J", "Paper", ["Chen, Wei", "Garcia, Maria", "Smith, John"])])
+            records = [BiblioRecord("J", "Paper", ["Chen, Wei", "Garcia, Maria", "Smith, John"])]
         else:
-            corpus = synthetic_author_pool_corpus(300, seed=5)
-        write_corpus_jsonl(corpus, tmp_path / "corpus.jsonl")
+            records = synthetic_author_pool_records(300, seed=5)
+        write_corpus_jsonl(records, tmp_path / "corpus.jsonl")
         builds = []
         build = graphs._build_view
 
@@ -331,7 +331,7 @@ class TestPowerLawDigest:
     @pytest.fixture()
     def coauthor_corpus(self, tmp_path):
         corpus = tmp_path / "corpus.jsonl"
-        write_corpus_jsonl(synthetic_author_pool_corpus(300, seed=5), corpus)
+        write_corpus_jsonl(synthetic_author_pool_records(300, seed=5), corpus)
         return corpus
 
     @staticmethod
@@ -383,7 +383,7 @@ class TestKeywordsCommand:
 
     def test_streams_the_corpus(self, parsed_out, monkeypatch):
         corpus = parsed_out / "corpus.jsonl"
-        expected = keyword_frequencies(cli.read_corpus_jsonl(corpus))
+        expected = keyword_frequencies(list(iter_corpus_records(corpus)))
 
         def load_whole_corpus(*args, **kwargs):
             raise AssertionError("keywords keeps no record")

@@ -27,6 +27,7 @@ from oracles import (
     loop_write_dot,
     loop_write_edge_csv,
     random_corpus,
+    random_records,
     validate,
 )
 
@@ -73,9 +74,9 @@ class TestCoauthorship:
         graph = build_graph(GraphKind.COAUTHOR, corpus_of(record(author_full_names=["A", "A", "B"])))
         assert graph.edges == {("A", "B"): 1}
 
-    def test_node_set_is_all_cleaned_authors(self, fixture_corpus):
+    def test_node_set_is_all_cleaned_authors(self, fixture_corpus, fixture_records):
         graph = build_graph(GraphKind.COAUTHOR, fixture_corpus)
-        expected = {name for r in fixture_corpus.records for name in r.distinct_authors()}
+        expected = {name for r in fixture_records for name in r.distinct_authors()}
         assert graph.nodes == expected
 
 
@@ -205,8 +206,8 @@ class TestTopWeightedEdges:
 class TestInvariants:
     def test_order_independence(self):
         for seed in range(8):
-            corpus = random_corpus(seed)
-            shuffled = list(corpus.records)
+            shuffled = random_records(seed)
+            corpus = Corpus.from_records(shuffled)
             random.Random(seed + 1).shuffle(shuffled)
             permuted = Corpus.from_records(shuffled)
             for kind in (GraphKind.COAUTHOR, GraphKind.COUNTRY, GraphKind.INSTITUTION, GraphKind.KEYWORD):
@@ -218,16 +219,17 @@ class TestInvariants:
     def test_weight_conservation(self):
         # total pairwise weight equals sum over records of C(m, 2)
         for seed in range(20):
-            corpus = random_corpus(seed)
+            records = random_records(seed)
+            corpus = Corpus.from_records(records)
             cases = [
                 (build_graph(GraphKind.COAUTHOR, corpus),
-                 [len(r.distinct_authors()) for r in corpus.records]),
+                 [len(r.distinct_authors()) for r in records]),
                 (build_graph(GraphKind.COUNTRY, corpus),
-                 [len(extract_countries(r.addresses)) for r in corpus.records]),
+                 [len(extract_countries(r.addresses)) for r in records]),
                 (build_graph(GraphKind.INSTITUTION, corpus),
-                 [len(extract_institutions(r.addresses)) for r in corpus.records]),
+                 [len(extract_institutions(r.addresses)) for r in records]),
                 (build_graph(GraphKind.KEYWORD, corpus),
-                 [len(set(r.author_keywords)) for r in corpus.records]),
+                 [len(set(r.author_keywords)) for r in records]),
             ]
             for graph, sizes in cases:
                 validate(graph)
@@ -378,13 +380,13 @@ class TestPairGraphCountsOnce:
         assert type(built.edges) is dict
 
     @pytest.mark.parametrize("kind", list(GraphKind), ids=lambda kind: kind.value)
-    def test_corpus_columns(self, fixture_corpus, kind, tmp_path):
-        corpora = [fixture_corpus, *(random_corpus(seed, n_records=60) for seed in range(6))]
-        for corpus in corpora:
+    def test_corpus_columns(self, fixture_records, kind, tmp_path):
+        for records in [fixture_records, *(random_records(seed, n_records=60) for seed in range(6))]:
+            corpus = Corpus.from_records(records)
             self.assert_same_build(kind, getattr(corpus, COLUMNS[kind]))
             # the library builds from a corpus; the CLI from the named column of a corpus file
             path = tmp_path / "corpus.jsonl"
-            write_corpus_jsonl(corpus, path)
+            write_corpus_jsonl(records, path)
             assert build_graph(kind, corpus) == pair_graph(kind, read_corpus_column(path, COLUMNS[kind]))
 
     @pytest.mark.parametrize("kind", [GraphKind.COUNTRY, GraphKind.INSTITUTION])

@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from biblionet.wos_ingest import write_corpus_jsonl
-from oracles import synthetic_author_pool_corpus
+from oracles import synthetic_author_pool_records
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 LAYERS = ("wos_ingest", "normalize", "metrics", "keywords", "dedup", "graphs", "graph_stats", "cli")
@@ -89,7 +89,7 @@ def test_network_without_power_law_fit_leaves_scipy_unloaded(tmp_path, fixture_p
 
 def test_network_with_power_law_fit_leaves_scipy_unloaded(tmp_path):
     corpus = tmp_path / "corpus.jsonl"
-    write_corpus_jsonl(synthetic_author_pool_corpus(300, seed=5), corpus)
+    write_corpus_jsonl(synthetic_author_pool_records(300, seed=5), corpus)
     out = tmp_path / "out"
     loaded = modules_after(run_cli("network", corpus, "--kind", "coauthor", "--out", out))
     powerlaw = json.loads((out / "network_coauthor" / "powerlaw.json").read_text())
@@ -127,7 +127,7 @@ def test_no_kernel_calls_blas():
 
 def test_network_runs_with_one_blas_thread_unless_the_caller_sets_one(tmp_path):
     corpus = tmp_path / "corpus.jsonl"
-    write_corpus_jsonl(synthetic_author_pool_corpus(300, seed=5), corpus)
+    write_corpus_jsonl(synthetic_author_pool_records(300, seed=5), corpus)
     # the thread count is read only where /proc/self/task exists (Linux)
     probe = ("[os.environ.get('OPENBLAS_NUM_THREADS'), "
              "len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else None]")

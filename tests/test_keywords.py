@@ -5,8 +5,8 @@ from hypothesis import given, strategies as st
 
 from biblionet.keywords import StopwordSet, filter_stopwords, keyword_frequencies
 from biblionet.stopwords import DEFAULT_STOPWORDS
-from biblionet.wos_ingest import BiblioRecord, Corpus, iter_corpus_records, write_corpus_jsonl
-from oracles import per_occurrence_keyword_frequencies, random_corpus, tokenize
+from biblionet.wos_ingest import BiblioRecord, iter_corpus_records, write_corpus_jsonl
+from oracles import per_occurrence_keyword_frequencies, random_records, tokenize
 
 
 def record(title, abstract=None):
@@ -15,8 +15,7 @@ def record(title, abstract=None):
 
 def tokens_of(title, abstract=None):
     """Every token of one record with its count, stopwords kept."""
-    corpus = Corpus.from_records([record(title, abstract)])
-    return keyword_frequencies(corpus, StopwordSet(words=frozenset()), n=100)
+    return keyword_frequencies([record(title, abstract)], StopwordSet(words=frozenset()), n=100)
 
 
 class TestTokenize:
@@ -77,17 +76,17 @@ class TestFilterStopwords:
 
 
 class TestKeywordFrequencies:
-    def corpus(self):
-        return Corpus.from_records([
+    def records(self):
+        return [
             record("Viral spread dynamics", "The spread was fast"),
             record("Vaccine response", "Immune response to the vaccine was strong"),
             record("Spread of misinformation", None),
             record("Response times", "Response response response"),
             record("2020 in numbers", "Only digits and stopwords here 123"),
-        ])
+        ]
 
     def test_hand_tally(self):
-        ranked = dict(keyword_frequencies(self.corpus(), n=100))
+        ranked = dict(keyword_frequencies(self.records(), n=100))
         assert ranked["response"] == 6
         assert ranked["spread"] == 3
         assert ranked["vaccine"] == 2
@@ -95,40 +94,37 @@ class TestKeywordFrequencies:
         assert "2020" not in ranked
 
     def test_single_record_unique_tokens_lexicographic(self):
-        corpus = Corpus.from_records([record("gamma beta alpha")])
-        assert keyword_frequencies(corpus, n=10) == [("alpha", 1), ("beta", 1), ("gamma", 1)]
+        assert keyword_frequencies([record("gamma beta alpha")], n=10) == [("alpha", 1), ("beta", 1), ("gamma", 1)]
 
     def test_n_larger_than_vocabulary(self):
-        corpus = Corpus.from_records([record("alpha beta")])
-        assert len(keyword_frequencies(corpus, n=50)) == 2
+        assert len(keyword_frequencies([record("alpha beta")], n=50)) == 2
 
     def test_invalid_n(self):
         with pytest.raises(ValueError):
-            keyword_frequencies(self.corpus(), n=0)
+            keyword_frequencies(self.records(), n=0)
 
     def test_counts_sum_to_surviving_tokens(self):
-        corpus = self.corpus()
-        ranked = keyword_frequencies(corpus, n=10_000)
+        records = self.records()
+        ranked = keyword_frequencies(records, n=10_000)
         total = sum(count for _, count in ranked)
         survivors = 0
-        for r in corpus.records:
+        for r in records:
             survivors += len(filter_stopwords(tokenize(r.title, r.abstract)))
         assert total == survivors
 
     def test_any_iterable_of_records(self, tmp_path):
-        corpus = self.corpus()
+        records = self.records()
         path = tmp_path / "corpus.jsonl"
-        write_corpus_jsonl(corpus, path)
-        expected = keyword_frequencies(corpus, n=100)
-        assert keyword_frequencies(iter(corpus.records), n=100) == expected
+        write_corpus_jsonl(records, path)
+        expected = keyword_frequencies(records, n=100)
+        assert keyword_frequencies(iter(records), n=100) == expected
         assert keyword_frequencies(iter_corpus_records(path), n=100) == expected
 
     def test_order_invariance(self):
-        corpus = self.corpus()
-        records = list(corpus.records)
-        random.Random(1).shuffle(records)
-        shuffled = Corpus.from_records(records)
-        assert keyword_frequencies(corpus, n=100) == keyword_frequencies(shuffled, n=100)
+        records = self.records()
+        shuffled = list(records)
+        random.Random(1).shuffle(shuffled)
+        assert keyword_frequencies(records, n=100) == keyword_frequencies(shuffled, n=100)
 
 
 # edge punctuation, digits, punctuation-only runs and non-ASCII letters,
@@ -141,31 +137,29 @@ class TestMatchesPerOccurrenceOracle:
     """keyword_frequencies strips and filters each distinct token once;
     the per-occurrence loop it replaced must give the same ranking."""
 
-    def test_fixture_corpus(self, fixture_corpus):
-        ranked = keyword_frequencies(fixture_corpus, n=10_000)
+    def test_fixture_corpus(self, fixture_records):
+        ranked = keyword_frequencies(fixture_records, n=10_000)
         assert ranked
-        assert ranked == per_occurrence_keyword_frequencies(fixture_corpus, n=10_000)
+        assert ranked == per_occurrence_keyword_frequencies(fixture_records, n=10_000)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_corpus(self, seed):
-        corpus = random_corpus(seed, n_records=40)
-        assert keyword_frequencies(corpus, n=10_000) == per_occurrence_keyword_frequencies(corpus, n=10_000)
+        records = random_records(seed, n_records=40)
+        assert keyword_frequencies(records, n=10_000) == per_occurrence_keyword_frequencies(records, n=10_000)
 
     def test_final_sigma(self):
         # a word-final capital sigma lower-cases to "ς", a lone one to "σ"
-        corpus = Corpus.from_records([record("ΟΔΟΣ ΟΔΟΣ, Σ", "ΟΔΟΣ. (ΣΟ)"), record("οδοσ")])
-        ranked = keyword_frequencies(corpus)
-        assert ranked == per_occurrence_keyword_frequencies(corpus)
+        records = [record("ΟΔΟΣ ΟΔΟΣ, Σ", "ΟΔΟΣ. (ΣΟ)"), record("οδοσ")]
+        ranked = keyword_frequencies(records)
+        assert ranked == per_occurrence_keyword_frequencies(records)
         assert ranked == [("οδος", 3), ("οδοσ", 1), ("σ", 1), ("σο", 1)]
 
     @given(st.lists(RECORD, max_size=8), st.integers(1, 30))
     def test_any_text(self, records, n):
-        corpus = Corpus.from_records(records)
-        assert keyword_frequencies(corpus, n=n) == per_occurrence_keyword_frequencies(corpus, n=n)
+        assert keyword_frequencies(records, n=n) == per_occurrence_keyword_frequencies(records, n=n)
 
     @given(st.lists(RECORD, max_size=8))
     def test_custom_stopwords_keeping_digits(self, records):
-        corpus = Corpus.from_records(records)
         stopwords = StopwordSet(words=frozenset({"a", "ab", "ς"}), include_digits=False)
-        assert (keyword_frequencies(corpus, stopwords, n=100)
-                == per_occurrence_keyword_frequencies(corpus, stopwords, n=100))
+        assert (keyword_frequencies(records, stopwords, n=100)
+                == per_occurrence_keyword_frequencies(records, stopwords, n=100))

@@ -25,7 +25,20 @@ from biblionet.metrics import (
 )
 from biblionet.normalize import YearMonth
 from biblionet.wos_ingest import BiblioRecord, Corpus
-from oracles import brute_g_index, brute_h_index, every_row_author_table, numpy_pearson, random_corpus
+from oracles import (
+    RECORD_FIELD_VALUES,
+    brute_g_index,
+    brute_h_index,
+    every_row_author_table,
+    numpy_pearson,
+    random_corpus,
+    random_records,
+    record_correlation_rows,
+    record_field_counts,
+    record_monthly_counts,
+    sorted_most_cited,
+    varied_records,
+)
 
 citation_vectors = st.lists(st.integers(min_value=0, max_value=10_000), max_size=50)
 
@@ -122,9 +135,16 @@ class TestAuthorTable:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_equals_a_row_for_every_author_then_cut(self, seed):
-        corpus = random_corpus(seed, n_records=80)
-        for k in (0, 1, 10, 1000):
-            assert author_table(corpus, k) == every_row_author_table(corpus, k)
+        records = random_records(seed, n_records=80)
+        corpus = Corpus.from_records(records)
+        for k in (1, 10, 1000):
+            assert author_table(corpus, k) == every_row_author_table(records, k)
+
+    @pytest.mark.parametrize("k", [0, -1, -5])
+    def test_k_below_one_is_an_error(self, k):
+        # a slice by -1 would drop the last row instead
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            author_table(random_corpus(1, n_records=20), k)
 
 
 class TestCollaborationRatios:
@@ -487,6 +507,15 @@ class TestMostCited:
         rows = most_cited(self.corpus(), 3)
         assert [r[0] for r in rows] == ["C", "A", "B"]
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_is_an_error(self, k):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            most_cited(self.corpus(), k)
+
+    def test_research_areas_keep_repeats(self):
+        corpus = corpus_of(record(title="A", times_cited=1, research_areas=["X", "Y", "X"]))
+        assert most_cited(corpus, 1) == [("A", "", 1, ("X", "Y", "X"))]
+
     def test_et_al_formatting(self):
         rows = most_cited(self.corpus(), 4)
         by_title = {r[0]: r[1] for r in rows}
@@ -542,3 +571,49 @@ def test_authors_per_paper_skips_authorless(fixture_corpus):
     counts = authors_per_paper(fixture_corpus)
     assert len(counts) == 19  # the [anonymous] record drops out
     assert min(counts) == 1
+
+
+class TestTablesEqualTheRecordOracles:
+    """Each table, read from the corpus columns, equals the same table
+    worked out record by record with the expressions in `oracles`."""
+
+    @pytest.fixture()
+    def corpora(self, fixture_records):
+        return [fixture_records, *(varied_records(seed, n_records=80) for seed in range(4))]
+
+    def test_field_counts(self, corpora):
+        for records in corpora:
+            corpus = Corpus.from_records(records)
+            for field in RECORD_FIELD_VALUES:
+                assert field_counts(corpus, field) == record_field_counts(records, field), field
+
+    def test_monthly_counts(self, corpora):
+        for records in corpora:
+            corpus = Corpus.from_records(records)
+            for group_by in ("all", *RECORD_FIELD_VALUES):
+                assert monthly_counts(corpus, group_by) == record_monthly_counts(records, group_by), group_by
+            for group_by in RECORD_FIELD_VALUES:
+                keys = sorted(record_field_counts(records, group_by))[:2] + ["no such key"]
+                assert monthly_counts(corpus, group_by, keys) == record_monthly_counts(records, group_by, keys)
+
+    def test_most_cited(self, corpora):
+        for records in corpora:
+            corpus = Corpus.from_records(records)
+            for k in (1, 3, 10, 1000):
+                assert most_cited(corpus, k) == sorted_most_cited(records, k)
+
+    def test_author_table_and_authors_per_paper(self, corpora):
+        for records in corpora:
+            corpus = Corpus.from_records(records)
+            assert author_table(corpus, 1000) == every_row_author_table(records, 1000)
+            assert authors_per_paper(corpus) == [len(r.distinct_authors()) for r in records if r.distinct_authors()]
+
+    def test_correlation_matrix(self, corpora):
+        for records in corpora:
+            columns = [list(column) for column in zip(*record_correlation_rows(records))]
+            size = len(columns)
+            expected = [[1.0] * size for _ in range(size)]
+            for i in range(size):
+                for j in range(i + 1, size):
+                    expected[i][j] = expected[j][i] = numpy_pearson(columns[i], columns[j])
+            assert [list(row) for row in correlation_matrix(Corpus.from_records(records)).entries] == expected

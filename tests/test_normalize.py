@@ -9,17 +9,19 @@ from biblionet.normalize import (
     _address_segments,
     canonicalize_country,
     extract_countries,
+    extract_countries_and_institutions,
     extract_institutions,
     normalize_date,
     split_authors,
     split_list_field,
 )
 from biblionet.wos_ingest import BiblioRecord, Corpus, parse_file
-from oracles import char_walk_address_segments, random_corpus
+from oracles import char_walk_address_segments, random_records
 
 
 def address_corpus(*addresses) -> Corpus:
-    return Corpus([BiblioRecord(publication_type="J", title="T", addresses=address) for address in addresses])
+    return Corpus.from_records([BiblioRecord(publication_type="J", title="T", addresses=address)
+                                for address in addresses])
 
 
 class TestYearMonth:
@@ -176,12 +178,38 @@ class TestAddressSegments:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_corpora_match_char_walk(self, seed):
-        for record in random_corpus(seed, n_records=30).records:
+        for record in random_records(seed, n_records=30):
             assert _address_segments(record.addresses) == char_walk_address_segments(record.addresses)
 
     @given(st.text(alphabet="[];,. aZ", max_size=40))
     def test_bracket_strings_match_char_walk(self, address):
         assert _address_segments(address) == char_walk_address_segments(address)
+
+
+class TestCountriesAndInstitutions:
+    """One segmentation gives what the two extractors give apart."""
+
+    @staticmethod
+    def assert_both(address, rules=None):
+        assert (extract_countries_and_institutions(address, rules)
+                == (extract_countries(address, rules), extract_institutions(address)))
+
+    @pytest.mark.parametrize("address", [ADDRESS, "", None, ";", "[A; B] X, Y; Z", "Univ Oxford, Oxford, England"])
+    def test_examples(self, address):
+        self.assert_both(address)
+
+    def test_fixtures_and_random_records(self, fixture_paths, tab_fixture_path):
+        records = [record for path in [*fixture_paths, tab_fixture_path] for record in parse_file(path).records]
+        records += [record for seed in range(6) for record in random_records(seed, n_records=30)]
+        rules = NormalizationRules.default()
+        custom = NormalizationRules(rules.months, rules.seasons, {"ance": "Gaul"}, {"italy": "Italia"})
+        for record in records:
+            self.assert_both(record.addresses)
+            self.assert_both(record.addresses, custom)
+
+    @given(st.text(alphabet="[];,. aZ", max_size=40))
+    def test_bracket_strings(self, address):
+        self.assert_both(address)
 
 
 class TestSplitAuthors:

@@ -10,7 +10,9 @@ from biblionet.errors import FormatError
 from biblionet.normalize import YearMonth
 from biblionet.wos_ingest import (
     BiblioRecord,
+    Corpus,
     detect_duplicates,
+    iter_corpus_records,
     merge_corpora,
     parse_export,
     parse_file,
@@ -250,15 +252,14 @@ class TestMergeCorpora:
     def test_concatenation(self):
         parts = [[record(title=f"A{i}", accession_id=f"WOS:A{i}") for i in range(3)],
                  [record(title=f"B{i}", accession_id=f"WOS:B{i}") for i in range(3)]]
-        corpus = merge_corpora(parts)
-        assert len(corpus) == 6
-        assert [r.title for r in corpus.records[:3]] == ["A0", "A1", "A2"]
+        records = merge_corpora(parts)
+        assert len(records) == 6
+        assert [r.title for r in records[:3]] == ["A0", "A1", "A2"]
 
     def test_shared_accession_dropped(self):
         parts = [[record(title="A", accession_id="WOS:1")],
                  [record(title="B", accession_id="WOS:1"), record(title="C", accession_id="WOS:2")]]
-        corpus = merge_corpora(parts)
-        assert [r.title for r in corpus.records] == ["A", "C"]
+        assert [r.title for r in merge_corpora(parts)] == ["A", "C"]
 
     def test_dated_view_drops_seasons(self):
         parts = [[
@@ -268,12 +269,10 @@ class TestMergeCorpora:
             record(title="T4", publication_date="OCT", publication_year=2020, accession_id="W:4"),
             record(title="T5", publication_date="NOV", publication_year=2020, accession_id="W:5"),
         ]]
-        corpus = merge_corpora(parts)
+        corpus = Corpus.from_records(merge_corpora(parts))
         assert len(corpus) == 5
-        # resolved on the first read only, so commands without monthly
-        # series never normalize a date
-        assert "dated_view" not in vars(corpus)
-        assert corpus.dated_view == {0: YearMonth(2020, 9), 3: YearMonth(2020, 10), 4: YearMonth(2020, 11)}
+        # built with the other columns, in the one pass over the records
+        assert vars(corpus)["dated_view"] == {0: YearMonth(2020, 9), 3: YearMonth(2020, 10), 4: YearMonth(2020, 11)}
 
     def test_size_accounting_with_random_parts(self):
         # output size = sum of part sizes - sum (group size - 1)
@@ -284,24 +283,22 @@ class TestMergeCorpora:
             uid = f"WOS:{rng.randint(0, 14):03d}"
             records.append(record(title=f"T{i}", accession_id=uid))
         groups = detect_duplicates(records)
-        corpus = merge_corpora([records])
-        assert len(corpus) == len(records) - sum(len(g) - 1 for g in groups)
+        assert len(merge_corpora([records])) == len(records) - sum(len(g) - 1 for g in groups)
 
 
 class TestCorpusJsonl:
-    def test_round_trip(self, fixture_corpus, tmp_path):
+    def test_round_trip(self, fixture_records, fixture_corpus, tmp_path):
         path = tmp_path / "corpus.jsonl"
-        write_corpus_jsonl(fixture_corpus, path)
-        loaded = read_corpus_jsonl(path)
-        assert loaded.records == fixture_corpus.records
-        assert loaded.dated_view == fixture_corpus.dated_view
+        write_corpus_jsonl(fixture_records, path)
+        assert list(iter_corpus_records(path)) == fixture_records
+        assert read_corpus_jsonl(path) == fixture_corpus
 
     @pytest.mark.parametrize("source", ["tagged", "tab"])
-    def test_lines_equal_asdict_serialization(self, source, fixture_corpus, tab_fixture_path, tmp_path):
-        corpus = fixture_corpus if source == "tagged" else merge_corpora([parse_file(tab_fixture_path).records])
+    def test_lines_equal_asdict_serialization(self, source, fixture_records, tab_fixture_path, tmp_path):
+        records = fixture_records if source == "tagged" else merge_corpora([parse_file(tab_fixture_path).records])
         path = tmp_path / "corpus.jsonl"
-        write_corpus_jsonl(corpus, path)
-        expected = [json.dumps(dataclasses.asdict(r), sort_keys=True, ensure_ascii=False) for r in corpus.records]
+        write_corpus_jsonl(records, path)
+        expected = [json.dumps(dataclasses.asdict(r), sort_keys=True, ensure_ascii=False) for r in records]
         assert path.read_text(encoding="utf-8").splitlines() == expected
 
     def test_bad_line_raises_format_error(self, tmp_path):
@@ -364,9 +361,10 @@ class TestCorpusLineTypes:
         lines = [canonical_line(abstract=None, page_count=None, accession_id=None),
                  json.dumps({"publication_type": "B", "title": "Only a title"})]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        corpus = read_corpus_jsonl(path)
-        assert [r.abstract for r in corpus.records] == [None, None]
-        assert corpus.records[1] == record(publication_type="B", title="Only a title")
+        records = list(iter_corpus_records(path))
+        assert [r.abstract for r in records] == [None, None]
+        assert records[1] == record(publication_type="B", title="Only a title")
+        assert read_corpus_jsonl(path) == Corpus.from_records(records)
         assert read_corpus_column(path, "authors") == [["Smith, John"], []]
 
     @pytest.mark.parametrize("line, reason", [
@@ -395,7 +393,7 @@ class TestCorpusLineTypes:
         path = tmp_path / "corpus.jsonl"
         path.write_bytes(b'{"publication_type": "J", "title": "\\ud835\\udd38 \\\\ud800 \\u00e9"}\n')
         expected = "\U0001d538 \\ud800 \u00e9"
-        assert [r.title for r in read_corpus_jsonl(path).records] == [expected]
+        assert read_corpus_jsonl(path).titles == [expected]
         assert read_corpus_column(path, "authors") == [[]]
 
     def test_unknown_column_is_a_value_error(self, tmp_path):
