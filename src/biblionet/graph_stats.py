@@ -228,16 +228,22 @@ def _dependency_rows(indptr: np.ndarray, indices: np.ndarray, keys: list[int], b
 
 
 def largest_component_subgraph(graph: WeightedGraph) -> WeightedGraph:
-    """The largest connected component, derived once per graph: every
-    call returns the same object, the graph itself when it is connected."""
+    """The largest connected component: the graph itself when it is
+    connected, else a subgraph derived once and kept on the graph's view.
+
+    Only the parent refers to the subgraph, never the other way, so
+    reference counting frees both.
+    """
     components = connected_components(graph)
     if not components:
         raise DegenerateDataError("graph has no nodes")
+    if len(components) == 1:
+        return graph
     view = graph._view
     if view.largest is None:
         members = components[0]
         # its own node set: editing the subgraph's nodes leaves the shared component alone
-        view.largest = graph if len(components) == 1 else WeightedGraph(
+        view.largest = WeightedGraph(
             graph.kind, set(members), {pair: w for pair, w in graph.edges.items() if pair[0] in members})
     return view.largest
 
@@ -633,7 +639,11 @@ def _tail_ks(counts: np.ndarray, zetas: np.ndarray, zeta_xmin: float) -> float:
     return float(np.max(np.abs(empirical - model)))
 
 
-def fit_power_law(degrees, min_samples: int = 50) -> PowerLawFit:
+# the fewest degrees that `fit_power_law` fits
+POWER_LAW_MIN_SAMPLES = 50
+
+
+def fit_power_law(degrees) -> PowerLawFit:
     """Discrete maximum-likelihood power-law fit with KS-selected cutoff.
 
     For every candidate cutoff the tail exponent is estimated by
@@ -644,8 +654,8 @@ def fit_power_law(degrees, min_samples: int = 50) -> PowerLawFit:
     """
     import numpy as np
     x = np.asarray(list(degrees), dtype=np.int64)
-    if x.size < min_samples:
-        raise DegenerateDataError(f"need at least {min_samples} samples, got {x.size}")
+    if x.size < POWER_LAW_MIN_SAMPLES:
+        raise DegenerateDataError(f"need at least {POWER_LAW_MIN_SAMPLES} samples, got {x.size}")
     if (x < 1).any():
         raise ValueError("degrees must be positive integers")
     values, counts = np.unique(x, return_counts=True)

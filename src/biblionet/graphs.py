@@ -121,8 +121,8 @@ class _GraphView:
     is its component's position in `connected_components`.  The last
     four fields keep what is derived from the view once it has been
     asked for: the member set of each component, the largest component
-    subgraph, the node whose traversal serves each node, and every
-    node's distance sum.
+    subgraph of a disconnected graph, the node whose traversal serves
+    each node, and every node's distance sum.
     """
 
     labels: list[str]

@@ -18,50 +18,36 @@ from .stopwords import DEFAULT_STOPWORDS
 from .metrics import top_k
 from .wos_ingest import BiblioRecord
 
+# a token made only of these characters is dropped, as is a digit-only token
 _PUNCTUATION = frozenset(string.punctuation)
 
 
 @dataclass(frozen=True)
 class StopwordSet:
-    """Words, punctuation characters, and digit handling for filtering."""
+    """The lower-case words to filter out."""
 
     words: frozenset[str] = DEFAULT_STOPWORDS
-    punctuation: frozenset[str] = _PUNCTUATION
-    include_digits: bool = True
 
     def __post_init__(self) -> None:
         if any(word != word.lower() for word in self.words):
             raise ValueError("stopwords must be lower-case")
-        if any(len(ch) != 1 for ch in self.punctuation):
-            raise ValueError("punctuation entries must be single characters")
 
     @classmethod
-    def from_file(cls, path: str | Path, include_digits: bool = True) -> "StopwordSet":
+    def from_file(cls, path: str | Path) -> "StopwordSet":
         """Load a custom UTF-8 list, one word per line; blank lines ignored."""
         try:
             with open(path, encoding="utf-8") as fh:
                 words = frozenset(line.strip().lower() for line in fh if line.strip())
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path}: not UTF-8: {exc}") from exc
-        return cls(words=words, include_digits=include_digits)
-
-
-_DEFAULT_STOPWORD_SET = StopwordSet()
+        return cls(words=words)
 
 
 def filter_stopwords(tokens: list[str], stopwords: StopwordSet | None = None) -> list[str]:
-    """Drop stopwords, pure-punctuation tokens, and (optionally) digits."""
-    stopwords = stopwords or _DEFAULT_STOPWORD_SET
-    kept = []
-    for token in tokens:
-        if token in stopwords.words:
-            continue
-        if all(ch in stopwords.punctuation for ch in token):
-            continue
-        if stopwords.include_digits and token.isdigit():
-            continue
-        kept.append(token)
-    return kept
+    """Drop stopwords, punctuation-only tokens and digit-only tokens."""
+    words = stopwords.words if stopwords else DEFAULT_STOPWORDS
+    return [token for token in tokens
+            if token not in words and not _PUNCTUATION.issuperset(token) and not token.isdigit()]
 
 
 def keyword_frequencies(

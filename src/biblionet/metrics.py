@@ -67,16 +67,14 @@ def author_table(corpus: Corpus, k: int = 10) -> list[AuthorRow]:
 
     Every listed author receives the paper's full citation count; a
     paper with no usable citation count contributes 0.  Ties on the
-    total break by name ascending.
+    total break by name ascending, as `top_k` ranks.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     totals: dict[str, int] = {}
     for cited, authors in zip(corpus.times_cited, corpus.authors):
         for name in authors:
             totals[name] = totals.get(name, 0) + cited
     # rank first, so that only the kept authors' citation vectors are gathered for h and g
-    vectors = {name: [] for name in heapq.nsmallest(k, totals, key=lambda name: (-totals[name], name))}
+    vectors = {name: [] for name, _ in top_k(totals, k)}
     for cited, authors in zip(corpus.times_cited, corpus.authors):
         for name in authors:
             if name in vectors:
@@ -262,7 +260,8 @@ def top_k(counts: dict[str, int], k: int) -> list[tuple[str, int]]:
     """First k entries by count descending, ties lexicographic ascending."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return sorted(counts.items(), key=lambda item: (-item[1], item[0]))[:k]
+    # equal to sorted(...)[:k], without sorting the entries past the k-th
+    return heapq.nsmallest(k, counts.items(), key=lambda item: (-item[1], item[0]))
 
 
 def most_cited(corpus: Corpus, k: int = 10) -> list[tuple[str, str, int, tuple[str, ...]]]:

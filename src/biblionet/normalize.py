@@ -288,12 +288,12 @@ def split_authors(af_field: str | None) -> list[str]:
     return names
 
 
-def split_list_field(field: str | None, separator: str = ";", lowercase: bool = False) -> list[str]:
-    """Split a multi-value field, trimming entries and dropping empties."""
+def split_list_field(field: str | None, lowercase: bool = False) -> list[str]:
+    """Split a ";"-separated multi-value field, trimming entries and dropping empties."""
     if not field:
         return []
     values = []
-    for part in field.split(separator):
+    for part in field.split(";"):
         value = part.strip()
         if value:
             values.append(value.lower() if lowercase else value)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
-from itertools import repeat
+from itertools import islice, repeat
 from pathlib import Path
 from sys import intern
 from typing import BinaryIO, Iterable, Iterator
@@ -91,17 +91,16 @@ _COLUMNS = {
 @dataclass(frozen=True)
 class Corpus:
     """The cleaned features of a record collection, one column per feature
-    aligned by record index, and the rules they were cleaned with.
+    aligned by record index.
 
     `from_records` derives every column in one pass and keeps no record.
     A single-valued field's column holds a 1-tuple per record, () for no
-    value (`document_types` the leading category: "Article; Early Access"
-    is "Article"); `research_area_multisets` the areas as exported, and
+    value (`document_types` the leading non-blank category: "Article; Early
+    Access" is "Article"); `research_area_multisets` the areas as exported, and
     `dated_view` the year-month of each record index with a usable date.
     Columns share strings, tuples and lists: never modify them.
     """
 
-    rules: NormalizationRules | None
     titles: list[str]
     publication_types: list[tuple[str, ...]]
     document_types: list[tuple[str, ...]]
@@ -136,7 +135,8 @@ class Corpus:
         for index, record in enumerate(records):
             titles.append(record.title)
             types.append(single(record.publication_type))
-            documents.append(single(record.document_type.split(";")[0].strip()) if record.document_type else ())
+            categories = split_list_field(record.document_type)
+            documents.append(single(categories[0]) if categories else ())
             languages.append(single(record.language) if record.language else ())
             sources.append(single(record.source_abbrev) if record.source_abbrev else ())
             cited.append(record.times_cited)
@@ -151,7 +151,7 @@ class Corpus:
             month = normalize_date(record.publication_date, record.publication_year, rules)
             if month is not None:
                 dated[index] = shared.setdefault(month, month)
-        return cls(rules, titles, types, documents, languages, sources, cited, references, pages, authors,
+        return cls(titles, types, documents, languages, sources, cited, references, pages, authors,
                    countries, list(map(_distinct, countries)), institutions, list(map(_distinct, institutions)),
                    areas, list(map(_distinct, areas)), keywords, dated)
 
@@ -220,7 +220,7 @@ def _build_record(fields: dict[str, list[str]], warnings: list[str], context: st
     )
 
 
-def _parse_tagged(text: str) -> ParseResult:
+def _parse_tagged(lines: list[str]) -> ParseResult:
     records: list[BiblioRecord] = []
     warnings: list[str] = []
     fields: dict[str, list[str]] = {}
@@ -236,7 +236,7 @@ def _parse_tagged(text: str) -> ParseResult:
         fields = {}
         parts = None
 
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(lines, start=1):
         line = line.rstrip()
         if not line:
             continue
@@ -262,14 +262,12 @@ def _parse_tagged(text: str) -> ParseResult:
     return ParseResult(records=records, warnings=warnings)
 
 
-def _parse_tab_delimited(text: str) -> ParseResult:
-    lines = text.splitlines()
-    while lines and not lines[0].strip():
-        lines.pop(0)
-    if not lines:
+def _parse_tab_delimited(lines: list[str]) -> ParseResult:
+    first = next((index for index, line in enumerate(lines) if line.strip()), None)
+    if first is None:
         return ParseResult(records=[], warnings=[])
 
-    header = lines[0].rstrip("\r\n").split("\t")
+    header = lines[first].rstrip("\r\n").split("\t")
     tags = [tag.strip() for tag in header]
     bad = [tag for tag in tags if len(tag) != 2 or not _TAG_CHARS.issuperset(tag)]
     if bad:
@@ -277,7 +275,7 @@ def _parse_tab_delimited(text: str) -> ParseResult:
 
     records: list[BiblioRecord] = []
     warnings: list[str] = []
-    for line_no, line in enumerate(lines[1:], start=2):
+    for line_no, line in enumerate(islice(lines, first + 1, None), start=2):
         if not line.strip():
             continue
         fields: dict[str, list[str]] = {}
@@ -291,9 +289,10 @@ def _parse_tab_delimited(text: str) -> ParseResult:
     return ParseResult(records=records, warnings=warnings)
 
 
-def sniff_format(text: str) -> str:
-    """Guess the export dialect from the first non-empty line."""
-    for line in text.splitlines():
+def sniff_format(lines: list[str]) -> str:
+    """Guess the export dialect from the first non-empty of an export's
+    lines, as `str.splitlines` splits them."""
+    for line in lines:
         if line.strip():
             return "tab_delimited" if "\t" in line else "tagged"
     return "tagged"
@@ -314,12 +313,13 @@ def parse_export(stream: BinaryIO | str | bytes, format: str = "auto") -> ParseR
         text = stream.decode("utf-8-sig") if isinstance(stream, bytes) else stream.lstrip("\ufeff")
     except UnicodeDecodeError as exc:
         raise FormatError(f"not UTF-8: {exc}") from exc
+    lines = text.splitlines()  # the one split, which sniffing and parsing share
     if format == "auto":
-        format = sniff_format(text)
+        format = sniff_format(lines)
     if format == "tagged":
-        return _parse_tagged(text)
+        return _parse_tagged(lines)
     if format == "tab_delimited":
-        return _parse_tab_delimited(text)
+        return _parse_tab_delimited(lines)
     raise ValueError(f"unknown format {format!r}")
 
 

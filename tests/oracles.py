@@ -288,7 +288,8 @@ def every_row_author_table(records: list[BiblioRecord], k: int) -> list[AuthorRo
 # field -> the values of one record, each value once
 RECORD_FIELD_VALUES = {
     "publication_type": lambda r, rules: [r.publication_type],
-    "document_type": lambda r, rules: [r.document_type.split(";")[0].strip()] if r.document_type else [],
+    # the first non-blank category
+    "document_type": lambda r, rules: [part.strip() for part in r.document_type.split(";") if part.strip()][:1],
     "language": lambda r, rules: [r.language] if r.language else [],
     "source": lambda r, rules: [r.source_abbrev] if r.source_abbrev else [],
     "country": lambda r, rules: list(dict.fromkeys(extract_countries(r.addresses, rules))),

@@ -62,7 +62,6 @@ def test_columns_equal_the_public_functions(fixture_paths, tab_fixture_path, cus
     repeats = 0
     for name, records in _record_lists(fixture_paths, tab_fixture_path):
         corpus = Corpus.from_records(records, rules)
-        assert corpus.rules is rules, name
         assert len(corpus) == len(records), name
         assert corpus.authors == [split_authors("; ".join(r.author_full_names)) for r in records], name
         countries = [extract_countries(r.addresses, rules) for r in records]

@@ -1,7 +1,9 @@
+import gc
 import math
 import random
 import re
 import tracemalloc
+import weakref
 from itertools import combinations
 from unittest import mock
 
@@ -794,6 +796,27 @@ class TestViewLifetime:
         before = [set(c) for c in connected_components(g)]
         largest_component_subgraph(g).nodes.add("added later")
         assert connected_components(g) == before
+
+    @pytest.mark.parametrize("name", ["connected", "disconnected"])
+    def test_analysed_graphs_are_freed_without_the_cyclic_collector(self, name):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            g = KERNEL_GRAPHS[name]()
+            graph_facts(g)
+            for scope in ("largest", "whole"):
+                centrality_table(g, scope=scope)
+            small_world_check(g)
+            per_component_assortativity(g)
+            largest = largest_component_subgraph(g)
+            is_itself = largest is g
+            assert is_itself == (name == "connected")
+            refs = [weakref.ref(g), weakref.ref(g._view), weakref.ref(largest), weakref.ref(largest._view)]
+            del g, largest
+            assert [ref() for ref in refs] == [None] * 4
+        finally:
+            if enabled:
+                gc.enable()
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,6 @@ class TestFilterStopwords:
 
     def test_digits_removed(self):
         assert filter_stopwords(["2020"]) == []
-        assert filter_stopwords(["2020"], StopwordSet(include_digits=False)) == ["2020"]
 
     def test_pure_punctuation_removed(self):
         assert filter_stopwords(["--", "covid-19"]) == ["covid-19"]
@@ -159,7 +158,7 @@ class TestMatchesPerOccurrenceOracle:
         assert keyword_frequencies(records, n=n) == per_occurrence_keyword_frequencies(records, n=n)
 
     @given(st.lists(RECORD, max_size=8))
-    def test_custom_stopwords_keeping_digits(self, records):
-        stopwords = StopwordSet(words=frozenset({"a", "ab", "ς"}), include_digits=False)
+    def test_custom_stopwords(self, records):
+        stopwords = StopwordSet(words=frozenset({"a", "ab", "ς"}))
         assert (keyword_frequencies(records, stopwords, n=100)
                 == per_occurrence_keyword_frequencies(records, stopwords, n=100))

@@ -24,7 +24,7 @@ from biblionet.metrics import (
     top_k,
 )
 from biblionet.normalize import YearMonth
-from biblionet.wos_ingest import BiblioRecord, Corpus
+from biblionet.wos_ingest import BiblioRecord, Corpus, parse_export
 from oracles import (
     RECORD_FIELD_VALUES,
     brute_g_index,
@@ -489,6 +489,11 @@ class TestTopK:
         with pytest.raises(ValueError):
             top_k({"a": 1}, 0)
 
+    # few distinct counts over many names, so most entries tie
+    @given(st.dictionaries(st.text(alphabet="abc", max_size=4), st.integers(0, 3), max_size=40), st.integers(1, 45))
+    def test_equals_the_full_sort(self, counts, k):
+        assert top_k(counts, k) == sorted(counts.items(), key=lambda item: (-item[1], item[0]))[:k]
+
 
 class TestMostCited:
     def corpus(self):
@@ -553,6 +558,13 @@ class TestFieldCounts(object):
             record(document_type="Letter"),
         )
         assert field_counts(corpus, "document_type") == {"Article": 2, "Letter": 1}
+
+    def test_document_type_skips_blank_categories(self):
+        # the leading category is the first non-blank one; a type of blanks only has none
+        text = "PT J\nTI One\nDT ; Review\nER\nPT J\nTI Two\nDT  ;  \nER\nEF\n"
+        corpus = Corpus.from_records(parse_export(text).records)
+        assert corpus.document_types == [("Review",), ()]
+        assert field_counts(corpus, "document_type") == {"Review": 1}
 
     def test_country_counts_unique_per_record(self):
         seg = "[A] Inst, Dept, City, {}."

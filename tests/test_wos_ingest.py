@@ -181,7 +181,7 @@ class TestParserMatchesRegexReference:
     @staticmethod
     def assert_file_matches(path: Path) -> None:
         text = path.read_bytes().decode("utf-8-sig")
-        reference = regex_parse_tab_delimited if sniff_format(text) == "tab_delimited" else regex_parse_tagged
+        reference = regex_parse_tab_delimited if sniff_format(text.splitlines()) == "tab_delimited" else regex_parse_tagged
         assert parse_file(path) == reference(text)
 
     def test_fixtures(self, fixture_paths, tab_fixture_path):
