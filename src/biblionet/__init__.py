@@ -70,7 +70,6 @@ from .wos_ingest import (
     merge_corpora,
     parse_export,
     parse_file,
-    read_corpus_column,
     read_corpus_jsonl,
     write_corpus_jsonl,
 )

@@ -20,7 +20,7 @@ from . import dedup, graph_stats, graphs, keywords, metrics
 from .errors import DegenerateDataError, FormatError
 from .normalize import NormalizationRules, normalize_date
 from .wos_ingest import (
-    Corpus, iter_corpus_records, merge_corpora, parse_file, read_corpus_column, read_corpus_jsonl, write_corpus_jsonl,
+    Corpus, iter_corpus_records, merge_corpora, parse_file, read_corpus_jsonl, write_corpus_jsonl,
 )
 
 EXIT_OK = 0
@@ -367,8 +367,8 @@ def _stats_payload(values: list) -> dict:
 
 def cmd_network(args: argparse.Namespace, config: RunConfig) -> int:
     kind = graphs.GraphKind(args.kind.replace("-", "_"))
-    # built from one streamed column, which no name keeps once it is paired
-    graph = graphs.pair_graph(kind, read_corpus_column(args.corpus, graphs.COLUMNS[kind], config.rule_tables))
+    # built as the records stream past, so no record is kept
+    graph = graphs.build_graph(kind, iter_corpus_records(args.corpus), config.rule_tables)
     name = f"network_{kind.value}"
     _write_staged(config.out, name, lambda staging: _write_network(graph, staging / name, args, config))
     print(f"network analytics for kind={args.kind} written to {config.out / name}")
@@ -509,8 +509,7 @@ def cmd_keywords(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def cmd_dedup_authors(args: argparse.Namespace, config: RunConfig) -> int:
-    column = read_corpus_column(args.corpus, "authors", config.rule_tables)
-    names = sorted({name for authors in column for name in authors})
+    names = sorted({name for record in iter_corpus_records(args.corpus) for name in record.distinct_authors()})
     if config.sample is not None:
         names = dedup.sample_names(names, config.sample, config.seed)
     pairs = dedup.find_suspect_pairs(names, config.fuzzy_threshold)

@@ -1,9 +1,10 @@
 """Weighted undirected collaboration and co-occurrence graphs.
 
-Five graph kinds are built from a corpus: co-authorship, country and
-institution collaboration (where repeated values within one paper
-become self-loops), and research-area / keyword co-occurrence.  Edge
-weight counts pairwise co-occurrences across records.
+Five graph kinds are built from records, each cleaning only the feature
+it pairs: co-authorship, country and institution collaboration (where
+repeated values within one paper become self-loops), and research-area
+/ keyword co-occurrence.  Edge weight counts pairwise co-occurrences
+across records.
 """
 
 from __future__ import annotations
@@ -16,8 +17,11 @@ from functools import cached_property
 from itertools import chain, combinations
 from operator import itemgetter
 from pathlib import Path
+from sys import intern
+from typing import Iterable
 
-from .wos_ingest import Corpus
+from .normalize import NormalizationRules, extract_countries, extract_institutions
+from .wos_ingest import BiblioRecord
 
 
 class GraphKind(str, Enum):
@@ -28,11 +32,17 @@ class GraphKind(str, Enum):
     KEYWORD = "keyword"
 
 
-SELF_LOOP_KINDS = frozenset({GraphKind.COUNTRY, GraphKind.INSTITUTION})
-# the corpus column whose values each kind pairs
-COLUMNS = {GraphKind.COAUTHOR: "authors", GraphKind.COUNTRY: "country_multisets",
-           GraphKind.INSTITUTION: "institution_multisets", GraphKind.RESEARCH_AREA: "research_areas",
-           GraphKind.KEYWORD: "keywords"}
+# kind -> the values of one record that it pairs: distinct authors, areas and
+# keywords; a country and an institution per address segment, whose repeats
+# pair into self-loops.  Each call looks its cleaner up, so a replaced module
+# binding takes effect.
+_VALUES = {
+    GraphKind.COAUTHOR: lambda record, rules: record.distinct_authors(),
+    GraphKind.COUNTRY: lambda record, rules: extract_countries(record.addresses, rules),
+    GraphKind.INSTITUTION: lambda record, rules: extract_institutions(record.addresses),
+    GraphKind.RESEARCH_AREA: lambda record, rules: dict.fromkeys(record.research_areas),
+    GraphKind.KEYWORD: lambda record, rules: dict.fromkeys(record.author_keywords),
+}
 
 
 @dataclass
@@ -75,31 +85,27 @@ class WeightedGraph:
         return sorted([(a, b, weight) for (a, b), weight in self.edges.items()])
 
 
-def pair_graph(kind: GraphKind, column: list[list[str]]) -> WeightedGraph:
+def build_graph(kind: GraphKind, records: Iterable[BiblioRecord],
+                rules: NormalizationRules | None = None) -> WeightedGraph:
     """Each unordered pair of one record's values adds 1 to its weight.
 
-    A value alone in its record still becomes a node.  Equal values of
-    one multiset (from different address segments) pair into self-loops:
-    intra-country / intra-institution collaboration.  Edges are in the
-    order of their first pairs.
+    `records` may be any iterable, such as `iter_corpus_records(path)`:
+    each record is cleaned for this kind's feature only (countries by
+    `rules`), paired, and not kept.  A value alone in its record still
+    becomes a node.  Only country and institution graphs carry
+    self-loops: intra-country / intra-institution collaboration.  Edges
+    are in the order of their first pairs.
     """
+    values_of = _VALUES[kind]
+    nodes: set[str] = set()
     edges: dict[tuple[str, str], int] = {}
-    for values in column:
+    for record in records:
+        values = list(map(intern, values_of(record, rules)))
+        nodes.update(values)
         for a, b in combinations(values, 2):
             pair = (a, b) if a <= b else (b, a)
             edges[pair] = edges.get(pair, 0) + 1
-    if kind not in SELF_LOOP_KINDS and any(a == b for a, b in edges):
-        raise ValueError(f"self-loops are not allowed in {kind.value} graphs")
-    return WeightedGraph(kind, set(chain.from_iterable(column)), edges)
-
-
-def build_graph(kind: GraphKind, corpus: Corpus) -> WeightedGraph:
-    """`pair_graph` over the corpus column that `kind` pairs.
-
-    Authors, research areas and keywords appear once per record in their
-    columns, so only country and institution graphs carry self-loops.
-    """
-    return pair_graph(kind, getattr(corpus, COLUMNS[kind]))
+    return WeightedGraph(kind, nodes, edges)
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,7 @@ from .errors import FormatError
 from .normalize import (
     NormalizationRules,
     YearMonth,
-    extract_countries,
     extract_countries_and_institutions,
-    extract_institutions,
     normalize_date,
     split_authors,
     split_list_field,
@@ -77,17 +75,6 @@ def _distinct(values: list[str]) -> list[str]:
     return values if len(values) < 2 or len(set(values)) == len(values) else list(dict.fromkeys(values))
 
 
-# column -> its value for one record, for `read_corpus_column`; `Corpus.from_records`
-# derives the same values, the two address columns from one segmentation
-_COLUMNS = {
-    "authors": lambda record, rules: record.distinct_authors(),
-    "country_multisets": lambda record, rules: extract_countries(record.addresses, rules),
-    "institution_multisets": lambda record, rules: extract_institutions(record.addresses),
-    "research_areas": lambda record, rules: _distinct(record.research_areas),
-    "keywords": lambda record, rules: _distinct(record.author_keywords),
-}
-
-
 @dataclass(frozen=True)
 class Corpus:
     """The cleaned features of a record collection, one column per feature
@@ -110,9 +97,7 @@ class Corpus:
     cited_reference_counts: list[int]
     page_counts: list[int | None]
     authors: list[list[str]]
-    country_multisets: list[list[str]]
     countries: list[list[str]]
-    institution_multisets: list[list[str]]
     institutions: list[list[str]]
     research_area_multisets: list[list[str]]
     research_areas: list[list[str]]
@@ -144,16 +129,15 @@ class Corpus:
             pages.append(record.page_count)
             authors.append(list(map(intern, record.distinct_authors())))
             record_countries, record_institutions = extract_countries_and_institutions(record.addresses, rules)
-            countries.append(list(map(intern, record_countries)))
-            institutions.append(list(map(intern, record_institutions)))
+            countries.append(_distinct(list(map(intern, record_countries))))
+            institutions.append(_distinct(list(map(intern, record_institutions))))
             areas.append(list(map(intern, record.research_areas)))
             keywords.append(_distinct(list(map(intern, record.author_keywords))))
             month = normalize_date(record.publication_date, record.publication_year, rules)
             if month is not None:
                 dated[index] = shared.setdefault(month, month)
         return cls(titles, types, documents, languages, sources, cited, references, pages, authors,
-                   countries, list(map(_distinct, countries)), institutions, list(map(_distinct, institutions)),
-                   areas, list(map(_distinct, areas)), keywords, dated)
+                   countries, institutions, areas, list(map(_distinct, areas)), keywords, dated)
 
 
 @dataclass
@@ -271,11 +255,11 @@ def _parse_tab_delimited(lines: list[str]) -> ParseResult:
     tags = [tag.strip() for tag in header]
     bad = [tag for tag in tags if len(tag) != 2 or not _TAG_CHARS.issuperset(tag)]
     if bad:
-        raise FormatError(f"malformed header at line 1: invalid field tags {bad}")
+        raise FormatError(f"malformed header at line {first + 1}: invalid field tags {bad}")
 
     records: list[BiblioRecord] = []
     warnings: list[str] = []
-    for line_no, line in enumerate(islice(lines, first + 1, None), start=2):
+    for line_no, line in enumerate(islice(lines, first + 1, None), start=first + 2):
         if not line.strip():
             continue
         fields: dict[str, list[str]] = {}
@@ -449,12 +433,3 @@ def iter_corpus_records(path: str | Path) -> Iterator[BiblioRecord]:
 def read_corpus_jsonl(path: str | Path, rules: NormalizationRules | None = None) -> Corpus:
     """The corpus of a corpus.jsonl file, its columns built as the records stream past."""
     return Corpus.from_records(iter_corpus_records(path), rules)
-
-
-def read_corpus_column(path: str | Path, name: str, rules: NormalizationRules | None = None) -> list[list[str]]:
-    """`read_corpus_jsonl(path, rules).<name>` for the columns authors, country_multisets,
-    institution_multisets, research_areas and keywords, cleaning only that feature and keeping no record."""
-    if name not in _COLUMNS:
-        raise ValueError(f"unknown corpus column {name!r}, expected one of {sorted(_COLUMNS)}")
-    derive = _COLUMNS[name]
-    return [list(map(intern, derive(record, rules))) for record in iter_corpus_records(path)]

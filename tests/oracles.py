@@ -24,11 +24,15 @@ from scipy.special import zeta
 from biblionet.dedup import SuspectPair
 from biblionet.errors import DegenerateDataError, FormatError
 from biblionet.graph_stats import _EULER_MACLAURIN, _MACHEP, PowerLawFit
-from biblionet.graphs import SELF_LOOP_KINDS, GraphKind, WeightedGraph
+from biblionet.graphs import GraphKind, WeightedGraph
 from biblionet.keywords import StopwordSet, filter_stopwords
 from biblionet.metrics import AuthorRow, MonthlySeries
 from biblionet.normalize import extract_countries, extract_institutions, normalize_date, split_list_field
 from biblionet.wos_ingest import PUBLICATION_TYPES, BiblioRecord, Corpus, ParseResult
+
+# the kinds whose values repeat within a record (one per address segment),
+# so that their graphs carry self-loops
+SELF_LOOP_KINDS = frozenset({GraphKind.COUNTRY, GraphKind.INSTITUTION})
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +170,10 @@ def regex_parse_tagged(text: str) -> ParseResult:
 def regex_parse_tab_delimited(text: str) -> ParseResult:
     """The tab-delimited dialect, header tags matched against `^[A-Z0-9]{2}$`."""
     lines = text.splitlines()
+    blank = 0  # the blank lines above the header, which line numbers count
     while lines and not lines[0].strip():
         lines.pop(0)
+        blank += 1
     if not lines:
         return ParseResult(records=[], warnings=[])
 
@@ -175,11 +181,11 @@ def regex_parse_tab_delimited(text: str) -> ParseResult:
     tags = [tag.strip() for tag in header]
     bad = [tag for tag in tags if not _REGEX_TAG_TOKEN.match(tag)]
     if bad:
-        raise FormatError(f"malformed header at line 1: invalid field tags {bad}")
+        raise FormatError(f"malformed header at line {blank + 1}: invalid field tags {bad}")
 
     records: list[BiblioRecord] = []
     warnings: list[str] = []
-    for line_no, line in enumerate(lines[1:], start=2):
+    for line_no, line in enumerate(lines[1:], start=blank + 2):
         if not line.strip():
             continue
         cells = line.split("\t")

@@ -52,7 +52,7 @@ from oracles import (
     random_records,
     random_graph,
     sample_discrete_power_law,
-    synthetic_author_pool_corpus,
+    synthetic_author_pool_records,
     synthetic_names,
 )
 
@@ -221,17 +221,16 @@ def test_graph_construction_conservation():
     failures = 0
     for seed in range(100):
         records = random_records(seed, n_records=15)
-        corpus = Corpus.from_records(records)
         cases = [
-            (build_graph(GraphKind.COAUTHOR, corpus),
+            (build_graph(GraphKind.COAUTHOR, records),
              [len(r.distinct_authors()) for r in records]),
-            (build_graph(GraphKind.COUNTRY, corpus),
+            (build_graph(GraphKind.COUNTRY, records),
              [len(extract_countries(r.addresses)) for r in records]),
-            (build_graph(GraphKind.INSTITUTION, corpus),
+            (build_graph(GraphKind.INSTITUTION, records),
              [len(extract_institutions(r.addresses)) for r in records]),
-            (build_graph(GraphKind.RESEARCH_AREA, corpus),
+            (build_graph(GraphKind.RESEARCH_AREA, records),
              [len(set(r.research_areas)) for r in records]),
-            (build_graph(GraphKind.KEYWORD, corpus),
+            (build_graph(GraphKind.KEYWORD, records),
              [len(set(r.author_keywords)) for r in records]),
         ]
         for graph, sizes in cases:
@@ -331,8 +330,7 @@ def test_scale_smoke():
     started = time.monotonic()
 
     # ~100k-node preferential-attachment co-authorship graph
-    corpus = synthetic_author_pool_corpus(54_000, seed=7)
-    graph = build_graph(GraphKind.COAUTHOR, corpus)
+    graph = build_graph(GraphKind.COAUTHOR, synthetic_author_pool_records(54_000, seed=7))
     facts = graph_facts(graph)
     component = largest_component_subgraph(graph)
     betweenness_centrality(component, sample_sources=1000, seed=42)
@@ -342,7 +340,7 @@ def test_scale_smoke():
     size_ok = 50_000 <= facts.node_count <= 200_000
 
     # sampled betweenness accuracy on a ~5,000-node subsample
-    sub = largest_component_subgraph(build_graph(GraphKind.COAUTHOR, synthetic_author_pool_corpus(3_600, seed=11)))
+    sub = largest_component_subgraph(build_graph(GraphKind.COAUTHOR, synthetic_author_pool_records(3_600, seed=11)))
     adjacency = neighbor_sets(sub)
     top = max(sorted(adjacency), key=lambda node: len(adjacency[node]))
     exact = betweenness_centrality(sub)[top]

@@ -10,12 +10,21 @@ import pytest
 from biblionet import cli, graphs
 from biblionet.keywords import keyword_frequencies
 from biblionet.cli import EXIT_CONFIG_ERROR, EXIT_DEGENERATE, EXIT_INPUT_ERROR, EXIT_OK, main
-from biblionet.wos_ingest import BiblioRecord, iter_corpus_records, write_corpus_jsonl
+from biblionet.wos_ingest import BiblioRecord, Corpus, iter_corpus_records, write_corpus_jsonl
 from oracles import synthetic_author_pool_records
 
 
 def run(*argv) -> int:
     return main([str(a) for a in argv])
+
+
+def forbid_whole_corpus_reads(monkeypatch) -> None:
+    """Make every read that builds a whole Corpus raise."""
+    def load_whole_corpus(*args, **kwargs):
+        raise AssertionError("the command keeps no record")
+
+    monkeypatch.setattr(cli, "read_corpus_jsonl", load_whole_corpus)
+    monkeypatch.setattr(Corpus, "from_records", load_whole_corpus)
 
 
 @pytest.fixture()
@@ -320,6 +329,12 @@ class TestNetworkCommand:
         # the graph, and its largest component when that is not the graph
         assert len(builds) == (1 if connected else 2)
 
+    @pytest.mark.parametrize("kind", ["coauthor", "country", "institution", "research-area", "keyword"])
+    def test_streams_the_corpus(self, parsed_out, monkeypatch, kind):
+        forbid_whole_corpus_reads(monkeypatch)
+        assert run("network", parsed_out / "corpus.jsonl", "--kind", kind, "--out", parsed_out) == EXIT_OK
+        assert (parsed_out / f"network_{kind.replace('-', '_')}" / "manifest.json").exists()
+
     def test_seed_recorded_in_reports(self, parsed_out):
         run("network", parsed_out / "corpus.jsonl", "--kind", "coauthor",
             "--out", parsed_out, "--seed", "42")
@@ -384,11 +399,7 @@ class TestKeywordsCommand:
     def test_streams_the_corpus(self, parsed_out, monkeypatch):
         corpus = parsed_out / "corpus.jsonl"
         expected = keyword_frequencies(list(iter_corpus_records(corpus)))
-
-        def load_whole_corpus(*args, **kwargs):
-            raise AssertionError("keywords keeps no record")
-
-        monkeypatch.setattr(cli, "read_corpus_jsonl", load_whole_corpus)
+        forbid_whole_corpus_reads(monkeypatch)
         assert run("keywords", corpus, "--out", parsed_out) == EXIT_OK
         rows = json.loads((parsed_out / "keywords" / "keyword_frequencies.json").read_text())
         assert [(row["token"], row["count"]) for row in rows] == expected
@@ -399,6 +410,11 @@ class TestDedupCommand:
         assert run("dedup-authors", parsed_out / "corpus.jsonl", "--out", parsed_out) == EXIT_OK
         content = (parsed_out / "dedup" / "suspect_pairs.csv").read_text()
         assert '"Rodriguez-Jimenez, P.","Rodriguez-Jimenez, Pedro"' in content
+
+    def test_streams_the_corpus(self, parsed_out, monkeypatch):
+        forbid_whole_corpus_reads(monkeypatch)
+        assert run("dedup-authors", parsed_out / "corpus.jsonl", "--out", parsed_out) == EXIT_OK
+        assert "Rodriguez-Jimenez" in (parsed_out / "dedup" / "suspect_pairs.csv").read_text()
 
     def test_threshold_flag(self, parsed_out):
         assert run("dedup-authors", parsed_out / "corpus.jsonl", "--out", parsed_out,

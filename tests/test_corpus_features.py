@@ -1,6 +1,6 @@
 """The cleaned feature columns of a Corpus against the per-record public
-cleaning functions and against the streamed `read_corpus_column`, and how
-often each CLI command runs those functions."""
+cleaning functions, the memory that reading a corpus holds, and how often
+each CLI command runs those functions."""
 
 import dataclasses
 import gc
@@ -15,6 +15,7 @@ import pytest
 import biblionet
 from biblionet import cli, dedup, graph_stats, graphs, keywords, metrics, normalize, wos_ingest
 from biblionet.cli import EXIT_OK, main
+from biblionet.graphs import GraphKind, build_graph
 from biblionet.normalize import (
     NormalizationRules,
     extract_countries,
@@ -27,13 +28,10 @@ from biblionet.wos_ingest import (
     iter_corpus_records,
     merge_corpora,
     parse_file,
-    read_corpus_column,
     read_corpus_jsonl,
     write_corpus_jsonl,
 )
 from oracles import RECORD_FIELD_VALUES, random_records, synthetic_author_pool_records, varied_records
-
-STREAMED = ("authors", "country_multisets", "institution_multisets", "research_areas", "keywords")
 
 CUSTOM_RULES = {
     "country_exact": {"Italy": "Italia", "Hungary": "Magyarorszag"},
@@ -65,10 +63,8 @@ def test_columns_equal_the_public_functions(fixture_paths, tab_fixture_path, cus
         assert len(corpus) == len(records), name
         assert corpus.authors == [split_authors("; ".join(r.author_full_names)) for r in records], name
         countries = [extract_countries(r.addresses, rules) for r in records]
-        assert corpus.country_multisets == countries, name
         assert corpus.countries == [list(dict.fromkeys(values)) for values in countries], name
         institutions = [extract_institutions(r.addresses) for r in records]
-        assert corpus.institution_multisets == institutions, name
         assert corpus.institutions == [list(dict.fromkeys(values)) for values in institutions], name
         assert corpus.research_area_multisets == [r.research_areas for r in records], name
         assert corpus.research_areas == [list(dict.fromkeys(r.research_areas)) for r in records], name
@@ -85,25 +81,26 @@ def test_columns_equal_the_public_functions(fixture_paths, tab_fixture_path, cus
             index: month for index, r in enumerate(records)
             if (month := normalize_date(r.publication_date, r.publication_year, rules)) is not None
         }, name
-        seen_countries.update(c for countries in corpus.country_multisets for c in countries)
-        repeats += sum(len(m) - len(u) for m, u in zip(corpus.country_multisets, corpus.countries))
+        seen_countries.update(c for values in countries for c in values)
+        repeats += sum(len(m) - len(u) for m, u in zip(countries, corpus.countries))
     # the corpora exercise the rules and repeat countries within a record
     assert ({"Italia", "Magyarorszag", "Gaul"} if custom else {"Italy", "Hungary", "France"}) <= seen_countries
     assert repeats > 0
 
 
 @pytest.mark.parametrize("custom", [False, True], ids=["default-rules", "custom-rules"])
-def test_streamed_columns_equal_the_corpus_columns(fixture_paths, tab_fixture_path, custom_rules, custom, tmp_path):
+def test_streamed_reads_equal_the_reads_of_the_records(fixture_paths, tab_fixture_path, custom_rules, custom,
+                                                       tmp_path):
     rules = custom_rules if custom else None
     record_lists = [*_record_lists(fixture_paths, tab_fixture_path),
                     ("author-pool", synthetic_author_pool_records(400, seed=3))]
     for name, records in record_lists:
         path = tmp_path / f"{name}.jsonl"
         write_corpus_jsonl(records, path)
-        loaded = read_corpus_jsonl(path, rules)
-        assert loaded == Corpus.from_records(records, rules), name
-        for column in STREAMED:
-            assert read_corpus_column(path, column, rules) == getattr(loaded, column), (name, column)
+        assert read_corpus_jsonl(path, rules) == Corpus.from_records(records, rules), name
+        for kind in GraphKind:
+            streamed = build_graph(kind, iter_corpus_records(path), rules)
+            assert streamed == build_graph(kind, records, rules), (name, kind)
 
 
 def _peaks(reads) -> list[int]:
@@ -119,14 +116,14 @@ def _peaks(reads) -> list[int]:
     return peaks
 
 
-def test_streamed_column_keeps_no_record(tmp_path):
-    """tracemalloc's peak while streaming one column stays a small part
-    of the peak while building every column."""
+def test_streamed_graph_keeps_no_record(tmp_path):
+    """tracemalloc's peak while building a graph from the streamed records
+    stays a small part of the peak while building every column."""
     records = [record for seed in range(40) for record in random_records(seed, 100)]
     path = tmp_path / "corpus.jsonl"
     write_corpus_jsonl(records, path)
-    assert read_corpus_column(path, "country_multisets") == Corpus.from_records(records).country_multisets
-    peaks = _peaks([lambda: read_corpus_column(path, "country_multisets"), lambda: read_corpus_jsonl(path)])
+    assert build_graph(GraphKind.COUNTRY, iter_corpus_records(path)) == build_graph(GraphKind.COUNTRY, records)
+    peaks = _peaks([lambda: build_graph(GraphKind.COUNTRY, iter_corpus_records(path)), lambda: read_corpus_jsonl(path)])
     assert peaks[0] < peaks[1] / 5, peaks
 
 
@@ -155,8 +152,7 @@ def test_corpus_holds_columns_only(fixture_records):
     fields = vars(corpus)
     assert set(fields) == {field.name for field in dataclasses.fields(Corpus)}
     for name, value in fields.items():
-        if name != "rules":
-            assert len(value) == len(corpus) or name == "dated_view", name
+        assert len(value) == len(corpus) or name == "dated_view", name
     with pytest.raises(dataclasses.FrozenInstanceError):
         corpus.authors = []
 

@@ -33,8 +33,9 @@ from biblionet.graph_stats import (
     per_component_assortativity,
     small_world_check,
 )
-from biblionet.graphs import SELF_LOOP_KINDS, GraphKind, WeightedGraph, connected_components, graph_facts
+from biblionet.graphs import GraphKind, WeightedGraph, connected_components, graph_facts
 from oracles import (
+    SELF_LOOP_KINDS,
     add_pair,
     batched_betweenness,
     bfs_distances,

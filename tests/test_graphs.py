@@ -1,4 +1,5 @@
 import csv
+import json
 import random
 from xml.etree import ElementTree
 
@@ -6,29 +7,28 @@ import networkx as nx
 import pytest
 
 from biblionet.graphs import (
-    COLUMNS,
     GraphKind,
     WeightedGraph,
     build_graph,
     graph_facts,
-    pair_graph,
     top_weighted_edges,
     write_dot,
     write_edge_csv,
     write_graphml,
 )
-from biblionet.normalize import extract_countries, extract_institutions
-from biblionet.wos_ingest import BiblioRecord, Corpus, read_corpus_column, write_corpus_jsonl
+from biblionet.normalize import NormalizationRules, extract_countries, extract_institutions
+from biblionet.wos_ingest import BiblioRecord, iter_corpus_records, write_corpus_jsonl
 from oracles import (
+    SELF_LOOP_KINDS,
     add_pair,
     add_pair_graph,
     elementtree_write_graphml,
     key_sorted_top_weighted_edges,
     loop_write_dot,
     loop_write_edge_csv,
-    random_corpus,
     random_records,
     validate,
+    varied_records,
 )
 
 
@@ -36,10 +36,6 @@ def record(**kwargs) -> BiblioRecord:
     base = dict(publication_type="J", title="T")
     base.update(kwargs)
     return BiblioRecord(**base)
-
-
-def corpus_of(*records) -> Corpus:
-    return Corpus.from_records(list(records))
 
 
 SEG = "[A] {inst}, Dept {i}, City, {country}."
@@ -51,48 +47,48 @@ def address(*pairs) -> str:
 
 class TestCoauthorship:
     def test_triangle(self):
-        corpus = corpus_of(record(author_full_names=["A", "B", "C"]))
-        graph = build_graph(GraphKind.COAUTHOR, corpus)
+        records = [record(author_full_names=["A", "B", "C"])]
+        graph = build_graph(GraphKind.COAUTHOR, records)
         assert graph.nodes == {"A", "B", "C"}
         assert graph.edges == {("A", "B"): 1, ("A", "C"): 1, ("B", "C"): 1}
 
     def test_repeat_collaboration_weight(self):
-        corpus = corpus_of(
+        records = [
             record(author_full_names=["A", "B"]),
             record(author_full_names=["B", "A"]),
-        )
-        graph = build_graph(GraphKind.COAUTHOR, corpus)
+        ]
+        graph = build_graph(GraphKind.COAUTHOR, records)
         assert graph.edges == {("A", "B"): 2}
 
     def test_solo_author_is_isolated_node(self):
-        graph = build_graph(GraphKind.COAUTHOR, corpus_of(record(author_full_names=["A"])))
+        graph = build_graph(GraphKind.COAUTHOR, [record(author_full_names=["A"])])
         assert graph.nodes == {"A"}
         assert graph.edges == {}
         assert graph_facts(graph).isolated_count == 1
 
     def test_no_self_loops_from_duplicate_listing(self):
-        graph = build_graph(GraphKind.COAUTHOR, corpus_of(record(author_full_names=["A", "A", "B"])))
+        graph = build_graph(GraphKind.COAUTHOR, [record(author_full_names=["A", "A", "B"])])
         assert graph.edges == {("A", "B"): 1}
 
-    def test_node_set_is_all_cleaned_authors(self, fixture_corpus, fixture_records):
-        graph = build_graph(GraphKind.COAUTHOR, fixture_corpus)
+    def test_node_set_is_all_cleaned_authors(self, fixture_records):
+        graph = build_graph(GraphKind.COAUTHOR, fixture_records)
         expected = {name for r in fixture_records for name in r.distinct_authors()}
         assert graph.nodes == expected
 
 
 class TestCountryGraph:
     def test_same_country_segments_make_self_loop(self):
-        corpus = corpus_of(record(addresses=address(("I1", "MA 02115 USA"), ("I2", "NJ 08540 USA"))))
-        graph = build_graph(GraphKind.COUNTRY, corpus)
+        records = [record(addresses=address(("I1", "MA 02115 USA"), ("I2", "NJ 08540 USA")))]
+        graph = build_graph(GraphKind.COUNTRY, records)
         assert graph.edges == {("USA", "USA"): 1}
 
     def test_two_countries_plain_edge(self):
-        corpus = corpus_of(record(addresses=address(("I1", "MA 02115 USA"), ("I2", "England"))))
-        graph = build_graph(GraphKind.COUNTRY, corpus)
+        records = [record(addresses=address(("I1", "MA 02115 USA"), ("I2", "England")))]
+        graph = build_graph(GraphKind.COUNTRY, records)
         assert graph.edges == {("USA", "United Kingdom"): 1}
 
     def test_single_segment_isolated_node(self):
-        graph = build_graph(GraphKind.COUNTRY, corpus_of(record(addresses=address(("I1", "Italy")))))
+        graph = build_graph(GraphKind.COUNTRY, [record(addresses=address(("I1", "Italy")))])
         assert graph.nodes == {"Italy"}
         assert graph.edges == {}
         assert graph_facts(graph).isolated_count == 1
@@ -100,49 +96,49 @@ class TestCountryGraph:
 
 class TestInstitutionGraph:
     def test_intra_institution_self_loop(self):
-        corpus = corpus_of(record(addresses=address(("Wuhan Univ", "China"), ("Wuhan Univ", "China"))))
-        graph = build_graph(GraphKind.INSTITUTION, corpus)
+        records = [record(addresses=address(("Wuhan Univ", "China"), ("Wuhan Univ", "China")))]
+        graph = build_graph(GraphKind.INSTITUTION, records)
         assert graph.edges == {("Wuhan Univ", "Wuhan Univ"): 1}
 
     def test_distinct_institutions_edge(self):
-        corpus = corpus_of(record(addresses=address(("A Univ", "X"), ("B Univ", "Y"))))
-        graph = build_graph(GraphKind.INSTITUTION, corpus)
+        records = [record(addresses=address(("A Univ", "X"), ("B Univ", "Y")))]
+        graph = build_graph(GraphKind.INSTITUTION, records)
         assert graph.edges == {("A Univ", "B Univ"): 1}
 
     def test_three_segment_mixed(self):
         # segments [H, H, W]: one H-H self-loop, two H-W pairs
-        corpus = corpus_of(record(addresses=address(("H", "X"), ("H", "X"), ("W", "Y"))))
-        graph = build_graph(GraphKind.INSTITUTION, corpus)
+        records = [record(addresses=address(("H", "X"), ("H", "X"), ("W", "Y")))]
+        graph = build_graph(GraphKind.INSTITUTION, records)
         assert graph.edges == {("H", "H"): 1, ("H", "W"): 2}
 
 
 class TestCooccurrence:
     def test_research_area_pair(self):
-        corpus = corpus_of(record(research_areas=["Infectious Diseases", "Immunology"]))
-        graph = build_graph(GraphKind.RESEARCH_AREA, corpus)
+        records = [record(research_areas=["Infectious Diseases", "Immunology"])]
+        graph = build_graph(GraphKind.RESEARCH_AREA, records)
         assert graph.edges == {("Immunology", "Infectious Diseases"): 1}
 
     def test_single_value_is_isolated(self):
-        graph = build_graph(GraphKind.RESEARCH_AREA, corpus_of(record(research_areas=["Virology"])))
+        graph = build_graph(GraphKind.RESEARCH_AREA, [record(research_areas=["Virology"])])
         assert graph.nodes == {"Virology"}
         assert graph_facts(graph).isolated_count == 1
 
     def test_repeated_pair_weight(self):
-        corpus = corpus_of(
+        records = [
             record(author_keywords=["covid-19", "sars-cov-2"]),
             record(author_keywords=["sars-cov-2", "covid-19"]),
-        )
-        graph = build_graph(GraphKind.KEYWORD, corpus)
+        ]
+        graph = build_graph(GraphKind.KEYWORD, records)
         assert graph.edges == {("covid-19", "sars-cov-2"): 2}
 
     def test_no_self_loops_possible(self):
-        corpus = corpus_of(record(author_keywords=["covid-19", "covid-19", "pandemic"]))
-        graph = build_graph(GraphKind.KEYWORD, corpus)
+        records = [record(author_keywords=["covid-19", "covid-19", "pandemic"])]
+        graph = build_graph(GraphKind.KEYWORD, records)
         assert graph.edges == {("covid-19", "pandemic"): 1}
 
     def test_unknown_kind(self):
         with pytest.raises(KeyError):
-            build_graph("language", corpus_of())
+            build_graph("language", [])
 
 
 class TestGraphFacts:
@@ -176,8 +172,7 @@ class TestGraphFacts:
 
     def test_component_sum_equals_node_count(self):
         for seed in range(10):
-            corpus = random_corpus(seed)
-            graph = build_graph(GraphKind.COAUTHOR, corpus)
+            graph = build_graph(GraphKind.COAUTHOR, random_records(seed))
             facts = graph_facts(graph)
             assert sum(facts.component_sizes) == facts.node_count
 
@@ -206,12 +201,10 @@ class TestTopWeightedEdges:
 class TestInvariants:
     def test_order_independence(self):
         for seed in range(8):
-            shuffled = random_records(seed)
-            corpus = Corpus.from_records(shuffled)
-            random.Random(seed + 1).shuffle(shuffled)
-            permuted = Corpus.from_records(shuffled)
+            records = random_records(seed)
+            permuted = random.Random(seed + 1).sample(records, len(records))
             for kind in (GraphKind.COAUTHOR, GraphKind.COUNTRY, GraphKind.INSTITUTION, GraphKind.KEYWORD):
-                a = build_graph(kind, corpus)
+                a = build_graph(kind, records)
                 b = build_graph(kind, permuted)
                 assert a.nodes == b.nodes
                 assert a.edges == b.edges
@@ -220,15 +213,14 @@ class TestInvariants:
         # total pairwise weight equals sum over records of C(m, 2)
         for seed in range(20):
             records = random_records(seed)
-            corpus = Corpus.from_records(records)
             cases = [
-                (build_graph(GraphKind.COAUTHOR, corpus),
+                (build_graph(GraphKind.COAUTHOR, records),
                  [len(r.distinct_authors()) for r in records]),
-                (build_graph(GraphKind.COUNTRY, corpus),
+                (build_graph(GraphKind.COUNTRY, records),
                  [len(extract_countries(r.addresses)) for r in records]),
-                (build_graph(GraphKind.INSTITUTION, corpus),
+                (build_graph(GraphKind.INSTITUTION, records),
                  [len(extract_institutions(r.addresses)) for r in records]),
-                (build_graph(GraphKind.KEYWORD, corpus),
+                (build_graph(GraphKind.KEYWORD, records),
                  [len(set(r.author_keywords)) for r in records]),
             ]
             for graph, sizes in cases:
@@ -236,11 +228,14 @@ class TestInvariants:
                 assert sum(graph.edges.values()) == sum(m * (m - 1) // 2 for m in sizes)
 
     def test_self_loops_only_in_allowed_kinds(self):
-        with pytest.raises(ValueError):
-            pair_graph(GraphKind.COAUTHOR, [["A", "A"]])
+        # every feature repeats a value within the record
+        repeated = record(author_full_names=["A", "A"], research_areas=["R", "R"], author_keywords=["k", "k"],
+                          addresses=address(("I", "Italy"), ("I", "Italy")))
+        for kind in GraphKind:
+            assert bool(build_graph(kind, [repeated]).self_loops()) == (kind in SELF_LOOP_KINDS), kind
 
     def test_canonical_orientation(self):
-        graph = pair_graph(GraphKind.COAUTHOR, [["z", "a"]])
+        graph = build_graph(GraphKind.COAUTHOR, [record(author_full_names=["z", "a"])])
         assert list(graph.edges) == [("a", "z")]
 
 
@@ -307,14 +302,14 @@ def assert_graphml_matches_elementtree(graph, tmp_path):
 
 class TestGraphmlMatchesElementTree:
     @pytest.mark.parametrize("kind", KIND_NAMES)
-    def test_fixture_graphs(self, fixture_corpus, kind, tmp_path):
-        assert_graphml_matches_elementtree(build_graph(GraphKind(kind), fixture_corpus), tmp_path)
+    def test_fixture_graphs(self, fixture_records, kind, tmp_path):
+        assert_graphml_matches_elementtree(build_graph(GraphKind(kind), fixture_records), tmp_path)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_corpus_graphs(self, seed, tmp_path):
-        corpus = random_corpus(seed, n_records=30)
+        records = random_records(seed, n_records=30)
         for kind in GraphKind:
-            assert_graphml_matches_elementtree(build_graph(kind, corpus), tmp_path)
+            assert_graphml_matches_elementtree(build_graph(kind, records), tmp_path)
 
     def test_escaped_and_non_ascii_labels(self, tmp_path):
         g = escaped_label_graph(["lone \ud800 surrogate"])
@@ -340,14 +335,14 @@ def assert_writers_match_references(graph, tmp_path):
 
 class TestWritersShareOneSortedEdgeList:
     @pytest.mark.parametrize("kind", KIND_NAMES)
-    def test_fixture_graphs(self, fixture_corpus, kind, tmp_path):
-        assert_writers_match_references(build_graph(GraphKind(kind), fixture_corpus), tmp_path)
+    def test_fixture_graphs(self, fixture_records, kind, tmp_path):
+        assert_writers_match_references(build_graph(GraphKind(kind), fixture_records), tmp_path)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_corpus_graphs(self, seed, tmp_path):
-        corpus = random_corpus(seed, n_records=30)
+        records = random_records(seed, n_records=30)
         for kind in GraphKind:
-            assert_writers_match_references(build_graph(kind, corpus), tmp_path)
+            assert_writers_match_references(build_graph(kind, records), tmp_path)
 
     def test_escaped_labels_and_tied_weights(self, tmp_path):
         assert_writers_match_references(escaped_label_graph(), tmp_path)
@@ -356,8 +351,8 @@ class TestWritersShareOneSortedEdgeList:
         assert_writers_match_references(WeightedGraph(GraphKind.KEYWORD), tmp_path)
 
 
-def test_fixture_country_graph_has_expected_shape(fixture_corpus):
-    graph = build_graph(GraphKind.COUNTRY, fixture_corpus)
+def test_fixture_country_graph_has_expected_shape(fixture_records):
+    graph = build_graph(GraphKind.COUNTRY, fixture_records)
     # the Wuhan record has two China segments -> self-loop; the USA pair
     # comes from the Johns Hopkins + Fudan record
     assert graph.edges[("China", "China")] == 1
@@ -367,42 +362,63 @@ def test_fixture_country_graph_has_expected_shape(fixture_corpus):
     assert "Thailand" in graph.nodes
 
 
-class TestPairGraphCountsOnce:
-    """The counting build against one `add_pair` call per pair: the same
-    nodes, and the same edges in the same insertion order."""
+# kind -> the values of one record that its graph pairs, by the public cleaners
+PAIRED_VALUES = {
+    GraphKind.COAUTHOR: lambda r, rules: r.distinct_authors(),
+    GraphKind.COUNTRY: lambda r, rules: extract_countries(r.addresses, rules),
+    GraphKind.INSTITUTION: lambda r, rules: extract_institutions(r.addresses),
+    GraphKind.RESEARCH_AREA: lambda r, rules: list(dict.fromkeys(r.research_areas)),
+    GraphKind.KEYWORD: lambda r, rules: list(dict.fromkeys(r.author_keywords)),
+}
+
+
+class TestBuildGraphCountsOnce:
+    """The counting build against one `add_pair` call per pair of the
+    values that the public cleaners give: the same nodes, and the same
+    edges in the same insertion order."""
 
     @staticmethod
-    def assert_same_build(kind, column):
-        built, expected = pair_graph(kind, column), add_pair_graph(kind, column)
+    def assert_same_build(kind, records, rules=None):
+        column = [PAIRED_VALUES[kind](r, rules) for r in records]
+        built, expected = build_graph(kind, records, rules), add_pair_graph(kind, column)
         assert built.kind == kind
         assert built.nodes == expected.nodes
         assert list(built.edges.items()) == list(expected.edges.items())
         assert type(built.edges) is dict
 
     @pytest.mark.parametrize("kind", list(GraphKind), ids=lambda kind: kind.value)
-    def test_corpus_columns(self, fixture_records, kind, tmp_path):
-        for records in [fixture_records, *(random_records(seed, n_records=60) for seed in range(6))]:
-            corpus = Corpus.from_records(records)
-            self.assert_same_build(kind, getattr(corpus, COLUMNS[kind]))
-            # the library builds from a corpus; the CLI from the named column of a corpus file
-            path = tmp_path / "corpus.jsonl"
+    def test_record_lists(self, fixture_records, kind, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        for records in [fixture_records, *(random_records(seed, n_records=60) for seed in range(6)),
+                        *(varied_records(seed, n_records=80) for seed in range(3))]:
+            self.assert_same_build(kind, records)
+            # the CLI builds from the records of a corpus file as they stream past
             write_corpus_jsonl(records, path)
-            assert build_graph(kind, corpus) == pair_graph(kind, read_corpus_column(path, COLUMNS[kind]))
+            assert build_graph(kind, iter_corpus_records(path)) == build_graph(kind, records)
 
-    @pytest.mark.parametrize("kind", [GraphKind.COUNTRY, GraphKind.INSTITUTION])
-    def test_repeated_values_pair_into_self_loops(self, kind):
-        column = [["b", "a", "b", "b"], ["a"], [], ["c", "a", "c"], ["b", "a"]]
-        self.assert_same_build(kind, column)
-        assert pair_graph(kind, column).edges == {("a", "b"): 4, ("b", "b"): 3, ("a", "c"): 2, ("c", "c"): 1}
+    def test_custom_rules(self, fixture_records, tmp_path):
+        path = tmp_path / "rules.json"
+        path.write_text(json.dumps({"country_exact": {"Italy": "Italia"}, "country_contains": {"ance": "Gaul"}}))
+        rules = NormalizationRules.from_file(path)
+        records = [*fixture_records, *varied_records(0, n_records=80)]
+        self.assert_same_build(GraphKind.COUNTRY, records, rules)
+        assert {"Italia", "Gaul"} <= build_graph(GraphKind.COUNTRY, records, rules).nodes
+        assert {"Italy", "France"} <= build_graph(GraphKind.COUNTRY, records).nodes
+
+    @pytest.mark.parametrize("kind, side", [(GraphKind.COUNTRY, 1), (GraphKind.INSTITUTION, 0)])
+    def test_repeated_values_pair_into_self_loops(self, kind, side):
+        segments = {"a": ("A Univ", "Italy"), "b": ("B Univ", "Japan"), "c": ("C Univ", "Spain")}
+        records = [record(addresses=address(*map(segments.get, values))) for values in ("babb", "a", "", "cac", "ba")]
+        self.assert_same_build(kind, records)
+        a, b, c = (segments[letter][side] for letter in "abc")
+        assert build_graph(kind, records).edges == {(a, b): 4, (b, b): 3, (a, c): 2, (c, c): 1}
 
     @pytest.mark.parametrize("kind", [GraphKind.COAUTHOR, GraphKind.RESEARCH_AREA, GraphKind.KEYWORD])
     def test_self_loops_raise_where_the_kind_forbids_them(self, kind):
-        with pytest.raises(ValueError, match=f"self-loops are not allowed in {kind.value} graphs"):
-            pair_graph(kind, [["a", "b"], ["c", "a", "c"]])
         with pytest.raises(ValueError, match="self-loops are not allowed"):
             add_pair_graph(kind, [["a", "b"], ["c", "a", "c"]])
 
-    def test_empty_column_and_lone_values(self):
-        assert pair_graph(GraphKind.KEYWORD, []) == WeightedGraph(GraphKind.KEYWORD)
-        graph = pair_graph(GraphKind.KEYWORD, [["x"], [], ["y"]])
+    def test_no_records_and_lone_values(self):
+        assert build_graph(GraphKind.KEYWORD, []) == WeightedGraph(GraphKind.KEYWORD)
+        graph = build_graph(GraphKind.KEYWORD, [record(author_keywords=["x"]), record(), record(author_keywords=["y"])])
         assert graph.nodes == {"x", "y"} and graph.edges == {}

@@ -114,7 +114,6 @@ class TestExtractInstitutions:
     def test_every_occurrence_and_the_unique_view(self):
         assert extract_institutions(ADDRESS) == ["Harvard Med Sch", "Wuhan Univ", "Wuhan Univ"]
         corpus = address_corpus(ADDRESS)
-        assert corpus.institution_multisets == [["Harvard Med Sch", "Wuhan Univ", "Wuhan Univ"]]
         assert corpus.institutions == [["Harvard Med Sch", "Wuhan Univ"]]
 
     def test_unbracketed_segment_uses_first_token(self):
@@ -144,7 +143,6 @@ class TestExtractCountries:
     def test_every_occurrence_and_the_unique_view_on_mixed_address(self):
         assert extract_countries(ADDRESS) == ["USA", "China", "China"]
         corpus = address_corpus(ADDRESS)
-        assert corpus.country_multisets == [["USA", "China", "China"]]
         assert corpus.countries == [["USA", "China"]]
 
     def test_empty(self):

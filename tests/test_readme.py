@@ -14,13 +14,13 @@ def library_use_block() -> str:
     return re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
 
 
-def test_library_use_snippet_runs(fixture_paths, fixture_corpus, tmp_path, monkeypatch, capsys):
+def test_library_use_snippet_runs(fixture_paths, fixture_records, tmp_path, monkeypatch, capsys):
     for name, path in zip(("part1.txt", "part2.txt"), fixture_paths):
         shutil.copy(path, tmp_path / name)
     monkeypatch.chdir(tmp_path)
     namespace = {}
     exec(compile(library_use_block(), str(README), "exec"), namespace)
-    graph = build_graph(GraphKind.COAUTHOR, fixture_corpus)
+    graph = build_graph(GraphKind.COAUTHOR, fixture_records)
     assert namespace["graph"] == graph
     assert capsys.readouterr().out == f"{graph_facts(graph)}\n"
     assert namespace["table"].rows

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from biblionet.errors import FormatError
+from biblionet.graphs import GraphKind, build_graph
 from biblionet.normalize import YearMonth
 from biblionet.wos_ingest import (
     BiblioRecord,
@@ -16,7 +17,6 @@ from biblionet.wos_ingest import (
     merge_corpora,
     parse_export,
     parse_file,
-    read_corpus_column,
     read_corpus_jsonl,
     sniff_format,
     write_corpus_jsonl,
@@ -65,6 +65,13 @@ class TestTabParsing:
     def test_malformed_header_names_line(self):
         with pytest.raises(FormatError, match="line 1"):
             parse_export(b"PT\tTITLE\nJ\tX\n", format="tab_delimited")
+
+    def test_line_numbers_count_the_blank_lines_above_the_header(self):
+        text = "\n\nPT\tTI\nJ\t\nJ\tOk\n"
+        for parse in (parse_export, regex_parse_tab_delimited):
+            assert parse(text).warnings == ["line 4: record missing title, skipped"]
+            with pytest.raises(FormatError, match="malformed header at line 3:"):
+                parse("\n \nPT\tTITLE\nJ\tX\n")
 
     def test_missing_title_skipped_and_counted(self):
         result = parse_export(b"PT\tTI\tTC\nJ\tGood\t1\nJ\t\t2\nJ\tAlso good\t3\n", format="tab_delimited")
@@ -308,8 +315,6 @@ class TestCorpusJsonl:
             read_corpus_jsonl(path)
 
 
-COLUMN_NAMES = ("authors", "country_multisets", "institution_multisets", "research_areas", "keywords")
-
 # one field of a canonical line, given a value of the wrong JSON type
 MISTYPED = [
     ("author_full_names", "Smith, John", "list[str]"),
@@ -339,9 +344,10 @@ def canonical_line(**changes) -> str:
 
 
 def read_errors(path) -> list[str]:
-    """The FormatError text of each reader on `path`."""
+    """The FormatError text of each reader on `path`: the corpus, and the
+    streamed records of every graph kind."""
     messages = []
-    for read in (read_corpus_jsonl, *(lambda p, n=name: read_corpus_column(p, n) for name in COLUMN_NAMES)):
+    for read in (read_corpus_jsonl, *(lambda p, k=kind: build_graph(k, iter_corpus_records(p)) for kind in GraphKind)):
         with pytest.raises(FormatError) as caught:
             read(path)
         messages.append(str(caught.value))
@@ -354,7 +360,7 @@ class TestCorpusLineTypes:
         path = tmp_path / "corpus.jsonl"
         path.write_text(canonical_line() + "\n" + canonical_line(**{field: value}) + "\n", encoding="utf-8")
         expected = f"{path}:2: bad corpus record: {field} must be {declared}, got {value!r}"
-        assert read_errors(path) == [expected] * (1 + len(COLUMN_NAMES))
+        assert read_errors(path) == [expected] * (1 + len(GraphKind))
 
     def test_null_optional_fields_and_missing_fields_are_accepted(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
@@ -365,7 +371,7 @@ class TestCorpusLineTypes:
         assert [r.abstract for r in records] == [None, None]
         assert records[1] == record(publication_type="B", title="Only a title")
         assert read_corpus_jsonl(path) == Corpus.from_records(records)
-        assert read_corpus_column(path, "authors") == [["Smith, John"], []]
+        assert build_graph(GraphKind.COAUTHOR, iter_corpus_records(path)).nodes == {"Smith, John"}
 
     @pytest.mark.parametrize("line, reason", [
         (b"{not json", "Expecting property name"),
@@ -394,13 +400,7 @@ class TestCorpusLineTypes:
         path.write_bytes(b'{"publication_type": "J", "title": "\\ud835\\udd38 \\\\ud800 \\u00e9"}\n')
         expected = "\U0001d538 \\ud800 \u00e9"
         assert read_corpus_jsonl(path).titles == [expected]
-        assert read_corpus_column(path, "authors") == [[]]
-
-    def test_unknown_column_is_a_value_error(self, tmp_path):
-        path = tmp_path / "corpus.jsonl"
-        path.write_text(canonical_line() + "\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="unknown corpus column 'countries'"):
-            read_corpus_column(path, "countries")
+        assert [record.title for record in iter_corpus_records(path)] == [expected]
 
 
 class TestFixtureCorpus:
