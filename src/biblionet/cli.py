@@ -30,8 +30,8 @@ EXIT_DEGENERATE = 3
 
 OUT_DIR_ENV = "BIBLIONET_OUT"
 
-# exact analytics are impractical above this size; sampled estimates
-# activate automatically and the sample size lands in the report meta
+# exact betweenness is impractical above this size; a sampled estimate
+# activates automatically and the sample size lands in the report meta
 AUTO_SAMPLE_THRESHOLD = 20_000
 AUTO_SAMPLE_SIZE = 1_000
 
@@ -97,7 +97,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             setattr(config, key, value)
     config.out = Path(config.out)
     _check_int("top_k", config.top_k, minimum=1)
-    _check_int("seed", config.seed)
+    _check_int("seed", config.seed, minimum=0)
     if config.sample is not None:
         _check_int("sample", config.sample, minimum=1)
     if isinstance(config.fuzzy_threshold, bool) or not isinstance(config.fuzzy_threshold, (int, float)):
@@ -190,6 +190,13 @@ def _write_staged(out: Path, name: str, write) -> int:
         shutil.rmtree(staging, ignore_errors=True)
 
 
+def _shown(path) -> str:
+    """`path` as printable text: a name that is not UTF-8 holds surrogate
+    escapes, which no UTF-8 output can hold, so its undecodable bytes
+    show as backslash escapes."""
+    return os.fsencode(path).decode("utf-8", "backslashreplace")
+
+
 def _counts_table(outdir: Path, name: str, counts, k: int) -> None:
     ranked = metrics.top_k(counts, k)
     _write_csv(outdir / f"{name}.csv", ["value", "count"], ranked)
@@ -210,9 +217,7 @@ def cmd_parse(args: argparse.Namespace, config: RunConfig) -> int:
         parts.append(result.records)
         parsed += len(result.records)
         skipped += result.skipped
-        # a name that is not UTF-8 holds surrogate escapes, which no UTF-8 output can hold
-        shown = os.fsencode(path).decode("utf-8", "backslashreplace")
-        warnings.extend(f"{shown}: {message}" for message in result.warnings)
+        warnings.extend(f"{_shown(path)}: {message}" for message in result.warnings)
     records = merge_corpora(parts)
     duplicates_removed = parsed - len(records)
     dated = sum(normalize_date(r.publication_date, r.publication_year, rules) is not None for r in records)
@@ -246,7 +251,7 @@ def cmd_stats(args: argparse.Namespace, config: RunConfig) -> int:
     corpus = read_corpus_jsonl(args.corpus, config.rule_tables)
     code = _write_staged(config.out, "stats", lambda staging: _write_stats_tables(corpus, staging / "stats", config))
     if code == EXIT_OK:
-        print(f"stats written to {config.out / 'stats'}")
+        print(f"stats written to {_shown(config.out / 'stats')}")
     return code
 
 
@@ -371,7 +376,7 @@ def cmd_network(args: argparse.Namespace, config: RunConfig) -> int:
     graph = graphs.build_graph(kind, iter_corpus_records(args.corpus), config.rule_tables)
     name = f"network_{kind.value}"
     _write_staged(config.out, name, lambda staging: _write_network(graph, staging / name, args, config))
-    print(f"network analytics for kind={args.kind} written to {config.out / name}")
+    print(f"network analytics for kind={args.kind} written to {_shown(config.out / name)}")
     return EXIT_OK
 
 
@@ -439,13 +444,14 @@ def _write_network(graph: graphs.WeightedGraph, outdir: Path, args: argparse.Nam
         _write_json(outdir / "centrality.json", {"meta": meta, "skipped": str(exc)})
 
     try:
-        report = graph_stats.small_world_check(graph, sample_sources=sample, seed=config.seed)
+        report = graph_stats.small_world_check(graph)
         _write_json(outdir / "smallworld.json", {
             "meta": meta,
             "avg_shortest_path": _sig6(report.avg_shortest_path),
             "ln_node_count": _sig6(report.ln_node_count),
             "avg_clustering": _sig6(report.avg_clustering),
-            "sampled": report.sampled,
+            # path length is always exact; the key stays for readers of older trees
+            "sampled": False,
             "verdict": report.verdict,
         })
     except DegenerateDataError as exc:
@@ -504,7 +510,7 @@ def cmd_keywords(args: argparse.Namespace, config: RunConfig) -> int:
         return EXIT_OK
 
     _write_staged(config.out, "keywords", write)
-    print(f"{len(ranked)} keyword frequencies written to {config.out / 'keywords'}")
+    print(f"{len(ranked)} keyword frequencies written to {_shown(config.out / 'keywords')}")
     return EXIT_OK
 
 
@@ -522,7 +528,8 @@ def cmd_dedup_authors(args: argparse.Namespace, config: RunConfig) -> int:
         return EXIT_OK
 
     _write_staged(config.out, "dedup", write)
-    print(f"{len(pairs)} suspect pairs (threshold {config.fuzzy_threshold}) written to {config.out / 'dedup'}")
+    print(f"{len(pairs)} suspect pairs (threshold {config.fuzzy_threshold}) "
+          f"written to {_shown(config.out / 'dedup')}")
     return EXIT_OK
 
 
@@ -533,9 +540,11 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file")
     common.add_argument("--out", help=f"output directory (env {OUT_DIR_ENV} overrides config)")
-    common.add_argument("--seed", type=int, help="seed for all sampled analytics (default 0)")
+    common.add_argument("--seed", type=int, help="seed (>= 0) for sampled betweenness and dedup (default 0)")
     common.add_argument("--top-k", dest="top_k", type=int, help="rows per ranking table (default 10)")
-    common.add_argument("--sample", type=int, help="source sample size for large-graph analytics")
+    common.add_argument("--sample", type=int,
+                        help="source sample size for betweenness, name sample for dedup-authors; "
+                             "path length is always exact")
     common.add_argument("--rules", help="JSON file overriding country/month rule tables")
 
     parser = argparse.ArgumentParser(prog="biblionet", description=__doc__)

@@ -317,36 +317,29 @@ def _served_by(view) -> tuple[np.ndarray, np.ndarray]:
     return view.served_by
 
 
-def _component_distance_sums(view, nodes=None) -> np.ndarray:
-    """Total hop distance from each of `nodes` to the rest of its
-    component; for every node when `nodes` is None, derived once per view.
+def _component_distance_sums(view) -> np.ndarray:
+    """Total hop distance from each node to the rest of its component,
+    derived once per view.
 
     One bit-parallel pass serves every twin class and hub: a twin's sum
     is its class's, and a pendant's is its hub's plus c - 2, with c the
-    size of its component.  A subset is read from the full array when it
-    exists.
+    size of its component.
     """
-    import numpy as np
     if view.distance_sums is not None:
-        return view.distance_sums if nodes is None else view.distance_sums[nodes]
-    n = len(view.labels)
-    everything = nodes is None
-    nodes = np.arange(n) if everything else np.asarray(nodes, dtype=np.int64)
+        return view.distance_sums
+    import numpy as np
     served, pendant = _served_by(view)
-    keys = served[nodes]
-    traversed = np.zeros(n, dtype=bool)
-    traversed[keys] = True
+    traversed = np.zeros(len(view.labels), dtype=bool)
+    traversed[served] = True
     traversed &= view.degree > 0
     sources = np.flatnonzero(traversed)
     # a batch stops at its deepest search, so components stay together
     sources = sources[np.argsort(view.component[sources], kind="stable")]
-    totals = np.zeros(n, dtype=np.int64)
+    totals = np.zeros(traversed.size, dtype=np.int64)
     totals[sources] = _distance_sums(view.indptr, view.indices, sources)
-    sums = totals[keys]
-    sizes = np.bincount(view.component)[view.component[nodes]]
-    sums += np.where(pendant[nodes], sizes - 2, 0)
-    if everything:
-        view.distance_sums = sums
+    sums = totals[served]
+    sums += np.where(pendant, np.bincount(view.component)[view.component] - 2, 0)
+    view.distance_sums = sums
     return sums
 
 
@@ -472,22 +465,22 @@ def clustering(graph: WeightedGraph) -> tuple[dict[str, float], float]:
 # ---------------------------------------------------------------------------
 # path lengths and the small-world heuristic
 
-def avg_shortest_path(
-    graph: WeightedGraph,
-    sample_sources: int | None = None,
-    seed: int = 0,
-) -> float:
-    """Mean hop distance over ordered pairs of the largest component.
+def avg_shortest_path(graph: WeightedGraph) -> float:
+    """Mean hop distance over ordered pairs of the largest component, exact.
 
-    Exact (full traversal from every node) unless `sample_sources` is
-    set, in which case a seeded uniform source sample estimates it.
+    It reads the distance sums of the view that already holds them: the
+    graph's own after closeness over the whole graph, else the largest
+    component's.  The largest component's nodes are those of component 0
+    in the graph's view, in the same order, with the same sums.
     """
     component = largest_component_subgraph(graph)
     n = component.node_count
     if n < 2:
         raise DegenerateDataError("largest component has fewer than 2 nodes")
-    sources = _sources(n, sample_sources, seed)
-    totals = _component_distance_sums(component._view, None if len(sources) == n else sources)
+    view = graph._view
+    if view.distance_sums is None:
+        view = component._view
+    totals = _component_distance_sums(view)[view.component == 0]
     means = [float(total) / (n - 1) for total in totals.tolist()]
     return sum(means) / len(means)
 
@@ -497,18 +490,13 @@ class SmallWorldReport:
     avg_shortest_path: float
     ln_node_count: float
     avg_clustering: float
-    sampled: bool
     verdict: str
 
 
 SMALL_WORLD_RATIO_RANGE = (0.1, 10.0)
 
 
-def small_world_check(
-    graph: WeightedGraph,
-    sample_sources: int | None = None,
-    seed: int = 0,
-) -> SmallWorldReport:
+def small_world_check(graph: WeightedGraph) -> SmallWorldReport:
     """Compare mean path length of the largest component against ln N.
 
     The verdict is a heuristic label, not a statistical test: the graph
@@ -517,7 +505,7 @@ def small_world_check(
     """
     component = largest_component_subgraph(graph)
     n = component.node_count
-    length = avg_shortest_path(component, sample_sources, seed)  # raises below 2 nodes
+    length = avg_shortest_path(graph)  # raises below 2 nodes
     ln_n = math.log(n)
     _, avg_clust = clustering(component)
     ratio = length / ln_n
@@ -531,7 +519,6 @@ def small_world_check(
         avg_shortest_path=length,
         ln_node_count=ln_n,
         avg_clustering=avg_clust,
-        sampled=sample_sources is not None and sample_sources < n,
         verdict=verdict,
     )
 

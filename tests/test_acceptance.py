@@ -201,10 +201,8 @@ def test_small_world_discrimination():
     ring = WeightedGraph(GraphKind.COAUTHOR)
     for i in range(1000):
         add_pair(ring, f"r{i:04d}", f"r{(i + 1) % 1000:04d}")
-    # every source sees the same distance profile on a cycle, so the
-    # seeded source sample reproduces the exact mean
-    ring_report_1 = small_world_check(ring, sample_sources=50, seed=7)
-    ring_report_2 = small_world_check(ring, sample_sources=50, seed=7)
+    ring_report_1 = small_world_check(ring)
+    ring_report_2 = small_world_check(ring)
     ring_ok = (
         "not-small-world" in ring_report_1.verdict
         and ring_report_1 == ring_report_2
@@ -334,8 +332,6 @@ def test_scale_smoke():
     facts = graph_facts(graph)
     component = largest_component_subgraph(graph)
     betweenness_centrality(component, sample_sources=1000, seed=42)
-    from biblionet.graph_stats import avg_shortest_path
-    avg_shortest_path(component, sample_sources=1000, seed=42)
     build_elapsed = time.monotonic() - started
     size_ok = 50_000 <= facts.node_count <= 200_000
 

@@ -1,13 +1,14 @@
 import hashlib
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
 import networkx as nx
 import pytest
 
-from biblionet import cli, graphs
+from biblionet import cli, graph_stats, graphs
 from biblionet.keywords import keyword_frequencies
 from biblionet.cli import EXIT_CONFIG_ERROR, EXIT_DEGENERATE, EXIT_INPUT_ERROR, EXIT_OK, main
 from biblionet.wos_ingest import BiblioRecord, Corpus, iter_corpus_records, write_corpus_jsonl
@@ -342,6 +343,91 @@ class TestNetworkCommand:
         assert payload["meta"]["seed"] == 42
 
 
+def coauthor_network(corpus, out, *flags) -> dict:
+    """Run `network --kind coauthor` and read its JSON reports by name."""
+    assert run("network", corpus, "--kind", "coauthor", "--out", out, *flags) == EXIT_OK
+    tree = out / "network_coauthor"
+    return {name: json.loads((tree / f"{name}.json").read_text()) for name in ("centrality", "smallworld")}
+
+
+def without_meta(payload: dict) -> dict:
+    return {key: value for key, value in payload.items() if key != "meta"}
+
+
+class TestPathLengthIsExact:
+    """`--sample` and the auto-sample threshold sample betweenness only;
+    the path length of `smallworld.json` is always the exact one."""
+
+    @pytest.fixture()
+    def corpus(self, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        # a 450-node largest component, well above the samples below
+        write_corpus_jsonl(synthetic_author_pool_records(300, seed=5), corpus)
+        return corpus
+
+    @pytest.mark.parametrize("scope", [(), ("--whole-graph",)])
+    def test_sample_flag_leaves_path_length_exact(self, corpus, tmp_path, scope):
+        exact = coauthor_network(corpus, tmp_path / "exact", *scope)["smallworld"]
+        sampled = coauthor_network(corpus, tmp_path / "sampled", "--sample", "50", *scope)["smallworld"]
+        assert sampled["meta"]["sample"] == 50
+        assert without_meta(sampled) == without_meta(exact)
+        assert exact["sampled"] is False
+
+    @pytest.mark.parametrize("scope", [(), ("--whole-graph",)])
+    def test_every_run_makes_one_distance_pass(self, corpus, tmp_path, scope, monkeypatch):
+        passes = []
+        real = graph_stats._distance_sums
+
+        def counted(*args):
+            passes.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(graph_stats, "_distance_sums", counted)
+        for run_index, sample in enumerate(((), ("--sample", "50"))):
+            passes.clear()
+            coauthor_network(corpus, tmp_path / str(run_index), *scope, *sample)
+            assert len(passes) == 1
+
+    def test_auto_sample_branch(self, corpus, tmp_path, monkeypatch):
+        exact = coauthor_network(corpus, tmp_path / "exact", "--seed", "3")
+        monkeypatch.setattr(cli, "AUTO_SAMPLE_THRESHOLD", 100)
+        monkeypatch.setattr(cli, "AUTO_SAMPLE_SIZE", 40)
+        reports = coauthor_network(corpus, tmp_path / "auto", "--seed", "3")
+        meta = reports["centrality"]["meta"]
+        assert meta == {"seed": 3, "sample": 40, "auto_sampled": True}
+        graph = graphs.build_graph(graphs.GraphKind.COAUTHOR, iter_corpus_records(corpus))
+        largest = graph_stats.largest_component_subgraph(graph)
+        expected = graph_stats.betweenness_centrality(largest, 40, 3)
+        assert {row["node"]: row["betweenness"] for row in reports["centrality"]["rows"]} == {
+            node: cli._sig6(value) for node, value in expected.items()
+        }
+        smallworld = reports["smallworld"]
+        assert smallworld["meta"] == meta
+        assert smallworld["sampled"] is False
+        assert smallworld["avg_shortest_path"] == cli._sig6(graph_stats.avg_shortest_path(graph))
+        assert without_meta(smallworld) == without_meta(exact["smallworld"])
+
+
+@pytest.mark.parametrize("command", [("stats",), ("network", "--kind", "country"), ("keywords",),
+                                     ("dedup-authors",)])
+def test_out_path_that_is_not_utf8_is_printed_with_escapes(parsed_out, tmp_path, command):
+    name = b"bad_\xff"
+    try:
+        (tmp_path / os.fsdecode(name)).mkdir()
+    except (OSError, UnicodeError):
+        pytest.skip("the file system refuses a name that is not UTF-8")
+    env = {**os.environ, "PYTHONIOENCODING": "utf-8",
+           "PYTHONPATH": os.pathsep.join([str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "biblionet", command[0], str(parsed_out / "corpus.jsonl"), *command[1:],
+         "--out", name],
+        cwd=tmp_path, env=env, capture_output=True,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert b"Traceback" not in proc.stderr
+    assert b"bad_\\xff" in proc.stdout
+
+
 class TestPowerLawDigest:
     @pytest.fixture()
     def coauthor_corpus(self, tmp_path):
@@ -510,7 +596,7 @@ class TestConfigResolution:
                    "--out", tmp_path / "o") == EXIT_CONFIG_ERROR
 
     @pytest.mark.parametrize("flags", [
-        ("--sample", "0"), ("--sample", "-3"), ("--top-k", "0"),
+        ("--sample", "0"), ("--sample", "-3"), ("--top-k", "0"), ("--seed", "-1"),
     ])
     def test_bad_flag_is_config_error_before_any_write(self, tmp_path, parsed_out, flags):
         out = tmp_path / "o"
@@ -520,7 +606,7 @@ class TestConfigResolution:
 
     @pytest.mark.parametrize("values", [
         {"sample": "5"}, {"sample": 0}, {"sample": 2.5}, {"top_k": "5"}, {"top_k": True},
-        {"seed": "1"}, {"seed": 1.5}, {"fuzzy_threshold": "0.9"},
+        {"seed": "1"}, {"seed": 1.5}, {"seed": -1}, {"fuzzy_threshold": "0.9"},
         {"out": 5}, {"out": None}, {"out": ""}, {"stopwords": 3}, {"stopwords": True},
         {"out": "o\ud800"}, {"stopwords": "s\udfff"},
         [], ["out"], 123, None,

@@ -246,12 +246,6 @@ class TestAvgShortestPath:
         g = graph_from_edges([("a", "b"), ("b", "c"), ("x", "y")])
         assert avg_shortest_path(g) == pytest.approx(4 / 3)
 
-    def test_sampled_full_coverage_equals_exact(self):
-        g = random_graph(55, max_nodes=40)
-        exact = avg_shortest_path(g)
-        sampled = avg_shortest_path(g, sample_sources=10_000, seed=1)
-        assert sampled == exact
-
     def test_too_small_errors(self):
         g = WeightedGraph(GraphKind.COAUTHOR)
         g.nodes.add("x")
@@ -265,7 +259,6 @@ class TestSmallWorld:
         assert report.avg_shortest_path == pytest.approx(1.0)
         assert report.ln_node_count == pytest.approx(math.log(10))
         assert "small-world-consistent" in report.verdict
-        assert not report.sampled
 
     def test_ring_lattice_not_small_world(self):
         report = small_world_check(cycle(300))
@@ -611,15 +604,11 @@ def slow_closeness(graph, literal=False):
     return result
 
 
-def slow_avg_shortest_path(graph, sample=None, seed=0):
+def slow_avg_shortest_path(graph):
     labels = sorted(string_set_components(graph)[0])
     indptr, indices = compact_csr(labels, neighbor_sets(graph))
     n = len(labels)
-    if sample is None or sample >= n:
-        sources = range(n)
-    else:
-        sources = sorted(random.Random(seed).sample(range(n), sample))
-    means = [float(bfs_distances(indptr, indices, s, n).sum()) / (n - 1) for s in sources]
+    means = [float(bfs_distances(indptr, indices, s, n).sum()) / (n - 1) for s in range(n)]
     return sum(means) / len(means)
 
 
@@ -695,10 +684,13 @@ class TestTraversalKernels:
         monkeypatch.setattr(graph_stats, "_WEDGE_BUDGET", budget)
         assert clustering(kernel_graph) == set_clustering(kernel_graph)
 
-    @pytest.mark.parametrize("count", (None, *SOURCE_COUNTS))
-    def test_avg_shortest_path_equals_slow_path(self, kernel_graph, count):
-        assert (avg_shortest_path(kernel_graph, sample_sources=count, seed=7)
-                == slow_avg_shortest_path(kernel_graph, count, seed=7))
+    @pytest.mark.parametrize("closeness_scope", [None, "largest", "whole"])
+    def test_avg_shortest_path_equals_slow_path(self, kernel_graph, closeness_scope, monkeypatch):
+        # the sums come from the path length's own pass, or from closeness at either scope
+        if closeness_scope is not None:
+            centrality_table(kernel_graph, scope=closeness_scope)
+            monkeypatch.setattr(graph_stats, "_distance_sums", None)  # any further pass would fail
+        assert avg_shortest_path(kernel_graph) == slow_avg_shortest_path(kernel_graph)
 
 
 # ---------------------------------------------------------------------------
@@ -871,12 +863,7 @@ def assert_distance_sums_match_bfs(graph):
     for source in range(n):
         dist = bfs_distances(indptr, indices, source, n)
         expected.append(int(dist[dist > 0].sum()))
-    subset = sorted(random.Random(n).sample(range(n), n // 2))
-    # a subset before the full pass exists, then the full pass, then a subset read from it
-    assert _component_distance_sums(drop_view(graph)._view, subset).tolist() == [expected[i] for i in subset]
-    assert graph._view.distance_sums is None
-    assert _component_distance_sums(graph._view).tolist() == expected
-    assert _component_distance_sums(graph._view, subset).tolist() == [expected[i] for i in subset]
+    assert _component_distance_sums(drop_view(graph)._view).tolist() == expected
 
 
 class TestTwinAndPendantReuse:
@@ -927,6 +914,15 @@ class TestTwinAndPendantReuse:
         closeness_centrality(graph)
         monkeypatch.setattr(graph_stats, "_distance_sums", None)  # any further pass would fail
         assert avg_shortest_path(graph) == slow_avg_shortest_path(graph)
+
+    @pytest.mark.parametrize("scope", ["largest", "whole"])
+    @pytest.mark.parametrize("name", ["disconnected", "components"])
+    def test_small_world_reads_the_closeness_pass_in_either_scope(self, name, scope, monkeypatch):
+        # after whole-graph closeness the sums are on the graph's view, not its largest component's
+        graph = KERNEL_GRAPHS[name]()
+        centrality_table(graph, scope=scope)
+        monkeypatch.setattr(graph_stats, "_distance_sums", None)  # any further pass would fail
+        assert small_world_check(graph).avg_shortest_path == slow_avg_shortest_path(graph)
 
 
 def traversed_sources(monkeypatch, kernel, analysis, graph):
