@@ -10,7 +10,6 @@ from .dedup import SuspectPair, find_suspect_pairs, levenshtein, similarity_rati
 from .errors import DegenerateDataError, FormatError
 from .graph_stats import (
     AssortativityResult,
-    CentralityTable,
     PowerLawFit,
     SmallWorldReport,
     avg_shortest_path,

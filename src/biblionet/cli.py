@@ -165,12 +165,12 @@ def _write_manifest(outdir: Path, command: str, config: RunConfig, **extra) -> N
     _write_json(outdir / "manifest.json", payload)
 
 
-def _write_staged(out: Path, name: str, write) -> int:
+def _write_staged(out: Path, name: str, write) -> None:
     """Run `write` on a fresh staging directory `out/.<name>.partial` and,
-    when it returns EXIT_OK, move each entry it staged into `out`: a
-    staged directory replaces any earlier one of the same name whole.
+    when it returns, move each entry it staged into `out`: a staged
+    directory replaces any earlier one of the same name whole.
 
-    A run that fails or raises leaves no partial output and the earlier
+    A `write` that raises leaves no partial output and the earlier
     outputs untouched; the staging directory goes either way.
     """
     staging = out / f".{name}.partial"
@@ -178,14 +178,12 @@ def _write_staged(out: Path, name: str, write) -> int:
         shutil.rmtree(staging)
     staging.mkdir(parents=True)
     try:
-        code = write(staging)
-        if code == EXIT_OK:
-            for path in sorted(staging.iterdir()):
-                target = out / path.name
-                if path.is_dir() and target.exists():
-                    shutil.rmtree(target)
-                os.replace(path, target)
-        return code
+        write(staging)
+        for path in sorted(staging.iterdir()):
+            target = out / path.name
+            if path.is_dir() and target.exists():
+                shutil.rmtree(target)
+            os.replace(path, target)
     finally:
         shutil.rmtree(staging, ignore_errors=True)
 
@@ -206,7 +204,7 @@ def _counts_table(outdir: Path, name: str, counts, k: int) -> None:
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_parse(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_parse(args: argparse.Namespace, config: RunConfig) -> None:
     rules = config.rule_tables
     parts = []
     parsed = 0
@@ -232,30 +230,26 @@ def cmd_parse(args: argparse.Namespace, config: RunConfig) -> int:
         "warnings": warnings,
     }
 
-    def write(outdir: Path) -> int:
+    def write(outdir: Path) -> None:
         write_corpus_jsonl(records, outdir / "corpus.jsonl")
         _write_json(outdir / "parse_summary.json", summary)
         _write_manifest(outdir, "parse", config)
-        return EXIT_OK
 
     _write_staged(config.out, "parse", write)
     print(
         f"parsed {parsed} records ({skipped} skipped, {duplicates_removed} duplicates removed); "
         f"corpus {len(records)}, dated view {dated}"
     )
-    return EXIT_OK
 
 
-def cmd_stats(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_stats(args: argparse.Namespace, config: RunConfig) -> None:
     # its columns are built as the records stream past, so no record is kept
     corpus = read_corpus_jsonl(args.corpus, config.rule_tables)
-    code = _write_staged(config.out, "stats", lambda staging: _write_stats_tables(corpus, staging / "stats", config))
-    if code == EXIT_OK:
-        print(f"stats written to {_shown(config.out / 'stats')}")
-    return code
+    _write_staged(config.out, "stats", lambda staging: _write_stats_tables(corpus, staging / "stats", config))
+    print(f"stats written to {_shown(config.out / 'stats')}")
 
 
-def _write_stats_tables(corpus: Corpus, outdir: Path, config: RunConfig) -> int:
+def _write_stats_tables(corpus: Corpus, outdir: Path, config: RunConfig) -> None:
     k = config.top_k
     table = "field counts"
     counts = {}
@@ -343,19 +337,17 @@ def _write_stats_tables(corpus: Corpus, outdir: Path, config: RunConfig) -> int:
             outdir / "correlation_matrix.csv",
             ["variable", *matrix.variables],
             [
-                (variable, *[f"{value:.6g}" for value in row])
+                (variable, *["" if value is None else f"{value:.6g}" for value in row])
                 for variable, row in zip(matrix.variables, matrix.entries)
             ],
         )
         _write_json(outdir / "correlation_matrix.json", {
             "variables": list(matrix.variables),
-            "entries": [[_sig6(value) for value in row] for row in matrix.entries],
+            "entries": [[None if value is None else _sig6(value) for value in row] for row in matrix.entries],
         })
     except DegenerateDataError as exc:
-        print(f"stats: {table}: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
+        raise DegenerateDataError(f"stats: {table}: {exc}") from exc
     _write_manifest(outdir, "stats", config)
-    return EXIT_OK
 
 
 def _stats_payload(values: list) -> dict:
@@ -370,17 +362,16 @@ def _stats_payload(values: list) -> dict:
     }
 
 
-def cmd_network(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_network(args: argparse.Namespace, config: RunConfig) -> None:
     kind = graphs.GraphKind(args.kind.replace("-", "_"))
     # built as the records stream past, so no record is kept
     graph = graphs.build_graph(kind, iter_corpus_records(args.corpus), config.rule_tables)
     name = f"network_{kind.value}"
     _write_staged(config.out, name, lambda staging: _write_network(graph, staging / name, args, config))
     print(f"network analytics for kind={args.kind} written to {_shown(config.out / name)}")
-    return EXIT_OK
 
 
-def _write_network(graph: graphs.WeightedGraph, outdir: Path, args: argparse.Namespace, config: RunConfig) -> int:
+def _write_network(graph: graphs.WeightedGraph, outdir: Path, args: argparse.Namespace, config: RunConfig) -> None:
     facts = graphs.graph_facts(graph)
     _write_json(outdir / "facts.json", {
         "kind": graph.kind.value,
@@ -398,7 +389,7 @@ def _write_network(graph: graphs.WeightedGraph, outdir: Path, args: argparse.Nam
     _write_csv(
         outdir / "top_edges.csv",
         ["label_a", "label_b", "weight"],
-        graphs.top_weighted_edges(graph, config.top_k) if graph.edges else [],
+        graphs.top_weighted_edges(graph, config.top_k),
     )
     histogram = sorted(graphs.degree_counts(graph).items())
     _write_csv(outdir / "degree_histogram.csv", ["degree", "count"], histogram)
@@ -411,7 +402,7 @@ def _write_network(graph: graphs.WeightedGraph, outdir: Path, args: argparse.Nam
     meta = {"seed": config.seed, "sample": sample, "auto_sampled": auto_sampled}
 
     try:
-        table = graph_stats.centrality_table(
+        rows = graph_stats.centrality_table(
             graph, betweenness_sample=sample, seed=config.seed,
             scope="whole" if args.whole_graph else "largest",
             literal_closeness=args.literal_closeness,
@@ -424,7 +415,7 @@ def _write_network(graph: graphs.WeightedGraph, outdir: Path, args: argparse.Nam
                     row.node, f"{row.degree:.6f}", f"{row.betweenness:.6f}",
                     "" if row.closeness is None else f"{row.closeness:.6f}",
                 )
-                for row in table.rows
+                for row in rows
             ],
         )
         _write_json(outdir / "centrality.json", {
@@ -436,7 +427,7 @@ def _write_network(graph: graphs.WeightedGraph, outdir: Path, args: argparse.Nam
                     "betweenness": _sig6(row.betweenness),
                     "closeness": None if row.closeness is None else _sig6(row.closeness),
                 }
-                for row in table.rows
+                for row in rows
             ],
         })
     except DegenerateDataError as exc:
@@ -477,7 +468,7 @@ def _write_network(graph: graphs.WeightedGraph, outdir: Path, args: argparse.Nam
         outdir / "assortativity.csv",
         ["component_size", "assortativity", "defined"],
         [
-            (res.component_size, "" if res.r is None else f"{res.r:.6f}", str(res.defined).lower())
+            (res.component_size, "" if res.r is None else f"{res.r:.6f}", str(res.r is not None).lower())
             for res in series
         ],
     )
@@ -490,47 +481,42 @@ def _write_network(graph: graphs.WeightedGraph, outdir: Path, args: argparse.Nam
     })
 
     _write_manifest(outdir, "network", config, kind=args.kind)
-    return EXIT_OK
 
 
-def cmd_keywords(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_keywords(args: argparse.Namespace, config: RunConfig) -> None:
     stopword_set = (
         keywords.StopwordSet.from_file(config.stopwords) if config.stopwords else keywords.StopwordSet()
     )
     # counted as the records stream past, so no record is kept
     ranked = keywords.keyword_frequencies(iter_corpus_records(args.corpus), stopword_set, args.n)
 
-    def write(staging: Path) -> int:
+    def write(staging: Path) -> None:
         outdir = staging / "keywords"
         _write_csv(outdir / "keyword_frequencies.csv", ["token", "count"], ranked)
         _write_json(outdir / "keyword_frequencies.json", [
             {"token": token, "count": count} for token, count in ranked
         ])
         _write_manifest(outdir, "keywords", config, n=args.n)
-        return EXIT_OK
 
     _write_staged(config.out, "keywords", write)
     print(f"{len(ranked)} keyword frequencies written to {_shown(config.out / 'keywords')}")
-    return EXIT_OK
 
 
-def cmd_dedup_authors(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_dedup_authors(args: argparse.Namespace, config: RunConfig) -> None:
     names = sorted({name for record in iter_corpus_records(args.corpus) for name in record.distinct_authors()})
     if config.sample is not None:
         names = dedup.sample_names(names, config.sample, config.seed)
     pairs = dedup.find_suspect_pairs(names, config.fuzzy_threshold)
 
-    def write(staging: Path) -> int:
+    def write(staging: Path) -> None:
         outdir = staging / "dedup"
         outdir.mkdir()  # which write_suspect_pairs_csv does not make
         dedup.write_suspect_pairs_csv(pairs, outdir / "suspect_pairs.csv")
         _write_manifest(outdir, "dedup-authors", config, names_compared=len(names))
-        return EXIT_OK
 
     _write_staged(config.out, "dedup", write)
     print(f"{len(pairs)} suspect pairs (threshold {config.fuzzy_threshold}) "
           f"written to {_shown(config.out / 'dedup')}")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -586,18 +572,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = load_config(args)
+        args.func(args, load_config(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    try:
-        return args.func(args, config)
     except (FormatError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except DegenerateDataError as exc:
         print(f"analysis error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

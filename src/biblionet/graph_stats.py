@@ -710,10 +710,6 @@ class AssortativityResult:
     r: float | None
     component_size: int
 
-    @property
-    def defined(self) -> bool:
-        return self.r is not None
-
 
 def _assortativity(graph: WeightedGraph, groups: int, group_of: np.ndarray) -> list[float | None]:
     """Assortativity of each group of arcs, given each node's group.
@@ -774,19 +770,14 @@ class CentralityRow:
     closeness: float | None
 
 
-@dataclass(frozen=True)
-class CentralityTable:
-    rows: tuple[CentralityRow, ...]
-
-
 def centrality_table(
     graph: WeightedGraph,
     betweenness_sample: int | None = None,
     seed: int = 0,
     scope: str = "largest",
     literal_closeness: bool = False,
-) -> CentralityTable:
-    """Degree, betweenness and closeness joined per node.
+) -> tuple[CentralityRow, ...]:
+    """Degree, betweenness and closeness joined per node, one row each.
 
     By default the largest connected component is analyzed; pass
     scope="whole" to keep every node (singleton components then have no
@@ -814,4 +805,4 @@ def centrality_table(
         for node in sorted(target.nodes)
     ]
     rows.sort(key=lambda row: (-row.betweenness, row.node))
-    return CentralityTable(rows=tuple(rows))
+    return tuple(rows)

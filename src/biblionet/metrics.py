@@ -177,9 +177,9 @@ CORRELATION_VARIABLES = ("authors", "cited_refs", "times_cited", "research_areas
 @dataclass(frozen=True)
 class CorrelationMatrix:
     variables: tuple[str, ...]
-    entries: tuple[tuple[float, ...], ...]
+    entries: tuple[tuple[float | None, ...], ...]
 
-    def value(self, a: str, b: str) -> float:
+    def value(self, a: str, b: str) -> float | None:
         return self.entries[self.variables.index(a)][self.variables.index(b)]
 
 
@@ -187,7 +187,10 @@ def correlation_matrix(corpus: Corpus) -> CorrelationMatrix:
     """Pairwise Pearson correlations of the six per-paper variables.
 
     Rows with any missing variable (no authors, no research areas, no
-    countries, or no page count) are dropped first.
+    countries, or no page count) are dropped first.  A variable that is
+    constant over the rows left has no variance, so its whole row and
+    column, diagonal included, is None: the cells where
+    `numpy.corrcoef` gives NaN.
     """
     rows = [
         (float(len(authors)), float(references), float(cited), float(len(areas)), float(len(countries)), float(pages))
@@ -200,13 +203,13 @@ def correlation_matrix(corpus: Corpus) -> CorrelationMatrix:
     if len(rows) < 2:
         raise DegenerateDataError(f"need at least 2 complete rows, found {len(rows)}")
     columns = list(zip(*rows))
+    constant = [min(column) == max(column) for column in columns]
     size = len(CORRELATION_VARIABLES)
-    entries = [[1.0] * size for _ in range(size)]
+    entries = [[None if constant[i] or constant[j] else 1.0 for j in range(size)] for i in range(size)]
     for i in range(size):
         for j in range(i + 1, size):
-            rho = pearson(list(columns[i]), list(columns[j]))
-            entries[i][j] = rho
-            entries[j][i] = rho
+            if entries[i][j] is not None:
+                entries[i][j] = entries[j][i] = pearson(list(columns[i]), list(columns[j]))
     return CorrelationMatrix(
         variables=CORRELATION_VARIABLES,
         entries=tuple(tuple(row) for row in entries),

@@ -6,12 +6,14 @@ import sys
 from pathlib import Path
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from biblionet import cli, graph_stats, graphs
 from biblionet.keywords import keyword_frequencies
 from biblionet.cli import EXIT_CONFIG_ERROR, EXIT_DEGENERATE, EXIT_INPUT_ERROR, EXIT_OK, main
-from biblionet.wos_ingest import BiblioRecord, Corpus, iter_corpus_records, write_corpus_jsonl
+from biblionet.metrics import correlation_matrix
+from biblionet.wos_ingest import BiblioRecord, Corpus, iter_corpus_records, read_corpus_jsonl, write_corpus_jsonl
 from oracles import synthetic_author_pool_records
 
 
@@ -98,21 +100,24 @@ def one_record_corpus(tmp_path):
     return corpus
 
 
+# every file that `stats` writes
+STATS_FILES = {
+    f"{name}.{ext}"
+    for name in (
+        "publication_types", "document_types", "languages", "sources", "countries",
+        "institutions", "research_areas", "author_keywords", "most_cited", "author_table",
+        "monthly_all", "monthly_by_country", "monthly_by_source", "monthly_by_research_area",
+        "correlation_matrix",
+    )
+    for ext in ("csv", "json")
+} | {"page_stats.json", "authors_per_paper.json", "collaboration.json", "manifest.json"}
+
+
 class TestStatsCommand:
     def test_file_set_and_values(self, parsed_out):
         assert run("stats", parsed_out / "corpus.jsonl", "--out", parsed_out, "--seed", "42") == EXIT_OK
         stats = parsed_out / "stats"
-        expected = {
-            "publication_types", "document_types", "languages", "sources", "countries",
-            "institutions", "research_areas", "author_keywords", "most_cited", "author_table",
-            "monthly_all", "monthly_by_country", "monthly_by_source", "monthly_by_research_area",
-            "correlation_matrix",
-        }
-        for name in expected:
-            assert (stats / f"{name}.csv").exists(), name
-            assert (stats / f"{name}.json").exists(), name
-        for name in ("page_stats", "authors_per_paper", "collaboration"):
-            assert (stats / f"{name}.json").exists(), name
+        assert {p.name for p in stats.iterdir()} == STATS_FILES
 
         collab = json.loads((stats / "collaboration.json").read_text())
         # hand tally over the fixture: 19 authored papers, 13 with >= 2 authors
@@ -139,9 +144,50 @@ class TestStatsCommand:
         for rel in files_a:
             assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes(), rel
 
-    def test_degenerate_corpus_exit_code(self, tmp_path):
+    def test_degenerate_corpus_exit_code(self, tmp_path, capsys):
         # a single-record corpus cannot produce a correlation matrix
         assert run("stats", one_record_corpus(tmp_path), "--out", tmp_path / "o") == EXIT_DEGENERATE
+        # reported by main, in the form of every other exit-3 failure
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("analysis error: stats: correlation_matrix: ")
+
+    def test_constant_variable_leaves_its_coefficients_null(self, tmp_path):
+        # every paper from one country: the countries variable is constant
+        records = [
+            {
+                "publication_type": "J", "title": f"P{i}", "author_full_names": [f"A{j}, B" for j in range(1 + i % 4)],
+                "source_abbrev": "J.", "language": "English", "document_type": "Article",
+                "author_keywords": ["x"], "abstract": None, "addresses": f"[A0, B] Inst{i % 3}, Dept, City, Italy.",
+                "cited_reference_count": 5 + i * 7 % 11, "times_cited": i * 13 % 17, "publication_date": "MAR",
+                "publication_year": 2020, "research_areas": ["X", "Y", "Z"][: 1 + i % 3], "page_count": 3 + i % 5,
+                "accession_id": f"WOS:{i}",
+            }
+            for i in range(40)
+        ]
+        corpus = tmp_path / "italy.jsonl"
+        corpus.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        out = tmp_path / "o"
+        assert run("stats", corpus, "--out", out) == EXIT_OK
+        assert {p.name for p in (out / "stats").iterdir()} == STATS_FILES
+
+        matrix = correlation_matrix(read_corpus_jsonl(corpus))
+        columns = np.array([
+            [len(r["author_full_names"]), r["cited_reference_count"], r["times_cited"],
+             len(r["research_areas"]), 1, r["page_count"]]
+            for r in records
+        ], dtype=float).T
+        with np.errstate(divide="ignore", invalid="ignore"):
+            expected = np.corrcoef(columns)
+        entries = np.array([[np.nan if v is None else v for v in row] for row in matrix.entries])
+        assert np.array_equal(np.isnan(entries), np.isnan(expected))
+        assert np.isnan(expected).sum() == 11  # the countries row and column
+        assert np.allclose(entries, expected, atol=1e-12, equal_nan=True)
+
+        written = json.loads((out / "stats" / "correlation_matrix.json").read_text())
+        assert [[v is None for v in row] for row in written["entries"]] == np.isnan(expected).tolist()
+        rows = (out / "stats" / "correlation_matrix.csv").read_text().splitlines()[1:]
+        assert [[cell == "" for cell in row.split(",")[1:]] for row in rows] == np.isnan(expected).tolist()
 
     def test_degenerate_corpus_leaves_no_stats_directory(self, tmp_path):
         assert run("stats", one_record_corpus(tmp_path), "--out", tmp_path / "o") == EXIT_DEGENERATE

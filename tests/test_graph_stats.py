@@ -493,42 +493,42 @@ class TestPerComponentAssortativity:
 
 class TestCentralityTable:
     def test_star_hub_tops_every_column(self):
-        table = centrality_table(star(5))
-        top = table.rows[0]
+        rows = centrality_table(star(5))
+        top = rows[0]
         assert top.node == "hub"
-        assert top.degree == max(row.degree for row in table.rows)
-        assert top.betweenness == max(row.betweenness for row in table.rows)
-        assert top.closeness == max(row.closeness for row in table.rows)
+        assert top.degree == max(row.degree for row in rows)
+        assert top.betweenness == max(row.betweenness for row in rows)
+        assert top.closeness == max(row.closeness for row in rows)
 
     def test_k3_rows_identical(self):
-        table = centrality_table(complete(3))
-        values = {(row.degree, row.betweenness, row.closeness) for row in table.rows}
+        rows = centrality_table(complete(3))
+        values = {(row.degree, row.betweenness, row.closeness) for row in rows}
         assert len(values) == 1
 
     def test_six_node_fixture_matches_oracles(self):
         g = graph_from_edges([
             ("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("b", "e"), ("e", "f"),
         ])
-        table = centrality_table(g)
+        rows = centrality_table(g)
         deg = brute_degree_centrality(g)
         btw = brute_betweenness(g)
         clo = brute_closeness(g)
-        for row in table.rows:
+        for row in rows:
             assert row.degree == pytest.approx(deg[row.node], abs=1e-9)
             assert row.betweenness == pytest.approx(btw[row.node], abs=1e-9)
             assert row.closeness == pytest.approx(clo[row.node], abs=1e-9)
 
     def test_default_scope_is_largest_component(self):
         g = graph_from_edges([("a", "b"), ("b", "c"), ("x", "y")])
-        table = centrality_table(g)
-        assert {row.node for row in table.rows} == {"a", "b", "c"}
+        rows = centrality_table(g)
+        assert {row.node for row in rows} == {"a", "b", "c"}
         whole = centrality_table(g, scope="whole")
-        assert {row.node for row in whole.rows} == {"a", "b", "c", "x", "y"}
+        assert {row.node for row in whole} == {"a", "b", "c", "x", "y"}
 
     def test_sorted_by_betweenness_then_node(self):
-        table = centrality_table(star(4))
-        assert table.rows[0].node == "hub"
-        leaves = [row.node for row in table.rows[1:]]
+        rows = centrality_table(star(4))
+        assert rows[0].node == "hub"
+        leaves = [row.node for row in rows[1:]]
         assert leaves == sorted(leaves)
 
 
@@ -672,9 +672,9 @@ class TestTraversalKernels:
 
     @pytest.mark.parametrize("literal", [False, True])
     def test_whole_scope_table_closeness_equals_slow_path(self, kernel_graph, literal):
-        table = centrality_table(kernel_graph, scope="whole", literal_closeness=literal)
+        rows = centrality_table(kernel_graph, scope="whole", literal_closeness=literal)
         expected = slow_closeness(kernel_graph, literal)
-        assert {row.node: row.closeness for row in table.rows} == {
+        assert {row.node: row.closeness for row in rows} == {
             node: expected.get(node) for node in kernel_graph.nodes
         }
 
@@ -889,9 +889,9 @@ class TestTwinAndPendantReuse:
         target = graph if scope == "whole" else largest_component_subgraph(graph)
         if target.node_count < 2:
             return
-        table = centrality_table(graph, betweenness_sample=sample, seed=5, scope=scope)
+        rows = centrality_table(graph, betweenness_sample=sample, seed=5, scope=scope)
         expected = batched_betweenness(target, sample, 5)
-        assert {row.node: row.betweenness for row in table.rows} == expected
+        assert {row.node: row.betweenness for row in rows} == expected
 
     @settings(max_examples=150, deadline=None)
     @given(twin_rich_graphs())

@@ -23,4 +23,4 @@ def test_library_use_snippet_runs(fixture_paths, fixture_records, tmp_path, monk
     graph = build_graph(GraphKind.COAUTHOR, fixture_records)
     assert namespace["graph"] == graph
     assert capsys.readouterr().out == f"{graph_facts(graph)}\n"
-    assert namespace["table"].rows
+    assert namespace["table"]
