@@ -13,6 +13,7 @@ import json
 import os
 import shutil
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -391,7 +392,7 @@ def _write_network(graph: graphs.WeightedGraph, outdir: Path, args: argparse.Nam
         ["label_a", "label_b", "weight"],
         graphs.top_weighted_edges(graph, config.top_k),
     )
-    histogram = sorted(graphs.degree_counts(graph).items())
+    histogram = sorted(Counter(graph.degree.tolist()).items())
     _write_csv(outdir / "degree_histogram.csv", ["degree", "count"], histogram)
 
     component_size = facts.component_sizes[0] if facts.component_sizes else 0

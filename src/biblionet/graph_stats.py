@@ -2,14 +2,14 @@
 small-world check, power-law degree fit, and degree assortativity.
 
 Shortest paths are unweighted hop counts; edge weights are collaboration
-counts, not distances.  Every function reads the graph's one integer
-view: the CSR of the simple graph (self-loops ignored) and its component
-ids, derived on the first read and kept on the graph.
+counts, not distances.  Every function reads the integer arrays that
+the graph is built with: the CSR of the simple graph (self-loops
+ignored) and its component ids.
 
 Every traversal is exact, and fewer are run than there are sources: the
 true twins of a class (equal closed neighbourhoods) share one, and a
 pendant (degree 1) reuses its hub's, with a closed-form correction.
-Closeness and path length read one cached pass per view, a bit-parallel
+Closeness and path length read one cached pass per graph, a bit-parallel
 breadth-first search that advances 64 sources at once, one per bit of a
 uint64 word.  Betweenness runs Brandes dependency accumulation for a
 batch of up to 16 sources per pass, each wide level bottom-up, and keeps
@@ -229,8 +229,10 @@ def _dependency_rows(indptr: np.ndarray, indices: np.ndarray, keys: list[int], b
 
 def largest_component_subgraph(graph: WeightedGraph) -> WeightedGraph:
     """The largest connected component: the graph itself when it is
-    connected, else a subgraph derived once and kept on the graph's view.
+    connected, else a subgraph derived once and kept on the graph.
 
+    The subgraph is a slice of the graph's arrays: its nodes, in label
+    order, are renumbered 0..c-1, so its edges keep canonical order.
     Only the parent refers to the subgraph, never the other way, so
     reference counting frees both.
     """
@@ -239,13 +241,15 @@ def largest_component_subgraph(graph: WeightedGraph) -> WeightedGraph:
         raise DegenerateDataError("graph has no nodes")
     if len(components) == 1:
         return graph
-    view = graph._view
-    if view.largest is None:
-        members = components[0]
-        # its own node set: editing the subgraph's nodes leaves the shared component alone
-        view.largest = WeightedGraph(
-            graph.kind, set(members), {pair: w for pair, w in graph.edges.items() if pair[0] in members})
-    return view.largest
+    if graph.largest is None:
+        import numpy as np
+        kept = graph.component == 0
+        renumbered = np.cumsum(kept) - 1
+        edges = kept[graph.tails]  # an edge's ends share a component
+        graph.largest = WeightedGraph(
+            graph.kind, tuple(map(graph.labels.__getitem__, np.flatnonzero(kept).tolist())),
+            renumbered[graph.tails[edges]], renumbered[graph.heads[edges]], graph.weights[edges])
+    return graph.largest
 
 
 def _sources(n: int, sample_sources: int | None, seed: int):
@@ -257,9 +261,9 @@ def _sources(n: int, sample_sources: int | None, seed: int):
     return sorted(random.Random(seed).sample(range(n), sample_sources))
 
 
-def _served_by(view) -> tuple[np.ndarray, np.ndarray]:
+def _served_by(graph: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
     """The node whose traversal serves each node, and whether the node is
-    a pendant of it; derived once per view.
+    a pendant of it; derived once per graph.
 
     True twins, nodes with equal closed neighbourhoods, lie at equal
     distances from every other node and have bit-identical Brandes rows,
@@ -273,10 +277,10 @@ def _served_by(view) -> tuple[np.ndarray, np.ndarray]:
     closed neighbourhood; each candidate is checked against the smallest
     one, so a fingerprint collision can only cost a reduction.
     """
-    if view.served_by is not None:
-        return view.served_by
+    if graph.served_by is not None:
+        return graph.served_by
     import numpy as np
-    indptr, indices, degree = view.indptr, view.indices, view.degree
+    indptr, indices, degree = graph.indptr, graph.indices, graph.degree
     n = degree.size
     nodes = np.arange(n, dtype=np.int64)
     # a splitmix64 word per node; N[v] is fingerprinted by the wrapping
@@ -313,33 +317,33 @@ def _served_by(view) -> tuple[np.ndarray, np.ndarray]:
     served[leaves[on_hub]] = hubs[on_hub]
     pendant = np.zeros(n, dtype=bool)
     pendant[leaves[on_hub]] = True
-    view.served_by = served, pendant
-    return view.served_by
+    graph.served_by = served, pendant
+    return graph.served_by
 
 
-def _component_distance_sums(view) -> np.ndarray:
+def _component_distance_sums(graph: WeightedGraph) -> np.ndarray:
     """Total hop distance from each node to the rest of its component,
-    derived once per view.
+    derived once per graph.
 
     One bit-parallel pass serves every twin class and hub: a twin's sum
     is its class's, and a pendant's is its hub's plus c - 2, with c the
     size of its component.
     """
-    if view.distance_sums is not None:
-        return view.distance_sums
+    if graph.distance_sums is not None:
+        return graph.distance_sums
     import numpy as np
-    served, pendant = _served_by(view)
-    traversed = np.zeros(len(view.labels), dtype=bool)
+    served, pendant = _served_by(graph)
+    traversed = np.zeros(graph.node_count, dtype=bool)
     traversed[served] = True
-    traversed &= view.degree > 0
+    traversed &= graph.degree > 0
     sources = np.flatnonzero(traversed)
     # a batch stops at its deepest search, so components stay together
-    sources = sources[np.argsort(view.component[sources], kind="stable")]
+    sources = sources[np.argsort(graph.component[sources], kind="stable")]
     totals = np.zeros(traversed.size, dtype=np.int64)
-    totals[sources] = _distance_sums(view.indptr, view.indices, sources)
+    totals[sources] = _distance_sums(graph.indptr, graph.indices, sources)
     sums = totals[served]
-    sums += np.where(pendant, np.bincount(view.component)[view.component] - 2, 0)
-    view.distance_sums = sums
+    sums += np.where(pendant, np.bincount(graph.component)[graph.component] - 2, 0)
+    graph.distance_sums = sums
     return sums
 
 
@@ -351,8 +355,7 @@ def degree_centrality(graph: WeightedGraph) -> dict[str, float]:
     n = graph.node_count
     if n < 2:
         raise DegenerateDataError("degree centrality needs at least 2 nodes")
-    view = graph._view
-    return {node: degree / (n - 1) for node, degree in zip(view.labels, view.degree.tolist())}
+    return {node: degree / (n - 1) for node, degree in zip(graph.labels, graph.degree.tolist())}
 
 
 def betweenness_centrality(
@@ -376,14 +379,13 @@ def betweenness_centrality(
     source would be, so the values are bit-identical.
     """
     import numpy as np
-    view = graph._view
-    labels, indptr, indices = view.labels, view.indptr, view.indices
+    labels, indptr, indices = graph.labels, graph.indptr, graph.indices
     n = len(labels)
     if n < 3:
         return {label: 0.0 for label in labels}
     sources = _sources(n, sample_sources, seed)
     scale = n / len(sources)
-    served, pendant = _served_by(view)
+    served, pendant = _served_by(graph)
     batch = max(1, min(_BRANDES_MAX_BATCH, _BRANDES_BUDGET // (n + indices.size)))
     capacity = max(batch, _ROW_CACHE_BYTES // (8 * n))
     keys = served[sources].tolist()
@@ -408,19 +410,18 @@ def closeness_centrality(graph: WeightedGraph, literal: bool = False) -> dict[st
     `literal=True` the numerator is N_c (the Bavelas form), which can
     exceed 1 on small components.  Size-1 components are omitted.
 
-    The distance sums come from the view's one shared pass, which
+    The distance sums come from the graph's one shared pass, which
     `avg_shortest_path` reads too; nodes are keyed component by
     component.
     """
     import numpy as np
-    view = graph._view
-    sizes = np.array([len(c) for c in connected_components(graph)], dtype=np.int64)[view.component]
+    sizes = np.array([len(c) for c in connected_components(graph)], dtype=np.int64)[graph.component]
     sources = np.flatnonzero(sizes >= 2)
-    sources = sources[np.argsort(view.component[sources], kind="stable")]
+    sources = sources[np.argsort(graph.component[sources], kind="stable")]
     numerators = sizes[sources] - (0 if literal else 1)
-    totals = _component_distance_sums(view)[sources]
+    totals = _component_distance_sums(graph)[sources]
     return {
-        view.labels[source]: numerator / total
+        graph.labels[source]: numerator / total
         for source, numerator, total in zip(sources.tolist(), numerators.tolist(), totals.tolist())
     }
 
@@ -430,12 +431,11 @@ def clustering(graph: WeightedGraph) -> tuple[dict[str, float], float]:
 
     Nodes of degree < 2 contribute 0.
     """
-    if not graph.nodes:
+    if not graph.labels:
         raise DegenerateDataError("clustering of an empty graph is undefined")
     import numpy as np
-    view = graph._view
-    indptr, indices, degree = view.indptr, view.indices, view.degree
-    n = len(view.labels)
+    indptr, indices, degree = graph.indptr, graph.indices, graph.degree
+    n = graph.node_count
     tails = np.repeat(np.arange(n), degree)
     # each edge from its end of lower (degree, index): a neighbour x of
     # that end that is adjacent to the other end closes a triangle at x
@@ -456,7 +456,7 @@ def clustering(graph: WeightedGraph) -> tuple[dict[str, float], float]:
         triangles += np.bincount(wedges[closed], minlength=n)
     coefficients = {
         node: 2.0 * t / (d * (d - 1)) if d >= 2 else 0.0
-        for node, t, d in zip(view.labels, triangles.tolist(), degree.tolist())
+        for node, t, d in zip(graph.labels, triangles.tolist(), degree.tolist())
     }
     average = sum(coefficients.values()) / len(coefficients)
     return coefficients, average
@@ -468,19 +468,17 @@ def clustering(graph: WeightedGraph) -> tuple[dict[str, float], float]:
 def avg_shortest_path(graph: WeightedGraph) -> float:
     """Mean hop distance over ordered pairs of the largest component, exact.
 
-    It reads the distance sums of the view that already holds them: the
+    It reads the distance sums of the graph that already holds them: the
     graph's own after closeness over the whole graph, else the largest
     component's.  The largest component's nodes are those of component 0
-    in the graph's view, in the same order, with the same sums.
+    in the graph, in the same order, with the same sums.
     """
     component = largest_component_subgraph(graph)
     n = component.node_count
     if n < 2:
         raise DegenerateDataError("largest component has fewer than 2 nodes")
-    view = graph._view
-    if view.distance_sums is None:
-        view = component._view
-    totals = _component_distance_sums(view)[view.component == 0]
+    holder = graph if graph.distance_sums is not None else component
+    totals = _component_distance_sums(holder)[holder.component == 0]
     means = [float(total) / (n - 1) for total in totals.tolist()]
     return sum(means) / len(means)
 
@@ -719,10 +717,9 @@ def _assortativity(graph: WeightedGraph, groups: int, group_of: np.ndarray) -> l
     A group without arcs or without endpoint-degree variance gets None.
     """
     import numpy as np
-    view = graph._view
-    degree = view.degree
+    degree = graph.degree
     tails = np.repeat(np.arange(degree.size), degree)
-    x, y = degree[tails], degree[view.indices]
+    x, y = degree[tails], degree[graph.indices]
     group = group_of[tails]
     sums = np.zeros((4, groups), dtype=np.int64)
     for row, values in enumerate((np.ones_like(x), x, x * y, x * x)):
@@ -742,7 +739,7 @@ def degree_assortativity(graph: WeightedGraph) -> AssortativityResult:
     regular graphs.
     """
     import numpy as np
-    if graph._view.indices.size == 0:
+    if graph.indices.size == 0:
         raise DegenerateDataError("assortativity needs at least one non-loop edge")
     [r] = _assortativity(graph, 1, np.zeros(graph.node_count, dtype=np.int64))
     return AssortativityResult(r=r, component_size=graph.node_count)
@@ -755,7 +752,7 @@ def per_component_assortativity(graph: WeightedGraph) -> list[AssortativityResul
     caller can exclude them from plots without losing the raw series.
     """
     components = connected_components(graph)
-    series = _assortativity(graph, len(components), graph._view.component)
+    series = _assortativity(graph, len(components), graph.component)
     return [AssortativityResult(r=r, component_size=len(c)) for r, c in zip(series, components)]
 
 
@@ -802,7 +799,7 @@ def centrality_table(
             betweenness=betweenness[node],
             closeness=closeness.get(node),
         )
-        for node in sorted(target.nodes)
+        for node in target.labels
     ]
     rows.sort(key=lambda row: (-row.betweenness, row.node))
     return tuple(rows)

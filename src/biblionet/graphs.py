@@ -5,6 +5,10 @@ it pairs: co-authorship, country and institution collaboration (where
 repeated values within one paper become self-loops), and research-area
 / keyword co-occurrence.  Edge weight counts pairwise co-occurrences
 across records.
+
+A graph is built once, in integer form (see `WeightedGraph`), and no
+function changes it.  numpy is imported inside the functions, so CLI
+commands that build no graph do not load it.
 """
 
 from __future__ import annotations
@@ -15,10 +19,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import chain, combinations
-from operator import itemgetter
 from pathlib import Path
-from sys import intern
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .normalize import NormalizationRules, extract_countries, extract_institutions
 from .wos_ingest import BiblioRecord
@@ -45,44 +48,107 @@ _VALUES = {
 }
 
 
-@dataclass
+@dataclass(eq=False)
 class WeightedGraph:
-    """Undirected weighted graph with labeled nodes.
+    """Undirected weighted graph on node i = `labels[i]`, labels sorted.
 
-    Edge keys are stored in canonical (lexicographic) orientation;
-    self-pairs are allowed only for the country and institution kinds.
+    Edge e joins `tails[e]` <= `heads[e]` with weight `weights[e]`, and
+    the edges are sorted by (tail, head).  As the ids follow label
+    order, that is canonical pair order, each pair's labels in order;
+    self-loops (tail == head) occur only in the country and institution
+    kinds.
 
-    The structural functions read one integer view of the graph, and the
-    writers one sorted edge list, each derived on its first read and
-    kept, so nodes and edges must not change once the graph has been
-    analysed or written.
+    The constructor derives the simple graph (self-loops dropped): the
+    `degree[i]` neighbours of node i are
+    `indices[indptr[i]:indptr[i + 1]]`, in index order, and
+    `component[i]` is its component's position in
+    `connected_components`.  The last four fields keep what is derived
+    from the graph once it has been asked for: the member set of each
+    component, the largest component of a disconnected graph, the node
+    whose traversal serves each node, and every node's distance sum.
+    Nothing else changes once the graph is built.
     """
 
     kind: GraphKind
-    nodes: set[str] = field(default_factory=set)
-    edges: dict[tuple[str, str], int] = field(default_factory=dict)
+    labels: tuple[str, ...]
+    tails: np.ndarray
+    heads: np.ndarray
+    weights: np.ndarray
+    indptr: np.ndarray = field(init=False)
+    indices: np.ndarray = field(init=False)
+    degree: np.ndarray = field(init=False)
+    component: np.ndarray = field(init=False)
+    members: list[frozenset[str]] | None = field(init=False, default=None)
+    largest: WeightedGraph | None = field(init=False, default=None)
+    served_by: tuple[np.ndarray, np.ndarray] | None = field(init=False, default=None)
+    distance_sums: np.ndarray | None = field(init=False, default=None)
+
+    def __post_init__(self) -> None:
+        import numpy as np
+        n = len(self.labels)
+        simple = self.tails != self.heads
+        tails, heads = self.tails[simple], self.heads[simple]
+        # each edge in both orientations, sorted by (tail, head); distinct
+        # canonical edges make every arc distinct
+        arcs = np.sort(np.concatenate([tails * n + heads, heads * n + tails]))
+        arc_tails, self.indices = np.divmod(arcs, n)
+        self.degree = np.bincount(arc_tails, minlength=n)
+        self.indptr = np.concatenate([[0], np.cumsum(self.degree)])
+
+        # each node takes the smallest index among its own and its
+        # neighbours' labels, then the label of that label, until no label
+        # moves: every component ends on its smallest index (smallest label)
+        root = np.arange(n, dtype=np.int64)
+        while True:
+            lower = root.copy()
+            np.minimum.at(lower, arc_tails, root[self.indices])
+            lower = lower[lower]
+            if np.array_equal(lower, root):
+                break
+            root = lower
+        # a component's id is the rank of its (-size, smallest index) among all
+        key = (n - np.bincount(root, minlength=n)[root]) * n + root
+        self.component = np.searchsorted(np.sort(key[root == np.arange(n)]), key)
 
     @property
     def node_count(self) -> int:
-        return len(self.nodes)
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    def self_loops(self) -> list[tuple[str, str]]:
-        return [pair for pair in self.edges if pair[0] == pair[1]]
+        return len(self.labels)
 
     @cached_property
-    def _view(self) -> _GraphView:
-        return _build_view(self)
+    def nodes(self) -> frozenset[str]:
+        return frozenset(self.labels)
 
     @cached_property
-    def _sorted_edges(self) -> list[tuple[str, str, int]]:
-        """Every (a, b, weight), in canonical pair order."""
-        # flat tuples sort faster than ((a, b), weight) items; pairs are
-        # distinct, so the weight never decides
-        return sorted([(a, b, weight) for (a, b), weight in self.edges.items()])
+    def edges(self) -> Mapping[tuple[str, str], int]:
+        """Read-only (label_a, label_b) -> weight, in canonical order."""
+        return MappingProxyType({(a, b): weight for a, b, weight in _edge_rows(self, self.labels)})
+
+
+def _edge_rows(graph: WeightedGraph, names: Sequence[str], rows=slice(None)) -> Iterator[tuple[str, str, int]]:
+    """(name of tail, name of head, weight) of the edges at `rows`, in
+    their order, where node i is named `names[i]`."""
+    return zip(map(names.__getitem__, graph.tails[rows].tolist()),
+               map(names.__getitem__, graph.heads[rows].tolist()), graph.weights[rows].tolist())
+
+
+def _from_counts(kind: GraphKind, ids: dict[str, int],
+                 counts: Mapping[tuple[int, int], int]) -> WeightedGraph:
+    """The graph whose edge between the labels of ids i and j weighs
+    `counts[i, j]`, given the ids 0..n-1 of the n labels in any order.
+
+    The labels are sorted once and the ids renumbered to follow them;
+    each pair then takes the lower id first, and one sort of the pairs
+    gives canonical order.
+    """
+    import numpy as np
+    labels = sorted(ids)
+    # an id's new id: the inverse of the permutation that lists the old ids in label order
+    rank = np.argsort(np.fromiter(map(ids.__getitem__, labels), dtype=np.int64, count=len(labels)))
+    ends = rank[np.fromiter(chain.from_iterable(counts), dtype=np.int64, count=2 * len(counts)).reshape(-1, 2)]
+    tails, heads = ends.min(axis=1), ends.max(axis=1)
+    weights = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
+    canonical = np.lexsort((heads, tails))
+    return WeightedGraph(kind, tuple(labels), tails[canonical], heads[canonical], weights[canonical])
 
 
 def build_graph(kind: GraphKind, records: Iterable[BiblioRecord],
@@ -94,18 +160,15 @@ def build_graph(kind: GraphKind, records: Iterable[BiblioRecord],
     `rules`), paired, and not kept.  A value alone in its record still
     becomes a node.  Only country and institution graphs carry
     self-loops: intra-country / intra-institution collaboration.  Edges
-    are in the order of their first pairs.
+    come in canonical order, by label pair.
     """
     values_of = _VALUES[kind]
-    nodes: set[str] = set()
-    edges: dict[tuple[str, str], int] = {}
+    ids: dict[str, int] = {}  # each label's id, in order of first appearance
+    counts: Counter[tuple[int, int]] = Counter()
     for record in records:
-        values = list(map(intern, values_of(record, rules)))
-        nodes.update(values)
-        for a, b in combinations(values, 2):
-            pair = (a, b) if a <= b else (b, a)
-            edges[pair] = edges.get(pair, 0) + 1
-    return WeightedGraph(kind, nodes, edges)
+        # ids in ascending order, so each pair comes lower id first
+        counts.update(combinations(sorted([ids.setdefault(value, len(ids)) for value in values_of(record, rules)]), 2))
+    return _from_counts(kind, ids, counts)
 
 
 @dataclass(frozen=True)
@@ -118,75 +181,18 @@ class GraphFacts:
     component_sizes: tuple[int, ...]
 
 
-@dataclass(eq=False)
-class _GraphView:
-    """The simple graph (self-loops dropped) on node i = `labels[i]`.
-
-    The `degree[i]` neighbours of node i are
-    `indices[indptr[i]:indptr[i + 1]]`, in index order; `component[i]`
-    is its component's position in `connected_components`.  The last
-    four fields keep what is derived from the view once it has been
-    asked for: the member set of each component, the largest component
-    subgraph of a disconnected graph, the node whose traversal serves
-    each node, and every node's distance sum.
-    """
-
-    labels: list[str]
-    indptr: np.ndarray
-    indices: np.ndarray
-    degree: np.ndarray
-    component: np.ndarray
-    members: list[set[str]] | None = None
-    largest: WeightedGraph | None = None
-    served_by: tuple[np.ndarray, np.ndarray] | None = None
-    distance_sums: np.ndarray | None = None
-
-
-def _build_view(graph: WeightedGraph) -> _GraphView:
-    import numpy as np
-    labels = sorted(graph.nodes)
-    n = len(labels)
-    index = {label: i for i, label in enumerate(labels)}
-    pairs = chain.from_iterable(pair for pair in graph.edges if pair[0] != pair[1])
-    ends = np.fromiter(map(index.__getitem__, pairs), dtype=np.int64).reshape(-1, 2)
-    # each edge in both orientations, sorted by (tail, head); canonical
-    # edge keys make every arc distinct
-    arcs = np.sort(np.concatenate([ends[:, 0] * n + ends[:, 1], ends[:, 1] * n + ends[:, 0]]))
-    tails, indices = np.divmod(arcs, n)
-    degree = np.bincount(tails, minlength=n)
-    indptr = np.concatenate([[0], np.cumsum(degree)])
-
-    # each node takes the smallest index among its own and its
-    # neighbours' labels, then the label of that label, until no label
-    # moves: every component ends on its smallest index (smallest label)
-    root = np.arange(n, dtype=np.int64)
-    while True:
-        lower = root.copy()
-        np.minimum.at(lower, tails, root[indices])
-        lower = lower[lower]
-        if np.array_equal(lower, root):
-            break
-        root = lower
-    # a component's id is the rank of its (-size, smallest index) among all
-    key = (n - np.bincount(root, minlength=n)[root]) * n + root
-    component = np.searchsorted(np.sort(key[root == np.arange(n)]), key)
-    return _GraphView(labels, indptr, indices, degree, component)
-
-
-def connected_components(graph: WeightedGraph) -> list[set[str]]:
-    """Components of the simple-graph view, largest first.
+def connected_components(graph: WeightedGraph) -> list[frozenset[str]]:
+    """Components of the simple graph, largest first.
 
     Ties on size break by smallest member label for determinism.  The
-    sets are grouped once per graph and shared by every call: read them,
-    never modify them.
+    sets are grouped once per graph and shared by every call.
     """
-    view = graph._view
-    if view.members is None:
-        members: dict[int, set[str]] = {}
-        for label, component in zip(view.labels, view.component.tolist()):
-            members.setdefault(component, set()).add(label)
-        view.members = [members[component] for component in range(len(members))]
-    return list(view.members)
+    if graph.members is None:
+        members: list[list[str]] = [[] for _ in range(graph.component.max(initial=-1) + 1)]
+        for label, component in zip(graph.labels, graph.component.tolist()):
+            members[component].append(label)
+        graph.members = list(map(frozenset, members))
+    return list(graph.members)
 
 
 def graph_facts(graph: WeightedGraph) -> GraphFacts:
@@ -196,12 +202,13 @@ def graph_facts(graph: WeightedGraph) -> GraphFacts:
     node carrying just a self-loop is not isolated.
     """
     components = connected_components(graph)
-    looped = {a for a, _ in graph.self_loops()}  # one self-loop key per node
+    looped = graph.tails[graph.tails == graph.heads]  # one self-loop per node at most
     return GraphFacts(
         node_count=graph.node_count,
-        edge_count=graph.edge_count,
-        self_loop_count=len(looped),
-        isolated_count=sum(1 for c in components if len(c) == 1 and not c <= looped),
+        edge_count=graph.tails.size,
+        self_loop_count=looped.size,
+        # the one-node components, less those that carry a self-loop
+        isolated_count=sum(len(c) == 1 for c in components) - int((graph.degree[looped] == 0).sum()),
         component_count=len(components),
         component_sizes=tuple(len(c) for c in components),
     )
@@ -211,13 +218,9 @@ def top_weighted_edges(graph: WeightedGraph, k: int) -> list[tuple[str, str, int
     """Heaviest k edges, self-loops included, ties by canonical pair ascending."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    # a stable sort keeps the pair order among equal weights
-    return sorted(graph._sorted_edges, key=itemgetter(2), reverse=True)[:k]
-
-
-def degree_counts(graph: WeightedGraph) -> Counter:
-    """Histogram of distinct-neighbor degrees."""
-    return Counter(graph._view.degree.tolist())
+    import numpy as np
+    # a stable sort keeps the canonical order among equal weights
+    return list(_edge_rows(graph, graph.labels, np.argsort(-graph.weights, kind="stable")[:k]))
 
 
 # ElementTree's attribute escaping, in its order
@@ -242,7 +245,7 @@ def write_graphml(graph: WeightedGraph, path: str | Path) -> None:
     the same layout, attribute escaping and file encoding, where a lone
     surrogate in a label becomes a character reference.
     """
-    quoted = {node: _xml_attribute(node) for node in graph.nodes}
+    quoted = list(map(_xml_attribute, graph.labels))
     with open(path, "w", encoding="utf-8", errors="xmlcharrefreplace") as fh:
         fh.write(
             "<?xml version='1.0' encoding='utf-8'?>\n"
@@ -254,12 +257,12 @@ def write_graphml(graph: WeightedGraph, path: str | Path) -> None:
             fh.write(" />\n</graphml>")
             return
         fh.write(">\n")
-        fh.writelines(f'    <node id="{quoted[node]}" />\n' for node in sorted(quoted))
+        fh.writelines(f'    <node id="{node}" />\n' for node in quoted)
         fh.writelines(
-            f'    <edge source="{quoted[a]}" target="{quoted[b]}">\n'
+            f'    <edge source="{a}" target="{b}">\n'
             f'      <data key="weight">{weight}</data>\n'
             "    </edge>\n"
-            for a, b, weight in graph._sorted_edges
+            for a, b, weight in _edge_rows(graph, quoted)
         )
         fh.write("  </graph>\n</graphml>")
 
@@ -270,13 +273,11 @@ def _dot_quote(label: str) -> str:
 
 def write_dot(graph: WeightedGraph, path: str | Path) -> None:
     """DOT export with a `weight` edge attribute."""
-    quoted = {node: _dot_quote(node) for node in graph.nodes}
+    quoted = list(map(_dot_quote, graph.labels))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"graph {graph.kind.value} {{\n")
-        fh.writelines(f"  {quoted[node]};\n" for node in sorted(quoted))
-        fh.writelines(
-            f"  {quoted[a]} -- {quoted[b]} [weight={weight}];\n" for a, b, weight in graph._sorted_edges
-        )
+        fh.writelines(f"  {node};\n" for node in quoted)
+        fh.writelines(f"  {a} -- {b} [weight={weight}];\n" for a, b, weight in _edge_rows(graph, quoted))
         fh.write("}\n")
 
 
@@ -285,4 +286,4 @@ def write_edge_csv(graph: WeightedGraph, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["label_a", "label_b", "weight"])
-        writer.writerows(graph._sorted_edges)
+        writer.writerows(_edge_rows(graph, graph.labels))

@@ -16,15 +16,18 @@ import re
 import string
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 from xml.etree import ElementTree
 
 import numpy as np
+from hypothesis import strategies as st
 from scipy.special import zeta
 
+from biblionet import graphs
 from biblionet.dedup import SuspectPair
 from biblionet.errors import DegenerateDataError, FormatError
 from biblionet.graph_stats import _EULER_MACLAURIN, _MACHEP, PowerLawFit
-from biblionet.graphs import GraphKind, WeightedGraph
+from biblionet.graphs import GraphKind, WeightedGraph, _from_counts, build_graph
 from biblionet.keywords import StopwordSet, filter_stopwords
 from biblionet.metrics import AuthorRow, MonthlySeries
 from biblionet.normalize import extract_countries, extract_institutions, normalize_date, split_list_field
@@ -399,7 +402,7 @@ def numpy_pearson(x: list[float], y: list[float]) -> float:
 
 # ---------------------------------------------------------------------------
 # all-pairs centrality oracle, the string-keyed CSR and components that
-# the graph's integer view replaces, and the one-source-at-a-time
+# the graph's integer arrays replace, and the one-source-at-a-time
 # traversals that the batched graph_stats kernels replace
 
 def allpairs_matrices(graph: WeightedGraph) -> tuple[list[str], np.ndarray, np.ndarray]:
@@ -827,7 +830,8 @@ def elementtree_write_graphml(graph: WeightedGraph, path: str | Path) -> None:
 
 # ---------------------------------------------------------------------------
 # the DOT and CSV writers and top edges, each sorting the graph's edges
-# itself, as references for the graph's one shared sorted edge list
+# itself, as references for the writers, which read the canonical edge
+# arrays the graph is built with
 
 def loop_write_dot(graph: WeightedGraph, path: str | Path) -> None:
     def quote(label: str) -> str:
@@ -856,12 +860,18 @@ def key_sorted_top_weighted_edges(graph: WeightedGraph, k: int) -> list[tuple[st
     return edges[:k]
 
 
-def add_pair(graph: WeightedGraph, a: str, b: str, weight: int = 1) -> None:
-    """Add `weight` to the pair's edge, keyed in canonical orientation.
+@dataclasses.dataclass
+class PairGraph:
+    """The string-keyed reference graph: a node set, and an edge dict
+    keyed by pairs in canonical (lexicographic) orientation."""
 
-    Only for graphs not yet analysed or written: the integer view and the
-    sorted edge list they keep are not dropped.
-    """
+    kind: GraphKind
+    nodes: set[str] = dataclasses.field(default_factory=set)
+    edges: dict[tuple[str, str], int] = dataclasses.field(default_factory=dict)
+
+
+def add_pair(graph: PairGraph, a: str, b: str, weight: int = 1) -> None:
+    """Add `weight` to the pair's edge, keyed in canonical orientation."""
     if a == b and graph.kind not in SELF_LOOP_KINDS:
         raise ValueError(f"self-loops are not allowed in {graph.kind.value} graphs")
     pair = (a, b) if a <= b else (b, a)
@@ -870,16 +880,65 @@ def add_pair(graph: WeightedGraph, a: str, b: str, weight: int = 1) -> None:
     graph.edges[pair] = graph.edges.get(pair, 0) + weight
 
 
-def add_pair_graph(kind: GraphKind, column: list[list[str]]) -> WeightedGraph:
+def add_pair_graph(kind: GraphKind, column: list[list[str]]) -> PairGraph:
     """The pair graph of a column, one `add_pair` call per pair of each
     record's values: the reference for the counting build."""
-    graph = WeightedGraph(kind)
+    graph = PairGraph(kind)
     for values in column:
         graph.nodes.update(values)
         for i, a in enumerate(values):
             for b in values[i + 1:]:
                 add_pair(graph, a, b)
     return graph
+
+
+def built(reference: PairGraph) -> WeightedGraph:
+    """The library's graph of a reference, through the constructor that
+    `build_graph` ends in, its ids in the node set's iteration order."""
+    ids = {label: i for i, label in enumerate(reference.nodes)}
+    return _from_counts(reference.kind, ids, {(ids[a], ids[b]): w for (a, b), w in reference.edges.items()})
+
+
+def graph_of(kind: GraphKind, pairs=(), isolated=()) -> WeightedGraph:
+    """The graph of `pairs`, each (a, b) or (a, b, weight), plus the
+    `isolated` labels, where a repeated pair adds up its weights."""
+    reference = PairGraph(kind, set(isolated))
+    for pair in pairs:
+        add_pair(reference, *pair)
+    return built(reference)
+
+
+def graph_key(graph: WeightedGraph) -> tuple:
+    """What makes two graphs equal: the kind, the labels and the weighted
+    edges in order; everything else derives from these."""
+    return graph.kind, graph.labels, graph.tails.tolist(), graph.heads.tolist(), graph.weights.tolist()
+
+
+def build_from_column(kind: GraphKind, column: list[list[str]]) -> WeightedGraph:
+    """`build_graph` over one value list per record, taken as the values
+    that the kind's cleaner gives."""
+    with mock.patch.dict(graphs._VALUES, {kind: lambda values, rules: values}):
+        return build_graph(kind, column)
+
+
+# any text, and labels that sort apart only by case or accent, non-ASCII
+# labels and lone surrogates
+LABEL_TEXT = st.text(st.characters(exclude_categories=()), max_size=3) | st.sampled_from(
+    ["a", "A", "b", "B", "é", "É", "Zürich", "zürich", "東京", "\ud800", "a\udfff"])
+
+
+@st.composite
+def value_columns(draw):
+    """A graph kind and one value list per record, drawn from a shared
+    pool so that pairs repeat across records; values repeat within a
+    record only in the kinds whose repeats pair into self-loops, and a
+    record may have no value."""
+    kind = draw(st.sampled_from(GraphKind))
+    pool = draw(st.lists(LABEL_TEXT, min_size=1, max_size=30, unique=True))
+    column = draw(st.lists(st.lists(st.sampled_from(pool), max_size=5), max_size=30))
+    if kind not in SELF_LOOP_KINDS:
+        column = [list(dict.fromkeys(values)) for values in column]
+    return kind, column
 
 
 # ---------------------------------------------------------------------------
@@ -895,14 +954,10 @@ def random_graph(
     rng = random.Random(seed)
     n = rng.randint(min_nodes, max_nodes)
     p = rng.uniform(*p_range)
-    graph = WeightedGraph(kind)
     labels = [f"n{i:03d}" for i in range(n)]
-    graph.nodes.update(labels)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                add_pair(graph, labels[i], labels[j], rng.randint(1, 5))
-    return graph
+    pairs = [(labels[i], labels[j], rng.randint(1, 5))
+             for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+    return graph_of(kind, pairs, labels)
 
 
 _POWER_LAW_CDF_CACHE: dict[float, np.ndarray] = {}

@@ -26,7 +26,6 @@ from biblionet.graph_stats import (
 )
 from biblionet.graphs import (
     GraphKind,
-    WeightedGraph,
     build_graph,
     graph_facts,
 )
@@ -40,7 +39,6 @@ from biblionet.normalize import (
 )
 from biblionet.wos_ingest import BiblioRecord, Corpus
 from oracles import (
-    add_pair,
     brute_betweenness,
     brute_closeness,
     brute_degree_centrality,
@@ -48,6 +46,7 @@ from oracles import (
     brute_g_index,
     brute_h_index,
     dp_levenshtein,
+    graph_of,
     neighbor_sets,
     random_records,
     random_graph,
@@ -137,20 +136,14 @@ def test_centrality_oracle():
 
 def test_assortativity_acceptance():
     started = time.monotonic()
-    star = WeightedGraph(GraphKind.COAUTHOR)
-    for leaf in range(5):
-        add_pair(star, "hub", f"leaf{leaf}")
+    star = graph_of(GraphKind.COAUTHOR, [("hub", f"leaf{leaf}") for leaf in range(5)])
     star_ok = degree_assortativity(star).r == -1.0
 
     regular_ok = True
-    cycle = WeightedGraph(GraphKind.COAUTHOR)
     names = [f"c{i}" for i in range(5)]
-    for i in range(5):
-        add_pair(cycle, names[i], names[(i + 1) % 5])
+    cycle = graph_of(GraphKind.COAUTHOR, [(names[i], names[(i + 1) % 5]) for i in range(5)])
     regular_ok &= degree_assortativity(cycle).r is None
-    pair = WeightedGraph(GraphKind.COAUTHOR)
-    add_pair(pair, "a", "b")
-    add_pair(pair, "c", "d")
+    pair = graph_of(GraphKind.COAUTHOR, [("a", "b"), ("c", "d")])
     regular_ok &= degree_assortativity(pair).r is None
 
     from oracles import brute_assortativity
@@ -186,10 +179,8 @@ def test_power_law_recovery():
 
 def test_small_world_discrimination():
     started = time.monotonic()
-    ws = WeightedGraph(GraphKind.COAUTHOR)
     generated = nx.watts_strogatz_graph(1000, 10, 0.1, seed=42)
-    for a, b in generated.edges:
-        add_pair(ws, f"n{a:04d}", f"n{b:04d}")
+    ws = graph_of(GraphKind.COAUTHOR, [(f"n{a:04d}", f"n{b:04d}") for a, b in generated.edges])
     ws_report_1 = small_world_check(ws)
     ws_report_2 = small_world_check(ws)
     ws_ok = (
@@ -198,9 +189,7 @@ def test_small_world_discrimination():
         and 0.5 * math.log(1000) <= ws_report_1.avg_shortest_path <= 3 * math.log(1000)
     )
 
-    ring = WeightedGraph(GraphKind.COAUTHOR)
-    for i in range(1000):
-        add_pair(ring, f"r{i:04d}", f"r{(i + 1) % 1000:04d}")
+    ring = graph_of(GraphKind.COAUTHOR, [(f"r{i:04d}", f"r{(i + 1) % 1000:04d}") for i in range(1000)])
     ring_report_1 = small_world_check(ring)
     ring_report_2 = small_world_check(ring)
     ring_ok = (

@@ -46,7 +46,7 @@ def options(module) -> int:
 
 
 def test_option_count():
-    assert sum(options(importlib.import_module(f"biblionet.{name}")) for name in LAYER_MODULES) == 52
+    assert sum(options(importlib.import_module(f"biblionet.{name}")) for name in LAYER_MODULES) == 50
 
 
 def test_exported_name_count():

@@ -356,20 +356,20 @@ class TestNetworkCommand:
         assert "skipped" in payload  # fewer than 50 positive-degree nodes
 
     @pytest.mark.parametrize("connected", [True, False])
-    def test_run_builds_one_view_per_analysed_graph(self, tmp_path, monkeypatch, connected):
+    def test_run_builds_each_analysed_graph_once(self, tmp_path, monkeypatch, connected):
         if connected:
             records = [BiblioRecord("J", "Paper", ["Chen, Wei", "Garcia, Maria", "Smith, John"])]
         else:
             records = synthetic_author_pool_records(300, seed=5)
         write_corpus_jsonl(records, tmp_path / "corpus.jsonl")
         builds = []
-        build = graphs._build_view
+        build = graphs.WeightedGraph.__post_init__
 
         def counted(graph):
             builds.append(graph)
             return build(graph)
 
-        monkeypatch.setattr(graphs, "_build_view", counted)
+        monkeypatch.setattr(graphs.WeightedGraph, "__post_init__", counted)
         assert run("network", tmp_path / "corpus.jsonl", "--kind", "coauthor", "--out", tmp_path / "out") == EXIT_OK
         facts = json.loads((tmp_path / "out" / "network_coauthor" / "facts.json").read_text())
         assert (facts["component_count"] == 1) == connected

@@ -33,10 +33,11 @@ from biblionet.graph_stats import (
     per_component_assortativity,
     small_world_check,
 )
-from biblionet.graphs import GraphKind, WeightedGraph, connected_components, graph_facts
+from biblionet.graphs import GraphKind, connected_components, graph_facts
 from oracles import (
-    SELF_LOOP_KINDS,
+    PairGraph,
     add_pair,
+    add_pair_graph,
     batched_betweenness,
     bfs_distances,
     brandes_dependencies,
@@ -44,7 +45,10 @@ from oracles import (
     brute_betweenness,
     brute_closeness,
     brute_degree_centrality,
+    build_from_column,
+    built,
     compact_csr,
+    graph_of,
     listwise_hurwitz_zeta,
     neighbor_sets,
     random_graph,
@@ -52,15 +56,12 @@ from oracles import (
     scipy_fit_power_law,
     set_clustering,
     string_set_components,
+    value_columns,
 )
 
 
 def graph_from_edges(edges, extra_nodes=()):
-    g = WeightedGraph(GraphKind.COAUTHOR)
-    for a, b in edges:
-        add_pair(g, a, b)
-    g.nodes.update(extra_nodes)
-    return g
+    return graph_of(GraphKind.COAUTHOR, edges, extra_nodes)
 
 
 def path3():
@@ -72,12 +73,7 @@ def star(leaves=5):
 
 
 def complete(n):
-    names = [f"v{i}" for i in range(n)]
-    g = WeightedGraph(GraphKind.COAUTHOR)
-    for i in range(n):
-        for j in range(i + 1, n):
-            add_pair(g, names[i], names[j])
-    return g
+    return graph_from_edges(combinations([f"v{i}" for i in range(n)], 2))
 
 
 def cycle(n):
@@ -98,10 +94,8 @@ class TestDegreeCentrality:
         assert values["leaf0"] == pytest.approx(0.2)
 
     def test_single_node_errors(self):
-        g = WeightedGraph(GraphKind.COAUTHOR)
-        g.nodes.add("x")
         with pytest.raises(DegenerateDataError):
-            degree_centrality(g)
+            degree_centrality(graph_from_edges([], ["x"]))
 
 
 class TestBetweenness:
@@ -217,7 +211,7 @@ class TestClustering:
 
     def test_empty_graph_errors(self):
         with pytest.raises(DegenerateDataError):
-            clustering(WeightedGraph(GraphKind.COAUTHOR))
+            clustering(graph_from_edges([]))
 
     def test_matches_networkx(self):
         for seed in range(10):
@@ -247,10 +241,8 @@ class TestAvgShortestPath:
         assert avg_shortest_path(g) == pytest.approx(4 / 3)
 
     def test_too_small_errors(self):
-        g = WeightedGraph(GraphKind.COAUTHOR)
-        g.nodes.add("x")
         with pytest.raises(DegenerateDataError):
-            avg_shortest_path(g)
+            avg_shortest_path(graph_from_edges([], ["x"]))
 
 
 class TestSmallWorld:
@@ -432,10 +424,8 @@ class TestAssortativity:
         assert degree_assortativity(g).r is None
 
     def test_edgeless_errors(self):
-        g = WeightedGraph(GraphKind.COAUTHOR)
-        g.nodes.update("ab")
         with pytest.raises(DegenerateDataError):
-            degree_assortativity(g)
+            degree_assortativity(graph_from_edges([], "ab"))
 
     def test_matches_direct_pearson_oracle(self):
         for seed in range(40):
@@ -454,10 +444,7 @@ class TestAssortativity:
         hits = 0
         for seed in range(100):
             G = nx.fast_gnp_random_graph(2000, 0.005, seed=seed)
-            g = WeightedGraph(GraphKind.COAUTHOR)
-            g.nodes.update(f"n{i:04d}" for i in G.nodes)
-            for a, b in G.edges:
-                add_pair(g, f"n{a:04d}", f"n{b:04d}")
+            g = graph_from_edges([(f"n{a:04d}", f"n{b:04d}") for a, b in G.edges], [f"n{i:04d}" for i in G.nodes])
             result = degree_assortativity(g)
             if result.r is not None and -0.1 <= result.r <= 0.1:
                 hits += 1
@@ -482,7 +469,7 @@ class TestPerComponentAssortativity:
         assert results[1].r == pytest.approx(brute_assortativity(path_graph), abs=1e-12)
 
     def test_empty_graph(self):
-        assert per_component_assortativity(WeightedGraph(GraphKind.COAUTHOR)) == []
+        assert per_component_assortativity(graph_from_edges([])) == []
 
     def test_isolated_component_undefined(self):
         g = graph_from_edges([("a", "b"), ("b", "c")], extra_nodes=["solo"])
@@ -539,23 +526,23 @@ SOURCE_COUNTS = (1, 63, 64, 65, 130)
 
 
 def with_self_loops(graph, every=5):
-    for label in sorted(graph.nodes)[::every]:
-        add_pair(graph, label, label)
-    return graph
+    """The graph with a self-loop added on every `every`-th node."""
+    loops = [(label, label) for label in graph.labels[::every]]
+    return graph_of(graph.kind, [*((a, b, w) for (a, b), w in graph.edges.items()), *loops], graph.labels)
 
 
 def component_union(sizes, seed, kind=GraphKind.COAUTHOR):
     """Disjoint random connected components of exactly the given sizes."""
     rng = random.Random(seed)
-    g = WeightedGraph(kind)
+    reference = PairGraph(kind)
     for c, size in enumerate(sizes):
         labels = [f"c{c}_{i:03d}" for i in range(size)]
-        g.nodes.update(labels)
+        reference.nodes.update(labels)
         for i in range(1, size):
-            add_pair(g, labels[rng.randrange(i)], labels[i])  # spanning tree
+            add_pair(reference, labels[rng.randrange(i)], labels[i])  # spanning tree
         for _ in range(size // 2):
-            add_pair(g, *rng.sample(labels, 2))
-    return g
+            add_pair(reference, *rng.sample(labels, 2))
+    return built(reference)
 
 
 KERNEL_GRAPHS = {
@@ -624,7 +611,7 @@ class TestTraversalKernels:
         disconnected = KERNEL_GRAPHS["disconnected"]()
         assert len(connected_components(disconnected)) > 1
         assert any(not nbrs for nbrs in neighbor_sets(disconnected).values())
-        assert KERNEL_GRAPHS["country_loops"]().self_loops()
+        assert graph_facts(KERNEL_GRAPHS["country_loops"]()).self_loop_count
         sizes = [len(c) for c in connected_components(KERNEL_GRAPHS["components"]())]
         assert sizes == [130, 65, 64, 63, 2, 1, 1]
 
@@ -640,9 +627,7 @@ class TestTraversalKernels:
         assert _distance_sums(indptr, indices, sources).tolist() == expected
 
     def test_distance_sums_without_arcs(self):
-        g = WeightedGraph(GraphKind.COUNTRY)
-        g.nodes.update("abc")
-        with_self_loops(g, every=1)
+        g = graph_of(GraphKind.COUNTRY, [(label, label) for label in "abc"])
         _, indptr, indices = csr_of(g)
         assert _distance_sums(indptr, indices, [0, 1, 2]).tolist() == [0, 0, 0]
 
@@ -694,76 +679,82 @@ class TestTraversalKernels:
 
 
 # ---------------------------------------------------------------------------
-# the integer view against the string-keyed references it replaced
+# the integer graph against the string-keyed references it replaced
 
-def assert_view_matches_references(graph):
-    view = graph._view
-    labels = sorted(graph.nodes)
-    indptr, indices = compact_csr(labels, neighbor_sets(graph))
-    components = string_set_components(graph)
+def assert_arrays_match_references(graph, reference):
+    labels = sorted(reference.nodes)
+    indptr, indices = compact_csr(labels, neighbor_sets(reference))
+    components = string_set_components(reference)
     component_of = {label: i for i, component in enumerate(components) for label in component}
-    assert view.labels == labels
-    assert np.array_equal(view.indptr, indptr)
-    assert np.array_equal(view.indices, indices)
-    assert view.component.tolist() == [component_of[label] for label in labels]
+    assert graph.labels == tuple(labels)
+    assert graph.edges == reference.edges and list(graph.edges) == sorted(reference.edges)
+    assert np.array_equal(graph.indptr, indptr)
+    assert np.array_equal(graph.indices, indices)
+    assert graph.component.tolist() == [component_of[label] for label in labels]
     assert connected_components(graph) == components
-    touched = {label for pair in graph.edges for label in pair}
+    touched = {label for pair in reference.edges for label in pair}
     facts = graph_facts(graph)
-    assert facts.isolated_count == len(graph.nodes - touched)
+    assert facts.isolated_count == len(reference.nodes - touched)
     assert facts.component_sizes == tuple(len(c) for c in components)
+
+
+def assert_slice_matches_reference(graph, reference):
+    """The largest component against component 0's nodes and every
+    reference edge among them."""
+    members = string_set_components(reference)[0]
+    edges = {pair: w for pair, w in reference.edges.items() if pair[0] in members}
+    sub = PairGraph(reference.kind, set(members), edges)
+    assert_arrays_match_references(largest_component_subgraph(graph), sub)
 
 
 @st.composite
 def labelled_graphs(draw):
-    kind = draw(st.sampled_from(GraphKind))
-    labels = draw(st.lists(st.text(min_size=1, max_size=3), max_size=30, unique=True))
-    graph = WeightedGraph(kind)
-    graph.nodes.update(labels)
-    if labels:
-        ends = st.sampled_from(labels)
-        for a, b in draw(st.lists(st.tuples(ends, ends), max_size=60)):
-            if a != b or kind in SELF_LOOP_KINDS:
-                add_pair(graph, a, b)
-    return graph
+    """A graph built from drawn value lists, and its string-keyed reference."""
+    kind, column = draw(value_columns())
+    return build_from_column(kind, column), add_pair_graph(kind, column)
 
 
 def self_loops_only():
-    g = WeightedGraph(GraphKind.COUNTRY)
-    for label in ("Italy", "Japan", "Spain"):
-        add_pair(g, label, label)
-    return g
+    return graph_of(GraphKind.COUNTRY, [(label, label) for label in ("Italy", "Japan", "Spain")])
 
 
-class TestIntegerView:
+class TestIntegerGraph:
     def test_kernel_graphs(self, kernel_graph):
-        assert_view_matches_references(kernel_graph)
+        assert_arrays_match_references(kernel_graph, kernel_graph)
 
     def test_self_loops_only(self):
         g = self_loops_only()
-        assert_view_matches_references(g)
+        assert_arrays_match_references(g, g)
         facts = graph_facts(g)
         assert (facts.isolated_count, facts.self_loop_count, facts.component_count) == (0, 3, 3)
 
     def test_isolated_nodes(self):
         g = graph_from_edges([("a", "b")], extra_nodes=("z", "c", "y"))
-        assert_view_matches_references(g)
+        assert_arrays_match_references(g, g)
         assert graph_facts(g).isolated_count == 3
 
     def test_empty_graph(self):
-        g = WeightedGraph(GraphKind.KEYWORD)
-        assert_view_matches_references(g)
+        g = graph_of(GraphKind.KEYWORD)
+        assert_arrays_match_references(g, g)
         assert graph_facts(g).component_count == 0
 
     @settings(max_examples=200, deadline=None)
     @given(labelled_graphs())
-    def test_hypothesis_graphs(self, graph):
-        assert_view_matches_references(graph)
-        if graph.nodes:
-            assert clustering(graph) == set_clustering(graph)
-            assert closeness_centrality(graph) == slow_closeness(graph)
+    def test_hypothesis_graphs(self, drawn):
+        graph, reference = drawn
+        assert_arrays_match_references(graph, reference)
+        if reference.nodes:
+            assert clustering(graph) == set_clustering(reference)
+            assert closeness_centrality(graph) == slow_closeness(reference)
+            assert_slice_matches_reference(graph, reference)
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_GRAPHS))
+    def test_largest_component_slice_of_kernel_graphs(self, name):
+        graph = KERNEL_GRAPHS[name]()
+        assert_slice_matches_reference(graph, PairGraph(graph.kind, set(graph.nodes), dict(graph.edges)))
 
 
-class TestViewLifetime:
+class TestGraphLifetime:
     def test_largest_component_is_derived_once(self):
         g = KERNEL_GRAPHS["disconnected"]()
         largest = largest_component_subgraph(g)
@@ -784,11 +775,31 @@ class TestViewLifetime:
         again.pop()  # each call hands out its own list
         assert len(connected_components(g)) == count
 
-    def test_editing_the_largest_subgraph_leaves_the_components_alone(self):
+    def test_component_sets_are_read_only(self):
+        g = graph_from_edges([("a", "b"), ("b", "c"), ("d", "e")])
+        with pytest.raises(AttributeError):
+            connected_components(g)[1].add("zzz")
+        assert connected_components(g) == [{"a", "b", "c"}, {"d", "e"}]
+        assert graph_facts(g).component_sizes == (3, 2)
+        assert [result.component_size for result in per_component_assortativity(g)] == [3, 2]
+
+    def test_editing_nodes_and_edges_leaves_the_analyses_alone(self):
+        def analyses(graph):
+            return (graph_facts(graph), connected_components(graph), centrality_table(graph, scope="whole"),
+                    small_world_check(graph), per_component_assortativity(graph))
+
         g = KERNEL_GRAPHS["disconnected"]()
-        before = [set(c) for c in connected_components(g)]
-        largest_component_subgraph(g).nodes.add("added later")
-        assert connected_components(g) == before
+        before = analyses(g)
+        largest = largest_component_subgraph(g)
+        for graph in (g, largest):
+            with pytest.raises(AttributeError):
+                graph.nodes.add("added later")
+            with pytest.raises(TypeError):
+                graph.edges["added", "later"] = 1
+            # a caller may rebind the names, but the analyses read the arrays
+            graph.nodes, graph.edges = {"added later"}, {}
+        assert analyses(g) == before
+        assert largest_component_subgraph(g) is largest
 
     @pytest.mark.parametrize("name", ["connected", "disconnected"])
     def test_analysed_graphs_are_freed_without_the_cyclic_collector(self, name):
@@ -804,9 +815,10 @@ class TestViewLifetime:
             largest = largest_component_subgraph(g)
             is_itself = largest is g
             assert is_itself == (name == "connected")
-            refs = [weakref.ref(g), weakref.ref(g._view), weakref.ref(largest), weakref.ref(largest._view)]
+            refs = [weakref.ref(obj) for obj in (g, g.indptr, g.served_by[0], g.distance_sums,
+                                                   largest, largest.served_by[0], largest.distance_sums)]
             del g, largest
-            assert [ref() for ref in refs] == [None] * 4
+            assert [ref() for ref in refs] == [None] * len(refs)
         finally:
             if enabled:
                 gc.enable()
@@ -824,31 +836,29 @@ def twin_rich_graphs(draw):
     isolated nodes."""
     pool = draw(st.integers(1, 30))
     authors = st.integers(0, pool - 1)
-    graph = WeightedGraph(GraphKind.COAUTHOR)
+    reference = PairGraph(GraphKind.COAUTHOR)
     for team in draw(st.lists(st.lists(authors, min_size=1, max_size=6, unique=True), min_size=1, max_size=20)):
         labels = [f"a{i:02d}" for i in team]
-        graph.nodes.update(labels)
+        reference.nodes.update(labels)
         for a, b in combinations(labels, 2):
-            add_pair(graph, a, b)
+            add_pair(reference, a, b)
     for i, host in enumerate(draw(st.lists(authors, max_size=10))):
-        if f"a{host:02d}" in graph.nodes:
-            add_pair(graph, f"a{host:02d}", f"p{i:02d}")
+        if f"a{host:02d}" in reference.nodes:
+            add_pair(reference, f"a{host:02d}", f"p{i:02d}")
     for i in range(draw(st.integers(0, 3))):
-        add_pair(graph, f"k{i}a", f"k{i}b")
-    graph.nodes.update(f"z{i}" for i in range(draw(st.integers(0, 3))))
-    return graph
+        add_pair(reference, f"k{i}a", f"k{i}b")
+    reference.nodes.update(f"z{i}" for i in range(draw(st.integers(0, 3))))
+    return built(reference)
 
 
 def clique_with_pendants():
     """K4 on a..d with a pendant on a and one on b: classes {a}, {b}, {c, d}."""
-    g = complete(4)
-    add_pair(g, "v0", "p0")
-    add_pair(g, "v1", "p1")
-    return g
+    return graph_from_edges([*combinations([f"v{i}" for i in range(4)], 2), ("v0", "p0"), ("v1", "p1")])
 
 
-def drop_view(graph):
-    graph.__dict__.pop("_view", None)
+def drop_caches(graph):
+    """The graph with its traversal caches emptied, so the next analysis derives them anew."""
+    graph.served_by = graph.distance_sums = None
     return graph
 
 
@@ -863,7 +873,7 @@ def assert_distance_sums_match_bfs(graph):
     for source in range(n):
         dist = bfs_distances(indptr, indices, source, n)
         expected.append(int(dist[dist > 0].sum()))
-    assert _component_distance_sums(drop_view(graph)._view).tolist() == expected
+    assert _component_distance_sums(drop_caches(graph)).tolist() == expected
 
 
 class TestTwinAndPendantReuse:
@@ -899,6 +909,11 @@ class TestTwinAndPendantReuse:
         assert_distance_sums_match_bfs(graph)
         assert closeness_centrality(graph) == slow_closeness(graph)
 
+    @settings(max_examples=100, deadline=None)
+    @given(twin_rich_graphs())
+    def test_largest_component_slice(self, graph):
+        assert_slice_matches_reference(graph, PairGraph(graph.kind, set(graph.nodes), dict(graph.edges)))
+
     @pytest.mark.parametrize("seed", range(6))
     def test_distance_sums_on_random_graphs(self, seed):
         assert_distance_sums_match_bfs(random_graph(seed, max_nodes=80))
@@ -918,7 +933,7 @@ class TestTwinAndPendantReuse:
     @pytest.mark.parametrize("scope", ["largest", "whole"])
     @pytest.mark.parametrize("name", ["disconnected", "components"])
     def test_small_world_reads_the_closeness_pass_in_either_scope(self, name, scope, monkeypatch):
-        # after whole-graph closeness the sums are on the graph's view, not its largest component's
+        # after whole-graph closeness the sums are on the graph, not on its largest component
         graph = KERNEL_GRAPHS[name]()
         centrality_table(graph, scope=scope)
         monkeypatch.setattr(graph_stats, "_distance_sums", None)  # any further pass would fail

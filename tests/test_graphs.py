@@ -4,11 +4,12 @@ import random
 from xml.etree import ElementTree
 
 import networkx as nx
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from biblionet.graphs import (
     GraphKind,
-    WeightedGraph,
     build_graph,
     graph_facts,
     top_weighted_edges,
@@ -20,14 +21,19 @@ from biblionet.normalize import NormalizationRules, extract_countries, extract_i
 from biblionet.wos_ingest import BiblioRecord, iter_corpus_records, write_corpus_jsonl
 from oracles import (
     SELF_LOOP_KINDS,
-    add_pair,
     add_pair_graph,
+    build_from_column,
+    compact_csr,
     elementtree_write_graphml,
+    graph_key,
+    graph_of,
     key_sorted_top_weighted_edges,
     loop_write_dot,
     loop_write_edge_csv,
+    neighbor_sets,
     random_records,
     validate,
+    value_columns,
     varied_records,
 )
 
@@ -143,25 +149,18 @@ class TestCooccurrence:
 
 class TestGraphFacts:
     def test_empty_graph(self):
-        facts = graph_facts(WeightedGraph(GraphKind.COAUTHOR))
+        facts = graph_facts(graph_of(GraphKind.COAUTHOR))
         assert facts == type(facts)(0, 0, 0, 0, 0, ())
 
     def test_triangle(self):
-        graph = WeightedGraph(GraphKind.COAUTHOR)
-        for a, b in [("a", "b"), ("b", "c"), ("a", "c")]:
-            add_pair(graph, a, b)
-        facts = graph_facts(graph)
+        facts = graph_facts(graph_of(GraphKind.COAUTHOR, [("a", "b"), ("b", "c"), ("a", "c")]))
         assert facts.component_count == 1
         assert facts.component_sizes == (3,)
         assert facts.isolated_count == 0
 
     def test_mixed_components_hand_tally(self):
-        graph = WeightedGraph(GraphKind.COUNTRY)
-        add_pair(graph, "a", "b")
-        add_pair(graph, "b", "c")
-        add_pair(graph, "d", "e")
-        add_pair(graph, "f", "f")  # self-loop only: not isolated
-        graph.nodes.add("g")      # truly isolated
+        # f carries a self-loop only, so is not isolated; g is
+        graph = graph_of(GraphKind.COUNTRY, [("a", "b"), ("b", "c"), ("d", "e"), ("f", "f")], ["g"])
         facts = graph_facts(graph)
         assert facts.node_count == 7
         assert facts.edge_count == 4
@@ -179,12 +178,8 @@ class TestGraphFacts:
 
 class TestTopWeightedEdges:
     def graph(self):
-        g = WeightedGraph(GraphKind.COUNTRY)
-        add_pair(g, "USA", "USA", 10)
-        add_pair(g, "USA", "UK", 7)
-        add_pair(g, "UK", "Italy", 7)
-        add_pair(g, "France", "Spain", 2)
-        return g
+        return graph_of(GraphKind.COUNTRY, [("USA", "USA", 10), ("USA", "UK", 7), ("UK", "Italy", 7),
+                                            ("France", "Spain", 2)])
 
     def test_k1_max(self):
         assert top_weighted_edges(self.graph(), 1) == [("USA", "USA", 10)]
@@ -232,7 +227,7 @@ class TestInvariants:
         repeated = record(author_full_names=["A", "A"], research_areas=["R", "R"], author_keywords=["k", "k"],
                           addresses=address(("I", "Italy"), ("I", "Italy")))
         for kind in GraphKind:
-            assert bool(build_graph(kind, [repeated]).self_loops()) == (kind in SELF_LOOP_KINDS), kind
+            assert bool(graph_facts(build_graph(kind, [repeated])).self_loop_count) == (kind in SELF_LOOP_KINDS), kind
 
     def test_canonical_orientation(self):
         graph = build_graph(GraphKind.COAUTHOR, [record(author_full_names=["z", "a"])])
@@ -241,12 +236,8 @@ class TestInvariants:
 
 class TestExports:
     def graph(self):
-        g = WeightedGraph(GraphKind.COUNTRY)
-        add_pair(g, "USA", "USA", 3)
-        add_pair(g, "USA", 'Uni "ted"', 2)
-        add_pair(g, "Italy", "France", 1)
-        g.nodes.add("Lonely")
-        return g
+        return graph_of(GraphKind.COUNTRY, [("USA", "USA", 3), ("USA", 'Uni "ted"', 2), ("Italy", "France", 1)],
+                        ["Lonely"])
 
     def test_graphml_parses_and_round_trips(self, tmp_path):
         path = tmp_path / "g.graphml"
@@ -283,14 +274,10 @@ KIND_NAMES = sorted(kind.value for kind in GraphKind)
 
 
 def escaped_label_graph(extra_labels=()):
-    g = WeightedGraph(GraphKind.COUNTRY)
     labels = ['a&b', "<tag>", 'say "hi"', "it's", "cr\rlf\n", "tab\there", "&amp;", "back\\slash",
               "comma, \"quoted\"", "Zürich", "Łódź", "東京", "emoji \U0001f600", *extra_labels, " padded "]
-    for i, label in enumerate(labels):
-        add_pair(g, label, labels[(i * 5 + 3) % len(labels)], i % 4 + 1)
-    add_pair(g, "tab\there", "tab\there", 7)
-    g.nodes.add("isolated\t&")
-    return g
+    pairs = [(label, labels[(i * 5 + 3) % len(labels)], i % 4 + 1) for i, label in enumerate(labels)]
+    return graph_of(GraphKind.COUNTRY, [*pairs, ("tab\there", "tab\there", 7)], ["isolated\t&"])
 
 
 def assert_graphml_matches_elementtree(graph, tmp_path):
@@ -317,10 +304,8 @@ class TestGraphmlMatchesElementTree:
         assert b"&#55296;" in (tmp_path / "direct.graphml").read_bytes()
 
     def test_nodes_without_edges_and_empty_graph(self, tmp_path):
-        g = WeightedGraph(GraphKind.KEYWORD)
-        assert_graphml_matches_elementtree(g, tmp_path)
-        g.nodes.update({"b", "a"})
-        assert_graphml_matches_elementtree(g, tmp_path)
+        assert_graphml_matches_elementtree(graph_of(GraphKind.KEYWORD), tmp_path)
+        assert_graphml_matches_elementtree(graph_of(GraphKind.KEYWORD, isolated={"b", "a"}), tmp_path)
 
 
 def assert_writers_match_references(graph, tmp_path):
@@ -333,7 +318,7 @@ def assert_writers_match_references(graph, tmp_path):
         assert top_weighted_edges(graph, k) == key_sorted_top_weighted_edges(graph, k)
 
 
-class TestWritersShareOneSortedEdgeList:
+class TestWritersMatchReferences:
     @pytest.mark.parametrize("kind", KIND_NAMES)
     def test_fixture_graphs(self, fixture_records, kind, tmp_path):
         assert_writers_match_references(build_graph(GraphKind(kind), fixture_records), tmp_path)
@@ -348,7 +333,7 @@ class TestWritersShareOneSortedEdgeList:
         assert_writers_match_references(escaped_label_graph(), tmp_path)
 
     def test_empty_graph(self, tmp_path):
-        assert_writers_match_references(WeightedGraph(GraphKind.KEYWORD), tmp_path)
+        assert_writers_match_references(graph_of(GraphKind.KEYWORD), tmp_path)
 
 
 def test_fixture_country_graph_has_expected_shape(fixture_records):
@@ -372,44 +357,76 @@ PAIRED_VALUES = {
 }
 
 
+def written(write, graph, path):
+    """The bytes `write` gives for the graph, or why it stops: DOT and
+    CSV are strict UTF-8, so a lone surrogate in a label stops them."""
+    try:
+        write(graph, path)
+    except UnicodeEncodeError as error:
+        return error.reason
+    return path.read_bytes()
+
+
+def assert_matches_reference(graph, reference, directory):
+    """The integer graph against the string-keyed reference of the same
+    pairs, whose writers and top edges sort the string pairs themselves."""
+    labels = sorted(reference.nodes)
+    assert graph.kind == reference.kind
+    assert graph.labels == tuple(labels)
+    assert graph.nodes == reference.nodes
+    assert graph.edges == reference.edges
+    assert list(graph.edges) == sorted(reference.edges)
+    indptr, indices = compact_csr(labels, neighbor_sets(reference))
+    assert np.array_equal(graph.indptr, indptr) and np.array_equal(graph.indices, indices)
+    for write, oracle in ((write_graphml, elementtree_write_graphml), (write_dot, loop_write_dot),
+                          (write_edge_csv, loop_write_edge_csv)):
+        assert written(write, graph, directory / "ours") == written(oracle, reference, directory / "reference")
+    for k in (1, 2, 5, len(reference.edges) + 1):
+        assert top_weighted_edges(graph, k) == key_sorted_top_weighted_edges(reference, k)
+
+
 class TestBuildGraphCountsOnce:
     """The counting build against one `add_pair` call per pair of the
-    values that the public cleaners give: the same nodes, and the same
-    edges in the same insertion order."""
+    values that the public cleaners give: the same labels, the same
+    edges in canonical order, and the same CSR and written files."""
 
     @staticmethod
-    def assert_same_build(kind, records, rules=None):
+    def assert_same_build(kind, records, directory, rules=None):
         column = [PAIRED_VALUES[kind](r, rules) for r in records]
-        built, expected = build_graph(kind, records, rules), add_pair_graph(kind, column)
-        assert built.kind == kind
-        assert built.nodes == expected.nodes
-        assert list(built.edges.items()) == list(expected.edges.items())
-        assert type(built.edges) is dict
+        assert_matches_reference(build_graph(kind, records, rules), add_pair_graph(kind, column), directory)
 
     @pytest.mark.parametrize("kind", list(GraphKind), ids=lambda kind: kind.value)
     def test_record_lists(self, fixture_records, kind, tmp_path):
         path = tmp_path / "corpus.jsonl"
         for records in [fixture_records, *(random_records(seed, n_records=60) for seed in range(6)),
                         *(varied_records(seed, n_records=80) for seed in range(3))]:
-            self.assert_same_build(kind, records)
+            self.assert_same_build(kind, records, tmp_path)
             # the CLI builds from the records of a corpus file as they stream past
             write_corpus_jsonl(records, path)
-            assert build_graph(kind, iter_corpus_records(path)) == build_graph(kind, records)
+            assert graph_key(build_graph(kind, iter_corpus_records(path))) == graph_key(build_graph(kind, records))
+
+    @settings(max_examples=200, deadline=None)
+    @given(value_columns())
+    def test_text_values(self, tmp_path_factory, drawn):
+        # any text: mixed case, non-ASCII, lone surrogates, repeats and empty records
+        kind, column = drawn
+        assert_matches_reference(build_from_column(kind, column), add_pair_graph(kind, column),
+                                 tmp_path_factory.mktemp("writers"))
 
     def test_custom_rules(self, fixture_records, tmp_path):
         path = tmp_path / "rules.json"
         path.write_text(json.dumps({"country_exact": {"Italy": "Italia"}, "country_contains": {"ance": "Gaul"}}))
         rules = NormalizationRules.from_file(path)
         records = [*fixture_records, *varied_records(0, n_records=80)]
-        self.assert_same_build(GraphKind.COUNTRY, records, rules)
+        self.assert_same_build(GraphKind.COUNTRY, records, tmp_path, rules)
         assert {"Italia", "Gaul"} <= build_graph(GraphKind.COUNTRY, records, rules).nodes
         assert {"Italy", "France"} <= build_graph(GraphKind.COUNTRY, records).nodes
 
     @pytest.mark.parametrize("kind, side", [(GraphKind.COUNTRY, 1), (GraphKind.INSTITUTION, 0)])
-    def test_repeated_values_pair_into_self_loops(self, kind, side):
+    def test_repeated_values_pair_into_self_loops(self, kind, side, tmp_path):
         segments = {"a": ("A Univ", "Italy"), "b": ("B Univ", "Japan"), "c": ("C Univ", "Spain")}
         records = [record(addresses=address(*map(segments.get, values))) for values in ("babb", "a", "", "cac", "ba")]
-        self.assert_same_build(kind, records)
+        self.assert_same_build(kind, records, tmp_path)
         a, b, c = (segments[letter][side] for letter in "abc")
         assert build_graph(kind, records).edges == {(a, b): 4, (b, b): 3, (a, c): 2, (c, c): 1}
 
@@ -419,6 +436,6 @@ class TestBuildGraphCountsOnce:
             add_pair_graph(kind, [["a", "b"], ["c", "a", "c"]])
 
     def test_no_records_and_lone_values(self):
-        assert build_graph(GraphKind.KEYWORD, []) == WeightedGraph(GraphKind.KEYWORD)
+        assert graph_key(build_graph(GraphKind.KEYWORD, [])) == graph_key(graph_of(GraphKind.KEYWORD))
         graph = build_graph(GraphKind.KEYWORD, [record(author_keywords=["x"]), record(), record(author_keywords=["y"])])
         assert graph.nodes == {"x", "y"} and graph.edges == {}
