@@ -14,6 +14,7 @@ import os
 import shutil
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -196,10 +197,23 @@ def _shown(path) -> str:
     return os.fsencode(path).decode("utf-8", "backslashreplace")
 
 
-def _counts_table(outdir: Path, name: str, counts, k: int) -> None:
-    ranked = metrics.top_k(counts, k)
-    _write_csv(outdir / f"{name}.csv", ["value", "count"], ranked)
-    _write_json(outdir / f"{name}.json", [{"value": value, "count": count} for value, count in ranked])
+@contextmanager
+def _table(outdir: Path, name: str, header: list[str] | None, **skipped):
+    """Compute the table `name` in this block's body and write it with the
+    yielded `write(payload, rows)`: `payload` as `name.json` and, for a
+    table with a CSV `header`, `rows` under it as `name.csv`. A body that
+    raises DegenerateDataError finds the table undefined, and its skipped
+    form is written instead: the `skipped` keys and `"skipped": reason` as
+    JSON, and the header alone as CSV."""
+    def write(payload, rows=()) -> None:
+        if header is not None:
+            _write_csv(outdir / f"{name}.csv", header, rows)
+        _write_json(outdir / f"{name}.json", payload)
+
+    try:
+        yield write
+    except DegenerateDataError as exc:
+        write({**skipped, "skipped": str(exc)})
 
 
 # ---------------------------------------------------------------------------
@@ -246,121 +260,113 @@ def cmd_parse(args: argparse.Namespace, config: RunConfig) -> None:
 def cmd_stats(args: argparse.Namespace, config: RunConfig) -> None:
     # its columns are built as the records stream past, so no record is kept
     corpus = read_corpus_jsonl(args.corpus, config.rule_tables)
+    if not len(corpus):
+        raise DegenerateDataError("stats: corpus has no records")
     _write_staged(config.out, "stats", lambda staging: _write_stats_tables(corpus, staging / "stats", config))
     print(f"stats written to {_shown(config.out / 'stats')}")
 
 
 def _write_stats_tables(corpus: Corpus, outdir: Path, config: RunConfig) -> None:
+    """Write every `stats` table of a corpus that has records: one that is
+    undefined for it in its skipped form (see `_table`), and an undefined
+    collaboration ratio as null."""
     k = config.top_k
-    table = "field counts"
     counts = {}
-    try:
-        for name, field in (
-            ("publication_types", "publication_type"),
-            ("document_types", "document_type"),
-            ("languages", "language"),
-            ("sources", "source"),
-            ("countries", "country"),
-            ("institutions", "institution"),
-            ("research_areas", "research_area"),
-            ("author_keywords", "keyword"),
-        ):
-            table = name
-            counts[field] = metrics.field_counts(corpus, field)
-            _counts_table(outdir, name, counts[field], k)
+    for name, field in (
+        ("publication_types", "publication_type"),
+        ("document_types", "document_type"),
+        ("languages", "language"),
+        ("sources", "source"),
+        ("countries", "country"),
+        ("institutions", "institution"),
+        ("research_areas", "research_area"),
+        ("author_keywords", "keyword"),
+    ):
+        counts[field] = metrics.field_counts(corpus, field)
+        ranked = metrics.top_k(counts[field], k)
+        _write_csv(outdir / f"{name}.csv", ["value", "count"], ranked)
+        _write_json(outdir / f"{name}.json", [{"value": value, "count": count} for value, count in ranked])
 
-        table = "page_stats"
-        pages = [pages for pages in corpus.page_counts if pages is not None]
-        _write_json(outdir / "page_stats.json", _stats_payload(pages))
+    pages = [pages for pages in corpus.page_counts if pages is not None]
+    for name, values in (("page_stats", pages), ("authors_per_paper", metrics.authors_per_paper(corpus))):
+        with _table(outdir, name, None) as write:
+            summary = metrics.descriptive_stats(values)
+            write({
+                "min": _sig6(summary.minimum),
+                "max": _sig6(summary.maximum),
+                "mean": _sig6(summary.mean),
+                "median": _sig6(summary.median),
+                "mode": _sig6(summary.mode),
+                "n": len(values),
+            })
 
-        table = "authors_per_paper"
-        _write_json(outdir / "authors_per_paper.json", _stats_payload(metrics.authors_per_paper(corpus)))
+    cited = metrics.most_cited(corpus, k)
+    _write_csv(
+        outdir / "most_cited.csv",
+        ["title", "authors", "times_cited", "research_areas"],
+        [(title, authors, cited_count, "; ".join(areas)) for title, authors, cited_count, areas in cited],
+    )
+    _write_json(outdir / "most_cited.json", [
+        {"title": title, "authors": authors, "times_cited": cited_count, "research_areas": list(areas)}
+        for title, authors, cited_count, areas in cited
+    ])
 
-        table = "most_cited"
-        cited = metrics.most_cited(corpus, k)
-        _write_csv(
-            outdir / "most_cited.csv",
-            ["title", "authors", "times_cited", "research_areas"],
-            [(title, authors, cited_count, "; ".join(areas)) for title, authors, cited_count, areas in cited],
-        )
-        _write_json(outdir / "most_cited.json", [
-            {"title": title, "authors": authors, "times_cited": cited_count, "research_areas": list(areas)}
-            for title, authors, cited_count, areas in cited
-        ])
+    rows = metrics.author_table(corpus, k)
+    _write_csv(
+        outdir / "author_table.csv",
+        ["name", "total_cited", "papers", "cited_per_paper", "h_index", "g_index"],
+        [(r.name, r.total_cited, r.papers, f"{r.cited_per_paper:.6g}", r.h, r.g) for r in rows],
+    )
+    _write_json(outdir / "author_table.json", {
+        "note": "papers without a citation count contribute 0 to their authors' vectors",
+        "rows": [
+            {
+                "name": r.name, "total_cited": r.total_cited, "papers": r.papers,
+                "cited_per_paper": _sig6(r.cited_per_paper), "h_index": r.h, "g_index": r.g,
+            }
+            for r in rows
+        ],
+    })
 
-        table = "author_table"
-        rows = metrics.author_table(corpus, k)
-        _write_csv(
-            outdir / "author_table.csv",
-            ["name", "total_cited", "papers", "cited_per_paper", "h_index", "g_index"],
-            [(r.name, r.total_cited, r.papers, f"{r.cited_per_paper:.6g}", r.h, r.g) for r in rows],
-        )
-        _write_json(outdir / "author_table.json", {
-            "note": "papers without a citation count contribute 0 to their authors' vectors",
-            "rows": [
-                {
-                    "name": r.name, "total_cited": r.total_cited, "papers": r.papers,
-                    "cited_per_paper": _sig6(r.cited_per_paper), "h_index": r.h, "g_index": r.g,
-                }
-                for r in rows
-            ],
-        })
-
-        for name, group_by in (
-            ("monthly_all", "all"),
-            ("monthly_by_country", "country"),
-            ("monthly_by_source", "source"),
-            ("monthly_by_research_area", "research_area"),
-        ):
-            table = name
-            keys = None if group_by == "all" else [key for key, _ in metrics.top_k(counts[group_by], k)]
+    for name, group_by in (
+        ("monthly_all", "all"),
+        ("monthly_by_country", "country"),
+        ("monthly_by_source", "source"),
+        ("monthly_by_research_area", "research_area"),
+    ):
+        keys = None if group_by == "all" else [key for key, _ in metrics.top_k(counts[group_by], k)]
+        with _table(outdir, name, ["key", "month", "count"]) as write:
             series = metrics.monthly_counts(corpus, group_by, keys)
-            _write_csv(
-                outdir / f"{name}.csv",
-                ["key", "month", "count"],
-                [(s.key, str(ym), count) for s in series for ym, count in s.points.items()],
-            )
-            _write_json(outdir / f"{name}.json", [
+            write([
                 {"key": s.key, "points": {str(ym): count for ym, count in s.points.items()}}
                 for s in series
-            ])
+            ], [(s.key, str(ym), count) for s in series for ym, count in s.points.items()])
 
-        table = "collaboration"
-        _write_json(outdir / "collaboration.json", {
-            "degree_of_collaboration": _sig6(metrics.degree_of_collaboration(corpus)),
-            "international_collaboration_ratio": _sig6(metrics.international_collab_ratio(corpus)),
-            "multidisciplinary_ratio": _sig6(metrics.multidisciplinary_ratio(corpus)),
-        })
+    collaboration = {}
+    for key, ratio in (
+        ("degree_of_collaboration", metrics.degree_of_collaboration),
+        ("international_collaboration_ratio", metrics.international_collab_ratio),
+        ("multidisciplinary_ratio", metrics.multidisciplinary_ratio),
+    ):
+        try:
+            collaboration[key] = _sig6(ratio(corpus))
+        except DegenerateDataError:
+            collaboration[key] = None  # undefined, as for a corpus without addresses; the others stay
+    _write_json(outdir / "collaboration.json", collaboration)
 
-        table = "correlation_matrix"
+    with _table(outdir, "correlation_matrix", ["variable", *metrics.CORRELATION_VARIABLES]) as write:
         matrix = metrics.correlation_matrix(corpus)
-        _write_csv(
-            outdir / "correlation_matrix.csv",
-            ["variable", *matrix.variables],
+        write(
+            {
+                "variables": list(matrix.variables),
+                "entries": [[None if value is None else _sig6(value) for value in row] for row in matrix.entries],
+            },
             [
                 (variable, *["" if value is None else f"{value:.6g}" for value in row])
                 for variable, row in zip(matrix.variables, matrix.entries)
             ],
         )
-        _write_json(outdir / "correlation_matrix.json", {
-            "variables": list(matrix.variables),
-            "entries": [[None if value is None else _sig6(value) for value in row] for row in matrix.entries],
-        })
-    except DegenerateDataError as exc:
-        raise DegenerateDataError(f"stats: {table}: {exc}") from exc
     _write_manifest(outdir, "stats", config)
-
-
-def _stats_payload(values: list) -> dict:
-    stats = metrics.descriptive_stats(values)
-    return {
-        "min": _sig6(stats.minimum),
-        "max": _sig6(stats.maximum),
-        "mean": _sig6(stats.mean),
-        "median": _sig6(stats.median),
-        "mode": _sig6(stats.mode),
-        "n": len(values),
-    }
 
 
 def cmd_network(args: argparse.Namespace, config: RunConfig) -> None:
@@ -402,15 +408,25 @@ def _write_network(graph: graphs.WeightedGraph, outdir: Path, args: argparse.Nam
         sample = AUTO_SAMPLE_SIZE
     meta = {"seed": config.seed, "sample": sample, "auto_sampled": auto_sampled}
 
-    try:
+    with _table(outdir, "centrality", ["node", "degree", "betweenness", "closeness"], meta=meta) as write:
         rows = graph_stats.centrality_table(
             graph, betweenness_sample=sample, seed=config.seed,
             scope="whole" if args.whole_graph else "largest",
             literal_closeness=args.literal_closeness,
         )
-        _write_csv(
-            outdir / "centrality.csv",
-            ["node", "degree", "betweenness", "closeness"],
+        write(
+            {
+                "meta": meta,
+                "rows": [
+                    {
+                        "node": row.node,
+                        "degree": _sig6(row.degree),
+                        "betweenness": _sig6(row.betweenness),
+                        "closeness": None if row.closeness is None else _sig6(row.closeness),
+                    }
+                    for row in rows
+                ],
+            },
             [
                 (
                     row.node, f"{row.degree:.6f}", f"{row.betweenness:.6f}",
@@ -419,25 +435,10 @@ def _write_network(graph: graphs.WeightedGraph, outdir: Path, args: argparse.Nam
                 for row in rows
             ],
         )
-        _write_json(outdir / "centrality.json", {
-            "meta": meta,
-            "rows": [
-                {
-                    "node": row.node,
-                    "degree": _sig6(row.degree),
-                    "betweenness": _sig6(row.betweenness),
-                    "closeness": None if row.closeness is None else _sig6(row.closeness),
-                }
-                for row in rows
-            ],
-        })
-    except DegenerateDataError as exc:
-        _write_csv(outdir / "centrality.csv", ["node", "degree", "betweenness", "closeness"], [])
-        _write_json(outdir / "centrality.json", {"meta": meta, "skipped": str(exc)})
 
-    try:
+    with _table(outdir, "smallworld", None, meta=meta) as write:
         report = graph_stats.small_world_check(graph)
-        _write_json(outdir / "smallworld.json", {
+        write({
             "meta": meta,
             "avg_shortest_path": _sig6(report.avg_shortest_path),
             "ln_node_count": _sig6(report.ln_node_count),
@@ -446,14 +447,12 @@ def _write_network(graph: graphs.WeightedGraph, outdir: Path, args: argparse.Nam
             "sampled": False,
             "verdict": report.verdict,
         })
-    except DegenerateDataError as exc:
-        _write_json(outdir / "smallworld.json", {"meta": meta, "skipped": str(exc)})
 
     degrees = [degree for degree, count in histogram if degree for _ in range(count)]
-    try:
+    with _table(outdir, "powerlaw", None, meta=meta) as write:
         fit = graph_stats.fit_power_law(degrees)
         digest = _sha256_hex(",".join(map(str, degrees)).encode())
-        _write_json(outdir / "powerlaw.json", {
+        write({
             "meta": meta,
             "gamma": _sig6(fit.gamma),
             "xmin": fit.xmin,
@@ -461,8 +460,6 @@ def _write_network(graph: graphs.WeightedGraph, outdir: Path, args: argparse.Nam
             "n_tail": fit.n_tail,
             "sampled_degrees_hash": digest,
         })
-    except DegenerateDataError as exc:
-        _write_json(outdir / "powerlaw.json", {"meta": meta, "skipped": str(exc)})
 
     series = graph_stats.per_component_assortativity(graph)
     _write_csv(

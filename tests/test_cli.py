@@ -100,6 +100,12 @@ def one_record_corpus(tmp_path):
     return corpus
 
 
+def empty_corpus(tmp_path):
+    corpus = tmp_path / "empty.jsonl"
+    corpus.write_text("", encoding="utf-8")
+    return corpus
+
+
 # every file that `stats` writes
 STATS_FILES = {
     f"{name}.{ext}"
@@ -145,12 +151,28 @@ class TestStatsCommand:
             assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes(), rel
 
     def test_degenerate_corpus_exit_code(self, tmp_path, capsys):
-        # a single-record corpus cannot produce a correlation matrix
-        assert run("stats", one_record_corpus(tmp_path), "--out", tmp_path / "o") == EXIT_DEGENERATE
+        # a corpus with no records has no table to write
+        assert run("stats", empty_corpus(tmp_path), "--out", tmp_path / "o") == EXIT_DEGENERATE
         # reported by main, in the form of every other exit-3 failure
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
-        assert lines[0].startswith("analysis error: stats: correlation_matrix: ")
+        assert lines[0] == "analysis error: stats: corpus has no records"
+
+    def test_one_record_corpus_skips_only_the_correlation_matrix(self, tmp_path):
+        # a single record cannot produce a correlation matrix; every other table is defined
+        out = tmp_path / "o"
+        assert run("stats", one_record_corpus(tmp_path), "--out", out) == EXIT_OK
+        stats = out / "stats"
+        assert {p.name for p in stats.iterdir()} == STATS_FILES
+        assert json.loads((stats / "correlation_matrix.json").read_text()) == {
+            "skipped": "need at least 2 complete rows, found 1"
+        }
+        header = "variable,authors,cited_refs,times_cited,research_areas,countries,pages\n"
+        assert (stats / "correlation_matrix.csv").read_text() == header
+        assert json.loads((stats / "page_stats.json").read_text())["n"] == 1
+        assert json.loads((stats / "collaboration.json").read_text()) == {
+            "degree_of_collaboration": 0.0, "international_collaboration_ratio": 0.0, "multidisciplinary_ratio": 0.0,
+        }
 
     def test_constant_variable_leaves_its_coefficients_null(self, tmp_path):
         # every paper from one country: the countries variable is constant
@@ -190,14 +212,15 @@ class TestStatsCommand:
         assert [[cell == "" for cell in row.split(",")[1:]] for row in rows] == np.isnan(expected).tolist()
 
     def test_degenerate_corpus_leaves_no_stats_directory(self, tmp_path):
-        assert run("stats", one_record_corpus(tmp_path), "--out", tmp_path / "o") == EXIT_DEGENERATE
-        assert list((tmp_path / "o").iterdir()) == []
+        assert run("stats", empty_corpus(tmp_path), "--out", tmp_path / "o") == EXIT_DEGENERATE
+        # the corpus is checked before anything is staged, so not even --out is made
+        assert not (tmp_path / "o").exists()
 
     def test_failed_rerun_leaves_complete_stats_untouched(self, parsed_out, tmp_path):
         assert run("stats", parsed_out / "corpus.jsonl", "--out", parsed_out) == EXIT_OK
         before = snapshot(parsed_out / "stats")
         assert "manifest.json" in before
-        assert run("stats", one_record_corpus(tmp_path), "--out", parsed_out) == EXIT_DEGENERATE
+        assert run("stats", empty_corpus(tmp_path), "--out", parsed_out) == EXIT_DEGENERATE
         assert snapshot(parsed_out / "stats") == before
         assert not [p for p in parsed_out.iterdir() if p.name.startswith(".")]
 
@@ -213,6 +236,81 @@ class TestStatsCommand:
         assert set(second) == set(first)
         assert json.loads(second["manifest.json"])["top_k"] == 5
         assert second["countries.csv"] != first["countries.csv"]
+
+
+# the first 200 records of the seed-7 corpus_tables export, blanked field by
+# field: (fields set, tables that read them, those tables in skipped form)
+BLANKED = {
+    "no_pages": (
+        {"page_count": None},
+        {"page_stats", "correlation_matrix"},
+        {"page_stats": "no values to summarize", "correlation_matrix": "need at least 2 complete rows, found 0"},
+    ),
+    "no_dates": (
+        {"publication_date": "", "publication_year": 0},
+        {"monthly_all", "monthly_by_country", "monthly_by_source", "monthly_by_research_area"},
+        dict.fromkeys(
+            ["monthly_all", "monthly_by_country", "monthly_by_source", "monthly_by_research_area"],
+            "corpus has no dated records",
+        ),
+    ),
+    "no_addresses": (
+        {"addresses": ""},
+        {"countries", "institutions", "monthly_by_country", "collaboration", "correlation_matrix"},
+        {"correlation_matrix": "need at least 2 complete rows, found 0"},
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def tables_head(tmp_path_factory):
+    """The first 200 corpus lines of the benchmark's seed-7 corpus_tables
+    export, and their `stats` tree."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from generate import generate
+    from run import TABLES
+
+    root = tmp_path_factory.mktemp("tables_head")
+    inputs, _ = generate(TABLES, 7, root / "inputs")
+    assert run("parse", *inputs, "--out", root / "parsed") == EXIT_OK
+    lines = (root / "parsed" / "corpus.jsonl").read_text(encoding="utf-8").splitlines()[:200]
+    corpus = root / "kept.jsonl"
+    corpus.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    assert run("stats", corpus, "--out", root / "kept") == EXIT_OK
+    return lines, snapshot(root / "kept" / "stats")
+
+
+class TestDegenerateStatsCorpora:
+    @pytest.mark.parametrize("case", sorted(BLANKED))
+    def test_undefined_tables_are_skipped_and_the_rest_written(self, case, tables_head, tmp_path):
+        fields, reading, skipped = BLANKED[case]
+        lines, kept = tables_head
+        corpus = tmp_path / f"{case}.jsonl"
+        corpus.write_text("".join(json.dumps({**json.loads(line), **fields}) + "\n" for line in lines), encoding="utf-8")
+        out = tmp_path / "o"
+        assert run("stats", corpus, "--out", out) == EXIT_OK
+        written = snapshot(out / "stats")
+        assert set(written) == STATS_FILES
+        for name, reason in skipped.items():
+            assert json.loads(written[f"{name}.json"]) == {"skipped": reason}
+            if f"{name}.csv" in STATS_FILES:
+                # the header alone, as the full run writes it
+                assert written[f"{name}.csv"] == kept[f"{name}.csv"].splitlines(keepends=True)[0]
+        for file_name, data in written.items():
+            if file_name.split(".")[0] not in reading:
+                assert data == kept[file_name], file_name
+
+    def test_an_undefined_collaboration_ratio_is_null_and_the_others_kept(self, tables_head, tmp_path):
+        lines, kept = tables_head
+        corpus = tmp_path / "no_addresses.jsonl"
+        corpus.write_text("".join(json.dumps({**json.loads(line), "addresses": ""}) + "\n" for line in lines),
+                          encoding="utf-8")
+        assert run("stats", corpus, "--out", tmp_path / "o") == EXIT_OK
+        collaboration = json.loads((tmp_path / "o" / "stats" / "collaboration.json").read_text())
+        full = json.loads(kept["collaboration.json"])
+        assert collaboration == {**full, "international_collaboration_ratio": None}
+        assert full["international_collaboration_ratio"] is not None
+        assert json.loads((tmp_path / "o" / "stats" / "countries.json").read_text()) == []
 
 
 def snapshot(directory):
