@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import csv
 import random
+from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 
 DEFAULT_THRESHOLD = 0.8
@@ -74,15 +76,20 @@ class SuspectPair:
             raise ValueError("pair must be in canonical (lexicographic) order")
 
 
-def _bag(name: str) -> frozenset[tuple[str, int]]:
-    """The characters of a name as a set, the k-th copy of a character as (char, k)."""
-    seen: dict[str, int] = {}
-    items = []
-    for ch in name:
-        k = seen.get(ch, 0)
-        seen[ch] = k + 1
-        items.append((ch, k))
-    return frozenset(items)
+def _bags(names: list[str]) -> list[int]:
+    """The character multiset of each name as the bits of one int.
+
+    Each character owns a lane of bits as wide as its largest count in
+    any one name, and the k-th copy of it sets bit k of its lane, so
+    `(bag_a & bag_b).bit_count()` is the size of the multiset
+    intersection.
+    """
+    counts = [Counter(name) for name in names]
+    widest = Counter()
+    for count in counts:
+        widest |= count  # each character's largest count
+    lane = dict(zip(widest, accumulate(widest.values(), initial=0)))
+    return [sum(((1 << k) - 1) << lane[ch] for ch, k in count.items()) for count in counts]
 
 
 def find_suspect_pairs(names: list[str], threshold: float = DEFAULT_THRESHOLD) -> list[SuspectPair]:
@@ -107,7 +114,7 @@ def find_suspect_pairs(names: list[str], threshold: float = DEFAULT_THRESHOLD) -
     if not 0 < threshold <= 1:
         raise ValueError(f"threshold must lie in (0, 1], got {threshold}")
     unique = sorted(dict.fromkeys(name for name in names if name), key=len)
-    bags = [_bag(name) for name in unique]
+    bags = _bags(unique)
     pairs = []
     for i, a in enumerate(unique):
         bag_a = bags[i]
@@ -116,7 +123,7 @@ def find_suspect_pairs(names: list[str], threshold: float = DEFAULT_THRESHOLD) -
             total = len(a) + len(b)
             if (total - (len(b) - len(a))) / total < threshold:
                 break
-            if (total - (len(b) - len(bag_a & bags[j]))) / total < threshold:
+            if (total - (len(b) - (bag_a & bags[j]).bit_count())) / total < threshold:
                 continue
             ratio = similarity_ratio(a, b)
             if ratio >= threshold:

@@ -12,9 +12,10 @@ pendant (degree 1) reuses its hub's, with a closed-form correction.
 Closeness and path length read one cached pass per graph, a bit-parallel
 breadth-first search that advances 64 sources at once, one per bit of a
 uint64 word.  Betweenness runs Brandes dependency accumulation for a
-batch of up to 16 sources per pass, each wide level bottom-up, and keeps
-the rows that later twins and pendants reuse in a cache of fixed size;
-its values are bit-identical to one traversal per source.
+batch of sources per pass, as many as a memory budget allows, each wide
+level bottom-up, and keeps the rows that later twins and pendants reuse
+in a cache of fixed size; its values are bit-identical to one traversal
+per source.
 
 numpy is imported inside the functions that use it, so CLI commands
 that analyse no graph do not pay its start-up cost.  It is the only
@@ -78,10 +79,9 @@ def _distance_sums(indptr: np.ndarray, indices: np.ndarray, sources) -> np.ndarr
 # widest level a few arrays of up to B * arcs slots.  Batching pays on
 # sparse graphs, whose many narrow levels are dominated by per-call
 # overhead; on dense graphs a few wide levels dominate and larger
-# batches only cost memory.  The budget keeps B * (n + arcs) at or
-# below 2**16 slots.
+# batches only cost memory.  The budget alone sizes the batch: it keeps
+# B * (n + arcs) at or below 2**16 slots.
 _BRANDES_BUDGET = 2**16
-_BRANDES_MAX_BATCH = 16
 # bytes of dependency rows that betweenness keeps for later twins and pendants
 _ROW_CACHE_BYTES = 2**21
 # (edge, neighbour) pairs that `clustering` checks at once
@@ -108,9 +108,11 @@ def _brandes_dependencies(indptr: np.ndarray, indices: np.ndarray, sources: np.n
     bottom-up, where every unreached (source, node) pair scans its own
     row for parents on the frontier, whichever scans fewer arcs
     (direction-optimizing BFS: Beamer, Asanovic & Patterson, SC 2012).
-    Either way a node's parents, and a parent's children, reach
-    `bincount` in ascending order, so every sigma and delta is summed in
-    the same order and the result does not depend on the direction.
+    Both read the arcs of their rows as (parent, child) pairs and keep
+    the shortest-path DAG edges among them.  Either way a node's
+    parents, and a parent's children, reach `bincount` in ascending
+    order, so every sigma and delta is summed in the same order and the
+    result does not depend on the direction.
     """
     import numpy as np
     batch = sources.size
@@ -123,62 +125,39 @@ def _brandes_dependencies(indptr: np.ndarray, indices: np.ndarray, sources: np.n
     sigma[frontier] = 1.0
     slot_of[frontier] = np.arange(batch)
     degree = np.diff(indptr)
-    local = sources
-    counts = degree[local]
-    frontier_arcs = int(counts.sum())
+    frontier_arcs = int(degree[sources].sum())
     unreached_arcs = batch * indices.size - frontier_arcs
     levels = []
     level = 0
     while True:
         level += 1
-        if frontier_arcs <= unreached_arcs:
-            # one slot per arc leaving the frontier, tagged with its origin
-            origin_slots, targets = _row_arcs(indptr, local, counts)
-            targets = indices[targets]
-            targets += (frontier - local)[origin_slots]
-            # shortest-path DAG edges from this level to the next
-            edges = np.flatnonzero(dist[targets] < 0)
-            if edges.size == 0:
-                break
-            target_edges = targets[edges]
-            origin_slots = origin_slots[edges]
-            dist[target_edges] = level
-            fresh = np.flatnonzero(dist == level)
-            slot_of[fresh] = np.arange(fresh.size)
-            target_slots = slot_of[target_edges]
-            parents = frontier[origin_slots]
-        else:
-            unreached = np.flatnonzero(dist < 0)
-            unreached_local = unreached % n
-            children, candidates = _row_arcs(indptr, unreached_local, degree[unreached_local])
-            candidates = indices[candidates]
-            candidates += (unreached - unreached_local)[children]
-            edges = np.flatnonzero(dist[candidates] == level - 1)
-            if edges.size == 0:
-                break
-            parents = candidates[edges]
-            children = children[edges]
-            first = np.ones(children.size, dtype=bool)
-            np.not_equal(children[1:], children[:-1], out=first[1:])
-            fresh = unreached[children[first]]
-            target_slots = np.cumsum(first) - 1
-            target_edges = fresh[target_slots]
-            dist[fresh] = level
-            slot_of[fresh] = np.arange(fresh.size)
-            origin_slots = slot_of[parents]
+        top_down = frontier_arcs <= unreached_arcs
+        rows = frontier if top_down else np.flatnonzero(dist < 0)
+        local = rows % n
+        slots, ends = _row_arcs(indptr, local, degree[local])
+        ends = indices[ends]
+        ends += (rows - local)[slots]
+        # shortest-path DAG edges from this level to the next
+        edges = np.flatnonzero(dist[ends] < 0 if top_down else dist[ends] == level - 1)
+        if edges.size == 0:
+            break
+        ends, owners = ends[edges], rows[slots[edges]]
+        parents, children = (owners, ends) if top_down else (ends, owners)
+        dist[children] = level
+        fresh = np.flatnonzero(dist == level)
+        origin_slots = slot_of[parents]
+        slot_of[fresh] = np.arange(fresh.size)
         # every slot written here is still 0, so bincount sums exactly
         # as an in-order scatter-add would
         weights = sigma[parents]
-        sigma[fresh] = np.bincount(target_slots, weights=weights, minlength=fresh.size)
-        levels.append((frontier, origin_slots, target_edges, weights))
+        sigma[fresh] = np.bincount(slot_of[children], weights=weights, minlength=fresh.size)
+        levels.append((frontier, origin_slots, children, weights))
         frontier = fresh
-        local = fresh % n
-        counts = degree[local]
-        frontier_arcs = int(counts.sum())
+        frontier_arcs = int(degree[fresh % n].sum())
         unreached_arcs -= frontier_arcs
     delta = np.zeros(batch * n, dtype=np.float64)
-    for origins, origin_slots, target_edges, weights in reversed(levels):
-        contrib = weights / sigma[target_edges] * (1.0 + delta[target_edges])
+    for origins, origin_slots, children, weights in reversed(levels):
+        contrib = weights / sigma[children] * (1.0 + delta[children])
         delta[origins] = np.bincount(origin_slots, weights=contrib, minlength=origins.size)
     delta[offsets + sources] = 0.0
     return delta.reshape(batch, n)
@@ -386,7 +365,7 @@ def betweenness_centrality(
     sources = _sources(n, sample_sources, seed)
     scale = n / len(sources)
     served, pendant = _served_by(graph)
-    batch = max(1, min(_BRANDES_MAX_BATCH, _BRANDES_BUDGET // (n + indices.size)))
+    batch = max(1, _BRANDES_BUDGET // (n + indices.size))
     capacity = max(batch, _ROW_CACHE_BYTES // (8 * n))
     keys = served[sources].tolist()
     accumulated = np.zeros(n, dtype=np.float64)

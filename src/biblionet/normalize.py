@@ -83,7 +83,9 @@ class NormalizationRules:
         """Load rule overrides from JSON, merged over the defaults.
 
         Recognized keys: "months" (token -> 1..12), "seasons" (list of
-        tokens), "country_contains" and "country_exact" (raw -> canonical).
+        tokens; a date token is a season when it equals one or its first
+        three letters do), "country_contains" and "country_exact" (raw ->
+        canonical).
         Raises OSError when the file cannot be read and ValueError when it
         is not JSON, holds a lone surrogate, has any other key, a value
         has the wrong type or range, or a country name is empty or blank.
@@ -136,8 +138,9 @@ def normalize_date(raw: str | None, year: int, rules: NormalizationRules | None 
     Month tokens are matched case-insensitively by exact entry or
     3-letter prefix, so "SEP 10", "Sep", "SEPTEMBER 10", "SEPT" and
     "SEP." all resolve to month 9.  Ranges like "SEP-DEC" resolve to the
-    first month.  Season tokens (FAL/WIN/SUM/SPR) and unparseable or
-    empty strings yield None; a dropped date is a value, not an error.
+    first month.  Season tokens (FAL/WIN/SUM/SPR), matched the same way,
+    and unparseable or empty strings yield None; a dropped date is a
+    value, not an error.
     """
     rules = rules or DEFAULT_RULES
     if year < 1900:
@@ -146,7 +149,7 @@ def normalize_date(raw: str | None, year: int, rules: NormalizationRules | None 
         return None
     for token in _ALPHA_RUN.findall(raw):
         token = token.upper()
-        if token[:3] in rules.seasons:
+        if token in rules.seasons or token[:3] in rules.seasons:
             return None
         month = rules.months.get(token) or rules.months.get(token[:3])
         if month:

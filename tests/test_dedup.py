@@ -208,6 +208,17 @@ class TestAgainstBruteForce:
         names = _mixed_names(seed)
         assert find_suspect_pairs(names, threshold) == brute_force_suspect_pairs(names, threshold)
 
+    @pytest.mark.parametrize("threshold", [0.5, 0.7, 0.8, 0.9])
+    def test_a_name_with_the_widest_lane(self, threshold):
+        # "aaaaaaab" repeats "a" more often than any other name, so the
+        # lane of "a" is as wide as that one name needs
+        names = ["aaaaaaab", "aaaab", "aab", "ab", "ba", "baaa", "abab", "bbbba", "aaaaaab", "aaaaaaba"]
+        assert find_suspect_pairs(names, threshold) == brute_force_suspect_pairs(names, threshold)
+        bags = dedup._bags(names)
+        for i, a in enumerate(names):
+            for j, b in enumerate(names):
+                assert (bags[i] & bags[j]).bit_count() == sum((Counter(a) & Counter(b)).values())
+
     def test_planted_initials_variant_found(self):
         pairs = find_suspect_pairs(_mixed_names(1), 0.8)
         assert SuspectPair("Smith, J. A.", "Smith, John A", (25 - 4) / 25) in pairs

@@ -4,6 +4,7 @@ import random
 import re
 import tracemalloc
 import weakref
+from collections import Counter
 from itertools import combinations
 from unittest import mock
 
@@ -639,6 +640,24 @@ class TestTraversalKernels:
         rows = _brandes_dependencies(indptr, indices, np.asarray(sources), n)
         for source, row in zip(sources, rows):
             assert np.array_equal(row, brandes_dependencies(indptr, indices, source, n))
+
+    @pytest.mark.parametrize("name", ["connected", "dense"])
+    def test_brandes_batches_run_both_directions(self, name):
+        # the level directions of the batches above, by the kernel's rule:
+        # top-down while the frontier's arcs are no more than the unreached ones'
+        labels, indptr, indices = csr_of(KERNEL_GRAPHS[name]())
+        n = len(labels)
+        degree = np.diff(indptr)
+        directions = Counter()
+        for count in SOURCE_COUNTS:
+            sources = sorted(random.Random(count).sample(range(n), count))
+            dist = np.stack([bfs_distances(indptr, indices, source, n) for source in sources])
+            for level in range(1, int(dist.max()) + 1):
+                frontier_arcs = int(degree[np.nonzero(dist == level - 1)[1]].sum())
+                reached_arcs = int(degree[np.nonzero((dist >= 0) & (dist < level))[1]].sum())
+                unreached_arcs = count * indices.size - reached_arcs
+                directions["top-down" if frontier_arcs <= unreached_arcs else "bottom-up"] += 1
+        assert directions["top-down"] and directions["bottom-up"], directions
 
     @pytest.mark.parametrize("budget", [1, 3_000, 2**20])
     def test_betweenness_exact_equals_slow_path(self, kernel_graph, budget, monkeypatch):

@@ -248,12 +248,15 @@ class TestRulesConfig:
         path = tmp_path / "rules.json"
         path.write_text(json.dumps({
             "months": {"VEND": 10},
-            "seasons": ["MON"],
+            "seasons": ["MON", "Autumn"],
             "country_exact": {"Holland": "Netherlands"},
         }), encoding="utf-8")
         rules = NormalizationRules.from_file(path)
         assert normalize_date("VEND 5", 2020, rules) == YearMonth(2020, 10)
         assert normalize_date("MON", 2020, rules) is None
+        # a season longer than three letters matches whole or by its prefix
+        for raw in ("AUTUMN-DEC", "autumn", "AUT 5", "FAL-DEC"):
+            assert normalize_date(raw, 2020, rules) is None, raw
         assert normalize_date("SEP", 2020, rules) == YearMonth(2020, 9)
         assert canonicalize_country("holland", rules) == "Netherlands"
         assert canonicalize_country("Scotland", rules) == "United Kingdom"
