@@ -15,7 +15,7 @@ import shutil
 import sys
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import dedup, graph_stats, graphs, keywords, metrics
@@ -57,7 +57,7 @@ class RunConfig:
     stopwords: str | None = None
     rules: str | None = None
     # parsed from `rules` by load_config; None means the built-in tables
-    rule_tables: NormalizationRules | None = None
+    rule_tables: NormalizationRules | None = field(init=False, default=None)
 
 
 def _check_int(key: str, value, minimum: int | None = None) -> None:

@@ -6,16 +6,16 @@ counts, not distances.  Every function reads the integer arrays that
 the graph is built with: the CSR of the simple graph (self-loops
 ignored) and its component ids.
 
-Every traversal is exact, and fewer are run than there are sources: the
-true twins of a class (equal closed neighbourhoods) share one, and a
-pendant (degree 1) reuses its hub's, with a closed-form correction.
-Closeness and path length read one cached pass per graph, a bit-parallel
-breadth-first search that advances 64 sources at once, one per bit of a
-uint64 word.  Betweenness runs Brandes dependency accumulation for a
-batch of sources per pass, as many as a memory budget allows, each wide
-level bottom-up, and keeps the rows that later twins and pendants reuse
-in a cache of fixed size; its values are bit-identical to one traversal
-per source.
+Every traversal is exact.  Closeness and path length read one cached
+pass per graph, a bit-parallel breadth-first search from every node with
+an arc that advances 64 sources at once, one per bit of a uint64 word.
+Betweenness runs fewer traversals than there are sources: the true
+twins of a class (equal closed neighbourhoods) share one, and a pendant
+(degree 1) reuses its hub's, with a closed-form correction.  It runs
+Brandes dependency accumulation for a batch of sources per pass, as
+many as a memory budget allows, each wide level bottom-up, and keeps the
+rows that later twins and pendants reuse in a cache of fixed size; its
+values are bit-identical to one traversal per source.
 
 numpy is imported inside the functions that use it, so CLI commands
 that analyse no graph do not pay its start-up cost.  It is the only
@@ -37,17 +37,18 @@ from .graphs import WeightedGraph, connected_components
 # traversal kernels over a CSR
 
 def _distance_sums(indptr: np.ndarray, indices: np.ndarray, sources) -> np.ndarray:
-    """Total hop distance from each source to every node it reaches.
+    """Total hop distance from the given sources to each node.
 
     Bit-parallel multi-source BFS (Then et al., "The More the Merrier",
     VLDB 2015): bit j of a node's uint64 word marks it as reached from
     the j-th source of the current batch of 64, so one pass over the
-    arcs per level advances all 64 searches at once.
+    arcs per level advances all 64 searches at once.  A node adds the
+    level times the bits it gains, one per source at that distance.
     """
     import numpy as np
     n = indptr.size - 1
     sources = np.asarray(sources, dtype=np.int64)
-    totals = np.zeros(sources.size, dtype=np.int64)
+    totals = np.zeros(n, dtype=np.int64)
     # reduceat yields the row's first element, not 0, for an empty row,
     # so only rows with at least one arc are reduced
     rows = np.flatnonzero(np.diff(indptr))
@@ -65,13 +66,12 @@ def _distance_sums(indptr: np.ndarray, indices: np.ndarray, sources) -> np.ndarr
             reached = np.zeros(n, dtype=np.uint64)
             reached[rows] = np.bitwise_or.reduceat(frontier[indices], starts)
             reached &= ~seen
-            fresh = reached[reached != 0]
-            if fresh.size == 0:
+            if not reached.any():
                 break
             seen |= reached
             frontier = reached
-            bits = np.unpackbits(fresh.astype("<u8").view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
-            totals[first:first + batch.size] += level * bits.sum(axis=0, dtype=np.int64)[:batch.size]
+            # a uint8 count times the level would wrap
+            totals += level * np.bitwise_count(reached).astype(np.int64)
     return totals
 
 
@@ -241,16 +241,16 @@ def _sources(n: int, sample_sources: int | None, seed: int):
 
 
 def _served_by(graph: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
-    """The node whose traversal serves each node, and whether the node is
-    a pendant of it; derived once per graph.
+    """The node whose Brandes traversal serves each node in betweenness,
+    and whether the node is a pendant of it; derived once per graph.
 
-    True twins, nodes with equal closed neighbourhoods, lie at equal
-    distances from every other node and have bit-identical Brandes rows,
-    so the smallest member of each twin class serves the class.  A
-    pendant, a node of degree 1 whose neighbour (its hub) has a larger
-    degree, lies one hop further than its hub from every other node, so
-    the hub serves it (Sariyuce, Kaya, Saule & Catalyurek, "Graph
-    Manipulations for Fast Centrality Computation", TKDD 2017).
+    True twins, nodes with equal closed neighbourhoods, have
+    bit-identical Brandes rows, so the smallest member of each twin
+    class serves the class.  A pendant, a node of degree 1 whose
+    neighbour (its hub) has a larger degree, reaches every other node
+    through its hub, so the hub's row serves it (Sariyuce, Kaya, Saule &
+    Catalyurek, "Graph Manipulations for Fast Centrality Computation",
+    TKDD 2017).
 
     Twin candidates share a degree and a 64-bit fingerprint of their
     closed neighbourhood; each candidate is checked against the smallest
@@ -304,26 +304,17 @@ def _component_distance_sums(graph: WeightedGraph) -> np.ndarray:
     """Total hop distance from each node to the rest of its component,
     derived once per graph.
 
-    One bit-parallel pass serves every twin class and hub: a twin's sum
-    is its class's, and a pendant's is its hub's plus c - 2, with c the
-    size of its component.
+    Distance is symmetric, so with every node that has an arc as a
+    source, the total that the pass counts at a node is its own sum.
     """
     if graph.distance_sums is not None:
         return graph.distance_sums
     import numpy as np
-    served, pendant = _served_by(graph)
-    traversed = np.zeros(graph.node_count, dtype=bool)
-    traversed[served] = True
-    traversed &= graph.degree > 0
-    sources = np.flatnonzero(traversed)
+    sources = np.flatnonzero(graph.degree > 0)
     # a batch stops at its deepest search, so components stay together
     sources = sources[np.argsort(graph.component[sources], kind="stable")]
-    totals = np.zeros(traversed.size, dtype=np.int64)
-    totals[sources] = _distance_sums(graph.indptr, graph.indices, sources)
-    sums = totals[served]
-    sums += np.where(pendant, np.bincount(graph.component)[graph.component] - 2, 0)
-    graph.distance_sums = sums
-    return sums
+    graph.distance_sums = _distance_sums(graph.indptr, graph.indices, sources)
+    return graph.distance_sums
 
 
 # ---------------------------------------------------------------------------

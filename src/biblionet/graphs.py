@@ -14,6 +14,7 @@ commands that build no graph do not load it.
 from __future__ import annotations
 
 import csv
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -228,9 +229,12 @@ _XML_ATTRIBUTE_ESCAPES = (
     ("&", "&amp;"), ("<", "&lt;"), (">", "&gt;"), ('"', "&quot;"),
     ("\r", "&#13;"), ("\n", "&#10;"), ("\t", "&#09;"),
 )
+# what XML 1.0 allows neither raw nor as a reference, lone surrogates aside
+_XML_FORBIDDEN = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")
 
 
 def _xml_attribute(text: str) -> str:
+    text = _XML_FORBIDDEN.sub("\ufffd", text)
     for char, entity in _XML_ATTRIBUTE_ESCAPES:
         if char in text:
             text = text.replace(char, entity)
@@ -243,7 +247,10 @@ def write_graphml(graph: WeightedGraph, path: str | Path) -> None:
     Written line by line in the bytes that ElementTree's indented output
     gives (`ElementTree.indent`, then `write` with an XML declaration):
     the same layout, attribute escaping and file encoding, where a lone
-    surrogate in a label becomes a character reference.
+    surrogate in a label becomes a character reference.  A character
+    that XML 1.0 forbids (C0 controls bar tab, LF and CR; U+FFFE, U+FFFF)
+    becomes U+FFFD, so that XML parsers read the file; labels that
+    differ only there share an id.
     """
     quoted = list(map(_xml_attribute, graph.labels))
     with open(path, "w", encoding="utf-8", errors="xmlcharrefreplace") as fh:

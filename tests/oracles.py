@@ -807,6 +807,12 @@ def scipy_fit_power_law(degrees, min_samples: int = 50) -> PowerLawFit:
 # ---------------------------------------------------------------------------
 # GraphML through an ElementTree, the route graphs.write_graphml skips
 
+def xml_safe(label: str) -> str:
+    """The label with each character outside XML 1.0's `Char` production
+    replaced by U+FFFD, lone surrogates kept."""
+    return "".join(c if c in "\t\n\r" or ("\x20" <= c and c not in "\ufffe\uffff") else "\ufffd" for c in label)
+
+
 def elementtree_write_graphml(graph: WeightedGraph, path: str | Path) -> None:
     root = ElementTree.Element("graphml", xmlns="http://graphml.graphdrawing.org/xmlns")
     key = ElementTree.SubElement(root, "key")
@@ -818,9 +824,9 @@ def elementtree_write_graphml(graph: WeightedGraph, path: str | Path) -> None:
     container.set("id", graph.kind.value)
     container.set("edgedefault", "undirected")
     for node in sorted(graph.nodes):
-        ElementTree.SubElement(container, "node", id=node)
+        ElementTree.SubElement(container, "node", id=xml_safe(node))
     for (a, b) in sorted(graph.edges):
-        edge = ElementTree.SubElement(container, "edge", source=a, target=b)
+        edge = ElementTree.SubElement(container, "edge", source=xml_safe(a), target=xml_safe(b))
         data = ElementTree.SubElement(edge, "data", key="weight")
         data.text = str(graph.edges[(a, b)])
     tree = ElementTree.ElementTree(root)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from xml.etree import ElementTree
 
 import networkx as nx
 import numpy as np
@@ -441,6 +442,19 @@ class TestNetworkCommand:
         nx.read_graphml(outdir / "graph.graphml")
         facts = json.loads((outdir / "facts.json").read_text())
         assert facts["node_count"] >= 1
+
+    def test_graphml_with_a_control_character_reads_back(self, tmp_path):
+        # XML 1.0 forbids U+0001 even as a character reference
+        export = tmp_path / "export.txt"
+        export.write_text("FN Export\nVR 1.0\nPT J\nAF Ctrl\x01Name, Ann; Plain, Bob\n"
+                          "TI Control characters\nPY 2020\nER\nEF\n", encoding="utf-8")
+        out = tmp_path / "run"
+        assert run("parse", export, "--out", out) == EXIT_OK
+        assert run("network", out / "corpus.jsonl", "--kind", "coauthor", "--out", out) == EXIT_OK
+        path = out / "network_coauthor" / "graph.graphml"
+        ids = [node.get("id") for node in ElementTree.parse(path).iter("{http://graphml.graphdrawing.org/xmlns}node")]
+        assert ids == ["Ctrl\ufffdName, Ann", "Plain, Bob"]
+        assert list(nx.read_graphml(path).edges) == [("Ctrl\ufffdName, Ann", "Plain, Bob")]
 
     def test_country_facts_match_fixture(self, parsed_out):
         run("network", parsed_out / "corpus.jsonl", "--kind", "country", "--out", parsed_out)

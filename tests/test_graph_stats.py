@@ -82,6 +82,11 @@ def cycle(n):
     return graph_from_edges([(names[i], names[(i + 1) % n]) for i in range(n)])
 
 
+def path(n):
+    names = [f"p{i:04d}" for i in range(n)]
+    return graph_from_edges(zip(names, names[1:]))
+
+
 class TestDegreeCentrality:
     def test_path(self):
         assert degree_centrality(path3()) == {"a": 0.5, "b": 1.0, "c": 0.5}
@@ -555,6 +560,8 @@ KERNEL_GRAPHS = {
         random_graph(3, max_nodes=160, min_nodes=140, kind=GraphKind.COUNTRY, p_range=(0.005, 0.02))),
     "components": lambda: with_self_loops(
         component_union((130, 65, 64, 63, 2, 1, 1), seed=4, kind=GraphKind.COUNTRY), every=7),
+    # 299 levels: past 255, where a uint8 popcount times the level would wrap
+    "long_path": lambda: path(300),
 }
 
 
@@ -618,14 +625,14 @@ class TestTraversalKernels:
 
     @pytest.mark.parametrize("count", SOURCE_COUNTS)
     def test_distance_sums_match_per_source_bfs(self, kernel_graph, count):
+        # each node's total hop distance from the sources that reach it
         labels, indptr, indices = csr_of(kernel_graph)
         n = len(labels)
         sources = random.Random(count).sample(range(n), count)  # unsorted on purpose
-        expected = []
+        expected = np.zeros(n, dtype=np.int64)
         for source in sources:
-            dist = bfs_distances(indptr, indices, source, n)
-            expected.append(int(dist[dist > 0].sum()))
-        assert _distance_sums(indptr, indices, sources).tolist() == expected
+            expected += np.maximum(bfs_distances(indptr, indices, source, n), 0)
+        assert _distance_sums(indptr, indices, sources).tolist() == expected.tolist()
 
     def test_distance_sums_without_arcs(self):
         g = graph_of(GraphKind.COUNTRY, [(label, label) for label in "abc"])
@@ -844,8 +851,9 @@ class TestGraphLifetime:
 
 
 # ---------------------------------------------------------------------------
-# twin and pendant reuse: one traversal serves each true-twin class and
-# each hub with its pendants
+# twin and pendant reuse: one Brandes traversal serves each true-twin
+# class and each hub with its pendants; the distance pass, which runs
+# from every node, is checked on the same twin-rich graphs
 
 @st.composite
 def twin_rich_graphs(draw):
@@ -937,11 +945,23 @@ class TestTwinAndPendantReuse:
     def test_distance_sums_on_random_graphs(self, seed):
         assert_distance_sums_match_bfs(random_graph(seed, max_nodes=80))
 
-    @pytest.mark.parametrize("name", ["disconnected", "components", "dense"])
+    @pytest.mark.parametrize("name", sorted(KERNEL_GRAPHS))
     def test_distance_sums_and_betweenness_on_kernel_graphs(self, name):
         graph = KERNEL_GRAPHS[name]()
         assert_distance_sums_match_bfs(graph)
         assert_betweenness_matches_batched_reference(graph, None, 0)
+
+    @pytest.mark.parametrize("make", [clique_with_pendants, KERNEL_GRAPHS["components"]],
+                             ids=["clique with two pendants", "components"])
+    def test_distances_need_no_serving_nodes(self, make, monkeypatch):
+        def refuse(graph):
+            raise AssertionError("closeness and path length read no twin or pendant serving")
+
+        monkeypatch.setattr(graph_stats, "_served_by", refuse)
+        graph = make()
+        assert closeness_centrality(graph) == slow_closeness(graph)
+        graph = make()  # path length makes its own pass
+        assert avg_shortest_path(graph) == slow_avg_shortest_path(graph)
 
     def test_path_length_reads_the_closeness_pass(self, monkeypatch):
         graph = clique_with_pendants()
@@ -973,9 +993,9 @@ def traversed_sources(monkeypatch, kernel, analysis, graph):
     return sorted(sources)
 
 
-# graph, traversals needed: a star's leaves are pendants of its centre, a
-# clique is one twin class, P4's ends are pendants of its two inner
-# nodes, and a clique with pendants on two members keeps those two
+# graph, Brandes traversals needed: a star's leaves are pendants of its
+# centre, a clique is one twin class, P4's ends are pendants of its two
+# inner nodes, and a clique with pendants on two members keeps those two
 # members as their own classes beside the class of the rest
 TRAVERSAL_COUNTS = {
     "star K1,5": (lambda: star(5), 1),
@@ -995,7 +1015,9 @@ class TestTraversalCounts:
 
     @pytest.mark.parametrize("name", sorted(TRAVERSAL_COUNTS))
     def test_distance_sum_sources(self, name, monkeypatch):
-        make, expected = TRAVERSAL_COUNTS[name]
+        # every node has an arc, and every node with an arc is a source
+        make, _ = TRAVERSAL_COUNTS[name]
         graph = make()
-        assert len(traversed_sources(monkeypatch, "_distance_sums", closeness_centrality, graph)) == expected
+        assert traversed_sources(monkeypatch, "_distance_sums", closeness_centrality, graph) == list(
+            range(graph.node_count))
         assert closeness_centrality(graph) == pytest.approx(brute_closeness(graph))

@@ -299,9 +299,11 @@ class TestGraphmlMatchesElementTree:
             assert_graphml_matches_elementtree(build_graph(kind, records), tmp_path)
 
     def test_escaped_and_non_ascii_labels(self, tmp_path):
-        g = escaped_label_graph(["lone \ud800 surrogate"])
+        g = escaped_label_graph(["lone \ud800 surrogate", "bell\x07", "not a char \uffff"])
         assert_graphml_matches_elementtree(g, tmp_path)
-        assert b"&#55296;" in (tmp_path / "direct.graphml").read_bytes()
+        written = (tmp_path / "direct.graphml").read_bytes()
+        assert b"&#55296;" in written
+        assert 'id="bell\ufffd"'.encode() in written and 'id="not a char \ufffd"'.encode() in written
 
     def test_nodes_without_edges_and_empty_graph(self, tmp_path):
         assert_graphml_matches_elementtree(graph_of(GraphKind.KEYWORD), tmp_path)
