@@ -126,14 +126,12 @@ def _sig6(x: float) -> float:
 
 
 def _write_json(path: Path, payload) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2, ensure_ascii=False)
         fh.write("\n")
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -167,22 +165,27 @@ def _write_manifest(outdir: Path, command: str, config: RunConfig, **extra) -> N
     _write_json(outdir / "manifest.json", payload)
 
 
-def _write_staged(out: Path, name: str, write) -> None:
-    """Run `write` on a fresh staging directory `out/.<name>.partial` and,
-    when it returns, move each entry it staged into `out`: a staged
-    directory replaces any earlier one of the same name whole.
+def _write_staged(config: RunConfig, command: str, tree: str, write, **manifest_extra) -> None:
+    """Write `command`'s tree `tree` into `config.out`: `write(outdir)`
+    fills a fresh `outdir`, `out/.<tree>.partial/<tree>`, then
+    `manifest.json` is written there, so it is every tree's last file,
+    and each staged entry moves into `out`, a staged directory replacing
+    any earlier one of the same name whole. An empty `tree` stages
+    parse's top-level files in `out/.<command>.partial` itself.
 
     A `write` that raises leaves no partial output and the earlier
     outputs untouched; the staging directory goes either way.
     """
-    staging = out / f".{name}.partial"
+    staging = config.out / f".{tree or command}.partial"
     if staging.exists():
         shutil.rmtree(staging)
-    staging.mkdir(parents=True)
+    outdir = staging / tree
+    outdir.mkdir(parents=True)
     try:
-        write(staging)
+        write(outdir)
+        _write_manifest(outdir, command, config, **manifest_extra)
         for path in sorted(staging.iterdir()):
-            target = out / path.name
+            target = config.out / path.name
             if path.is_dir() and target.exists():
                 shutil.rmtree(target)
             os.replace(path, target)
@@ -248,9 +251,8 @@ def cmd_parse(args: argparse.Namespace, config: RunConfig) -> None:
     def write(outdir: Path) -> None:
         write_corpus_jsonl(records, outdir / "corpus.jsonl")
         _write_json(outdir / "parse_summary.json", summary)
-        _write_manifest(outdir, "parse", config)
 
-    _write_staged(config.out, "parse", write)
+    _write_staged(config, "parse", "", write)
     print(
         f"parsed {parsed} records ({skipped} skipped, {duplicates_removed} duplicates removed); "
         f"corpus {len(records)}, dated view {dated}"
@@ -262,7 +264,7 @@ def cmd_stats(args: argparse.Namespace, config: RunConfig) -> None:
     corpus = read_corpus_jsonl(args.corpus, config.rule_tables)
     if not len(corpus):
         raise DegenerateDataError("stats: corpus has no records")
-    _write_staged(config.out, "stats", lambda staging: _write_stats_tables(corpus, staging / "stats", config))
+    _write_staged(config, "stats", "stats", lambda outdir: _write_stats_tables(corpus, outdir, config))
     print(f"stats written to {_shown(config.out / 'stats')}")
 
 
@@ -366,7 +368,6 @@ def _write_stats_tables(corpus: Corpus, outdir: Path, config: RunConfig) -> None
                 for variable, row in zip(matrix.variables, matrix.entries)
             ],
         )
-    _write_manifest(outdir, "stats", config)
 
 
 def cmd_network(args: argparse.Namespace, config: RunConfig) -> None:
@@ -374,7 +375,7 @@ def cmd_network(args: argparse.Namespace, config: RunConfig) -> None:
     # built as the records stream past, so no record is kept
     graph = graphs.build_graph(kind, iter_corpus_records(args.corpus), config.rule_tables)
     name = f"network_{kind.value}"
-    _write_staged(config.out, name, lambda staging: _write_network(graph, staging / name, args, config))
+    _write_staged(config, "network", name, lambda outdir: _write_network(graph, outdir, args, config), kind=args.kind)
     print(f"network analytics for kind={args.kind} written to {_shown(config.out / name)}")
 
 
@@ -478,8 +479,6 @@ def _write_network(graph: graphs.WeightedGraph, outdir: Path, args: argparse.Nam
         ],
     })
 
-    _write_manifest(outdir, "network", config, kind=args.kind)
-
 
 def cmd_keywords(args: argparse.Namespace, config: RunConfig) -> None:
     stopword_set = (
@@ -488,15 +487,13 @@ def cmd_keywords(args: argparse.Namespace, config: RunConfig) -> None:
     # counted as the records stream past, so no record is kept
     ranked = keywords.keyword_frequencies(iter_corpus_records(args.corpus), stopword_set, args.n)
 
-    def write(staging: Path) -> None:
-        outdir = staging / "keywords"
+    def write(outdir: Path) -> None:
         _write_csv(outdir / "keyword_frequencies.csv", ["token", "count"], ranked)
         _write_json(outdir / "keyword_frequencies.json", [
             {"token": token, "count": count} for token, count in ranked
         ])
-        _write_manifest(outdir, "keywords", config, n=args.n)
 
-    _write_staged(config.out, "keywords", write)
+    _write_staged(config, "keywords", "keywords", write, n=args.n)
     print(f"{len(ranked)} keyword frequencies written to {_shown(config.out / 'keywords')}")
 
 
@@ -506,13 +503,9 @@ def cmd_dedup_authors(args: argparse.Namespace, config: RunConfig) -> None:
         names = dedup.sample_names(names, config.sample, config.seed)
     pairs = dedup.find_suspect_pairs(names, config.fuzzy_threshold)
 
-    def write(staging: Path) -> None:
-        outdir = staging / "dedup"
-        outdir.mkdir()  # which write_suspect_pairs_csv does not make
-        dedup.write_suspect_pairs_csv(pairs, outdir / "suspect_pairs.csv")
-        _write_manifest(outdir, "dedup-authors", config, names_compared=len(names))
-
-    _write_staged(config.out, "dedup", write)
+    _write_staged(config, "dedup-authors", "dedup",
+                  lambda outdir: dedup.write_suspect_pairs_csv(pairs, outdir / "suspect_pairs.csv"),
+                  names_compared=len(names))
     print(f"{len(pairs)} suspect pairs (threshold {config.fuzzy_threshold}) "
           f"written to {_shown(config.out / 'dedup')}")
 

@@ -242,7 +242,7 @@ def _sources(n: int, sample_sources: int | None, seed: int):
 
 def _served_by(graph: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
     """The node whose Brandes traversal serves each node in betweenness,
-    and whether the node is a pendant of it; derived once per graph.
+    and whether the node is a pendant of it.
 
     True twins, nodes with equal closed neighbourhoods, have
     bit-identical Brandes rows, so the smallest member of each twin
@@ -256,8 +256,6 @@ def _served_by(graph: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
     closed neighbourhood; each candidate is checked against the smallest
     one, so a fingerprint collision can only cost a reduction.
     """
-    if graph.served_by is not None:
-        return graph.served_by
     import numpy as np
     indptr, indices, degree = graph.indptr, graph.indices, graph.degree
     n = degree.size
@@ -296,8 +294,7 @@ def _served_by(graph: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
     served[leaves[on_hub]] = hubs[on_hub]
     pendant = np.zeros(n, dtype=bool)
     pendant[leaves[on_hub]] = True
-    graph.served_by = served, pendant
-    return graph.served_by
+    return served, pendant
 
 
 def _component_distance_sums(graph: WeightedGraph) -> np.ndarray:

@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import chain, combinations, count
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -63,10 +63,10 @@ class WeightedGraph:
     `degree[i]` neighbours of node i are
     `indices[indptr[i]:indptr[i + 1]]`, in index order, and
     `component[i]` is its component's position in
-    `connected_components`.  The last four fields keep what is derived
+    `connected_components`.  The last three fields keep what is derived
     from the graph once it has been asked for: the member set of each
-    component, the largest component of a disconnected graph, the node
-    whose traversal serves each node, and every node's distance sum.
+    component, the largest component of a disconnected graph and every
+    node's distance sum.
     Nothing else changes once the graph is built.
     """
 
@@ -81,7 +81,6 @@ class WeightedGraph:
     component: np.ndarray = field(init=False)
     members: list[frozenset[str]] | None = field(init=False, default=None)
     largest: WeightedGraph | None = field(init=False, default=None)
-    served_by: tuple[np.ndarray, np.ndarray] | None = field(init=False, default=None)
     distance_sums: np.ndarray | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
@@ -249,10 +248,19 @@ def write_graphml(graph: WeightedGraph, path: str | Path) -> None:
     the same layout, attribute escaping and file encoding, where a lone
     surrogate in a label becomes a character reference.  A character
     that XML 1.0 forbids (C0 controls bar tab, LF and CR; U+FFFE, U+FFFF)
-    becomes U+FFFD, so that XML parsers read the file; labels that
-    differ only there share an id.
+    becomes U+FFFD, so that XML parsers read the file; a label that then
+    escapes like an earlier one takes the first id suffix `~2`, `~3`, …
+    that no other id has.
     """
     quoted = list(map(_xml_attribute, graph.labels))
+    taken = set(quoted)
+    if len(taken) < len(quoted):
+        seen = set()
+        for i, node in enumerate(quoted):
+            if node in seen:
+                quoted[i] = next(f"{node}~{k}" for k in count(2) if f"{node}~{k}" not in taken)
+                taken.add(quoted[i])
+            seen.add(node)
     with open(path, "w", encoding="utf-8", errors="xmlcharrefreplace") as fh:
         fh.write(
             "<?xml version='1.0' encoding='utf-8'?>\n"

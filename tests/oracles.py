@@ -823,10 +823,24 @@ def elementtree_write_graphml(graph: WeightedGraph, path: str | Path) -> None:
     container = ElementTree.SubElement(root, "graph")
     container.set("id", graph.kind.value)
     container.set("edgedefault", "undirected")
-    for node in sorted(graph.nodes):
-        ElementTree.SubElement(container, "node", id=xml_safe(node))
+    # in label order, the first label to escape to an id keeps it; each
+    # later one takes the first "~k" (k >= 2) that no other id has
+    labels = sorted(graph.nodes)
+    ids: dict[str, str] = {}
+    for node in labels:
+        base = xml_safe(node)
+        if base not in ids.values():
+            ids[node] = base
+            continue
+        k = 2
+        while (f"{base}~{k}" in ids.values()
+               or any(xml_safe(other) == f"{base}~{k}" for other in labels)):
+            k += 1
+        ids[node] = f"{base}~{k}"
+    for node in labels:
+        ElementTree.SubElement(container, "node", id=ids[node])
     for (a, b) in sorted(graph.edges):
-        edge = ElementTree.SubElement(container, "edge", source=xml_safe(a), target=xml_safe(b))
+        edge = ElementTree.SubElement(container, "edge", source=ids[a], target=ids[b])
         data = ElementTree.SubElement(edge, "data", key="weight")
         data.text = str(graph.edges[(a, b)])
     tree = ElementTree.ElementTree(root)

@@ -393,6 +393,35 @@ class TestKeywordsAndDedupStaging:
         assert not [p for p in parsed_out.iterdir() if p.name.startswith(".")]
 
 
+# each command's tree under --out ("" for parse's top-level files) and its flags
+COMMAND_TREES = {
+    "parse": ("", ()),
+    "stats": ("stats", ()),
+    "network": ("network_coauthor", ("--kind", "coauthor")),
+    "keywords": ("keywords", ()),
+    "dedup-authors": ("dedup", ("--sample", "30")),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_TREES))
+def test_the_manifest_is_written_once_and_after_every_other_file(parsed_out, fixture_paths, monkeypatch, command):
+    tree, flags = COMMAND_TREES[command]
+    staged = []
+    write_manifest = cli._write_manifest
+
+    def recording_write_manifest(outdir, *args, **kwargs):
+        staged.append((outdir.relative_to(parsed_out).parts[0], sorted(p.name for p in outdir.iterdir())))
+        write_manifest(outdir, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "_write_manifest", recording_write_manifest)
+    inputs = fixture_paths if command == "parse" else [parsed_out / "corpus.jsonl"]
+    assert run(command, *inputs, *flags, "--out", parsed_out) == EXIT_OK
+    written = sorted(p.name for p in (parsed_out / tree).iterdir())
+    assert "manifest.json" in written
+    written.remove("manifest.json")
+    assert staged == [(f".{tree or command}.partial", written)]
+
+
 def half_write_json(path, payload):
     # the parse summary is parse's first JSON file; leave it half written
     text = json.dumps(payload)

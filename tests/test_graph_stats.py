@@ -841,8 +841,7 @@ class TestGraphLifetime:
             largest = largest_component_subgraph(g)
             is_itself = largest is g
             assert is_itself == (name == "connected")
-            refs = [weakref.ref(obj) for obj in (g, g.indptr, g.served_by[0], g.distance_sums,
-                                                   largest, largest.served_by[0], largest.distance_sums)]
+            refs = [weakref.ref(obj) for obj in (g, g.indptr, g.distance_sums, largest, largest.distance_sums)]
             del g, largest
             assert [ref() for ref in refs] == [None] * len(refs)
         finally:
@@ -885,7 +884,7 @@ def clique_with_pendants():
 
 def drop_caches(graph):
     """The graph with its traversal caches emptied, so the next analysis derives them anew."""
-    graph.served_by = graph.distance_sums = None
+    graph.distance_sums = None
     return graph
 
 

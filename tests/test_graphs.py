@@ -250,6 +250,20 @@ class TestExports:
         for (a, b), weight in g.edges.items():
             assert loaded[a][b]["weight"] == weight
 
+    def test_graphml_labels_that_escape_alike_keep_distinct_ids(self, tmp_path):
+        # \x01, \x02 and U+FFFD all escape to U+FFFD; "~2" is already an id
+        path = tmp_path / "g.graphml"
+        g = graph_of(GraphKind.COAUTHOR, [("a\x01", "b", 1), ("a\x02", "b", 2), ("a\ufffd", "b", 3),
+                                          ("a\ufffd~2", "b", 4)])
+        write_graphml(g, path)
+        loaded = nx.read_graphml(path)
+        assert type(loaded) is nx.Graph
+        ids = {"a\x01": "a\ufffd", "a\x02": "a\ufffd~3", "a\ufffd": "a\ufffd~4", "a\ufffd~2": "a\ufffd~2",
+               "b": "b"}
+        assert sorted(loaded.nodes) == sorted(ids.values())
+        assert {(ids[a], ids[b]): weight for (a, b), weight in g.edges.items()} == {
+            tuple(sorted(edge)): weight for *edge, weight in loaded.edges(data="weight")}
+
     def test_dot_quoting(self, tmp_path):
         path = tmp_path / "g.dot"
         write_dot(self.graph(), path)
@@ -299,11 +313,13 @@ class TestGraphmlMatchesElementTree:
             assert_graphml_matches_elementtree(build_graph(kind, records), tmp_path)
 
     def test_escaped_and_non_ascii_labels(self, tmp_path):
-        g = escaped_label_graph(["lone \ud800 surrogate", "bell\x07", "not a char \uffff"])
+        g = escaped_label_graph(["lone \ud800 surrogate", "bell\x07", "not a char \uffff",
+                                 "a\x01", "a\x02", "a\ufffd"])
         assert_graphml_matches_elementtree(g, tmp_path)
         written = (tmp_path / "direct.graphml").read_bytes()
         assert b"&#55296;" in written
         assert 'id="bell\ufffd"'.encode() in written and 'id="not a char \ufffd"'.encode() in written
+        assert 'id="a\ufffd~3"'.encode() in written
 
     def test_nodes_without_edges_and_empty_graph(self, tmp_path):
         assert_graphml_matches_elementtree(graph_of(GraphKind.KEYWORD), tmp_path)
